@@ -19,7 +19,7 @@ import numpy as np
 from . import ring
 from .errors import DomainError, InexactDivision, NoSolution
 from .ring import RingElem
-from .tensor import IndexConvention, SqMatrix, inverse_blockwise, trace_product
+from .tensor import IndexConvention, SqMatrix, inverse_blockwise
 
 
 @dataclass
@@ -107,7 +107,7 @@ def braid_equation_sides(R: SqMatrix, N: int) -> tuple[dict, dict]:
     return _strip_zeros(lhs), _strip_zeros(rhs)
 
 
-def _twist1_sides(R: SqMatrix, R_inv: SqMatrix, M_u: SqMatrix, M_d: SqMatrix, N: int):
+def twist1_sides(R: SqMatrix, R_inv: SqMatrix, M_u: SqMatrix, M_d: SqMatrix, N: int):
     """R^-1^a_c^b_d  vs  sum_ef M^ae R^b_e^f_c M_fd (first twist form)."""
     lhs = {
         (rp // N, rp % N, cp // N, cp % N): v
@@ -128,7 +128,7 @@ def _twist1_sides(R: SqMatrix, R_inv: SqMatrix, M_u: SqMatrix, M_d: SqMatrix, N:
     return _strip_zeros(lhs), _strip_zeros(rhs)
 
 
-def _twist2_sides(R: SqMatrix, R_inv: SqMatrix, M_u: SqMatrix, M_d: SqMatrix, N: int):
+def twist2_sides(R: SqMatrix, R_inv: SqMatrix, M_u: SqMatrix, M_d: SqMatrix, N: int):
     """R^-1^a_c^b_d  vs  sum_ef M_ce R^e_d^a_f M^fb (second twist form)."""
     lhs = {
         (rp // N, rp % N, cp // N, cp % N): v
@@ -165,10 +165,10 @@ def check_axioms(m) -> CheckReport:
     lhs, rhs = braid_equation_sides(m.R, N)
     rep.record("braid", lhs == rhs, _dict_diff(lhs, rhs))
 
-    lhs, rhs = _twist1_sides(m.R, m.R_inv, m.M_u, m.M_d, N)
+    lhs, rhs = twist1_sides(m.R, m.R_inv, m.M_u, m.M_d, N)
     rep.record("twist1", lhs == rhs, _dict_diff(lhs, rhs))
 
-    lhs, rhs = _twist2_sides(m.R, m.R_inv, m.M_u, m.M_d, N)
+    lhs, rhs = twist2_sides(m.R, m.R_inv, m.M_u, m.M_d, N)
     rep.record("twist2", lhs == rhs, _dict_diff(lhs, rhs))
     return rep
 
@@ -306,54 +306,49 @@ class TwistSolution:
     twin_consistent: bool | None = None
 
 
+def _md_terms(inv_entries, r_entries, N: int):
+    """Terms (row, column, value, side) of the twist system for M_d.
+
+    Row (a', b, c, d) reads sum_a R^-1[(a,b),(c,d)] M_d[a',a]
+    = sum_f R[(b,f),(a',c)] M_d[f,d], with column a'N + a or fN + d of the
+    unknown M_d; side 0 is the R^-1 sum, side 1 the R sum.  Rows come in
+    order of first appearance, R^-1 entries before R entries.
+    """
+    for (rp, cp), v in inv_entries:
+        a, b = divmod(rp, N)
+        c, d = divmod(cp, N)
+        for ap in range(N):
+            yield (ap, b, c, d), ap * N + a, v, 0
+    for (rp, cp), v in r_entries:
+        b, f = divmod(rp, N)
+        ap, c = divmod(cp, N)
+        for d in range(N):
+            yield (ap, b, c, d), f * N + d, v, 1
+
+
 def _assemble_md_system(R: SqMatrix, R_inv: SqMatrix, N: int) -> list[list[RingElem]]:
     zero = ring.zero()
     rows: dict[tuple, list[RingElem]] = {}
-
-    def row_for(key):
-        row = rows.get(key)
-        if row is None:
-            row = [zero] * (N * N)
-            rows[key] = row
-        return row
-
-    for (rp, cp), v in R_inv.entries.items():
-        a, b = rp // N, rp % N
-        c, d = cp // N, cp % N
-        for ap in range(N):
-            row = row_for((ap, b, c, d))
-            row[ap * N + a] = row[ap * N + a] + v
-    for (rp, cp), v in R.entries.items():
-        b, f = rp // N, rp % N
-        ap, c = cp // N, cp % N
-        for d in range(N):
-            row = row_for((ap, b, c, d))
-            row[f * N + d] = row[f * N + d] - v
+    for key, col, v, side in _md_terms(R_inv.entries.items(), R.entries.items(), N):
+        row = rows.setdefault(key, [zero] * (N * N))
+        row[col] = row[col] - v if side else row[col] + v
     return list(rows.values())
 
 
 def _assemble_mu_system(R: SqMatrix, R_inv: SqMatrix, N: int) -> list[list[RingElem]]:
     zero = ring.zero()
     rows: dict[tuple, list[RingElem]] = {}
-
-    def row_for(key):
-        row = rows.get(key)
-        if row is None:
-            row = [zero] * (N * N)
-            rows[key] = row
-        return row
-
     for (rp, cp), v in R_inv.entries.items():
         a, b = rp // N, rp % N
         c, d = cp // N, cp % N
         for cp2 in range(N):
-            row = row_for((cp2, a, b, d))
+            row = rows.setdefault((cp2, a, b, d), [zero] * (N * N))
             row[cp2 * N + c] = row[cp2 * N + c] + v
     for (rp, cp), v in R.entries.items():
         cp2, a = rp // N, rp % N
         d, f = cp // N, cp % N
         for b in range(N):
-            row = row_for((cp2, a, b, d))
+            row = rows.setdefault((cp2, a, b, d), [zero] * (N * N))
             row[f * N + b] = row[f * N + b] - v
     return list(rows.values())
 
@@ -403,30 +398,13 @@ def _discover_z(R_hat: SqMatrix, conv: IndexConvention, seed: int = 11):
         for (r, c), v in R_hat.entries.items():
             rhat[r, c] = ring.eval_numeric(v, q)
         rinv = np.linalg.inv(rhat)
+        inv_terms = ((pos, v) for pos, v in np.ndenumerate(rinv) if v != 0.0)
+        r_terms = ((pos, rhat[pos]) for pos in R_hat.entries)
         rows: dict[tuple, int] = {}
-
-        def idx_for(key):
-            if key not in rows:
-                rows[key] = len(rows)
-            return rows[key]
-
         A = np.zeros((N ** 4, N * N))
         B = np.zeros((N ** 4, N * N))
-        for rp in range(dim):
-            for cp in range(dim):
-                v = rinv[rp, cp]
-                if v == 0.0:
-                    continue
-                a, b = divmod(rp, N)
-                c, d = divmod(cp, N)
-                for ap in range(N):
-                    A[idx_for((ap, b, c, d)), ap * N + a] += v
-        for (rp, cp), val in R_hat.entries.items():
-            v = ring.eval_numeric(val, q)
-            b, f = divmod(rp, N)
-            ap, c = divmod(cp, N)
-            for d in range(N):
-                B[idx_for((ap, b, c, d)), f * N + d] += v
+        for key, col, v, side in _md_terms(inv_terms, r_terms, N):
+            (B if side else A)[rows.setdefault(key, len(rows)), col] += v
         A = A[: len(rows)]
         B = B[: len(rows)]
         proj = rng.standard_normal((N * N, A.shape[0]))

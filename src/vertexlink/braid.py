@@ -8,6 +8,7 @@ maps to a product of sparse matrices of dimension N^n.
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass, field
 
@@ -90,25 +91,33 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
-def letter_matrix(model, n: int, letter: int) -> SqMatrix:
-    """Sparse matrix of one generator on n strands."""
-    N = model.N
-    R = model.R if letter > 0 else model.R_inv
-    i = abs(letter)
-    if i >= n:
-        raise BadLetter(f"letter {letter} on {n} strands")
+def embed_two_site(op: SqMatrix, N: int, n: int, i: int) -> SqMatrix:
+    """1 (x) ... (x) op (x) ... (x) 1 on n factors of size N, op on factors i, i+1."""
     left = N ** (i - 1)
     right = N ** (n - i - 1)
-    dim = N ** n
-    out = SqMatrix(dim)
+    out = SqMatrix(N ** n)
     entries = out.entries
-    for (rp, cp), v in R.entries.items():
+    for (rp, cp), v in op.entries.items():
         for x in range(left):
             base_r = (x * N * N + rp) * right
             base_c = (x * N * N + cp) * right
             for y in range(right):
                 entries[(base_r + y, base_c + y)] = v
     return out
+
+
+def letter_matrix(model, n: int, letter: int) -> SqMatrix:
+    """Sparse matrix of one generator on n strands."""
+    i = abs(letter)
+    if i >= n:
+        raise BadLetter(f"letter {letter} on {n} strands")
+    return embed_two_site(model.R if letter > 0 else model.R_inv, model.N, n, i)
+
+
+def random_word(rng: random.Random, strands: int, length: int) -> BraidWord:
+    """``length`` letters drawn uniformly from the generators and their inverses."""
+    alphabet = [k for k in range(-(strands - 1), strands) if k != 0]
+    return BraidWord(strands, tuple(rng.choice(alphabet) for _ in range(length)))
 
 
 def represent(word: BraidWord, model) -> SqMatrix:

@@ -22,17 +22,18 @@ from .axioms import check_axioms, check_markov_conditions, solve_twist
 from .braid import parse_braid
 from .errors import VertexLinkError
 from .invariants import (
+    STRAND_CAP,
     ambient_invariant,
     compute_constants,
     derived_skein_coefficients,
     minpoly_check,
     regular_invariant,
     skein_coefficients,
+    skein_contexts,
     skein_residual,
 )
 from .models import build_model, mirror_model
 
-_DEFAULT_STRAND_CAP = {2: 7, 3: 6, 4: 5}
 _CAP_ENV = "VERTEXLINK_STRAND_CAP"
 
 
@@ -75,7 +76,7 @@ def _strand_cap(args, N: int) -> int:
             return int(env)
         except ValueError:
             raise VertexLinkError(f"{_CAP_ENV} must be an integer, got {env!r}")
-    return _DEFAULT_STRAND_CAP[N]
+    return STRAND_CAP[N]
 
 
 def _sign_value(args) -> int:
@@ -208,16 +209,10 @@ def _cmd_skein(args) -> int:
     fixed = skein_coefficients(m)
     derived = derived_skein_coefficients(m)
     tables_match = fixed == derived
-    rng = random.Random(args.seed)
-    failures = 0
-    for _ in range(args.trials):
-        n = rng.randint(2, 4)
-        length = rng.randint(0, 6)
-        alphabet = [k for k in range(-(n - 1), n) if k != 0]
-        ctx = parse_braid(" ".join(str(rng.choice(alphabet)) for _ in range(length)), n)
-        i = rng.randint(1, n - 1)
-        if not skein_residual(m, ctx, i).is_zero():
-            failures += 1
+    failures = sum(
+        not skein_residual(m, ctx, i).is_zero()
+        for ctx, i in skein_contexts(random.Random(args.seed), args.trials)
+    )
     ok = tables_match and failures == 0
     if args.json:
         _emit_json({

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedN,
 )
 from .ring import RingElem
-from .tensor import IndexConvention, SqMatrix, _det_dense, _dense, inverse_via_minpoly, trace_product
+from .tensor import IndexConvention, SqMatrix, det, inverse_via_minpoly, trace_product
 
 _Q = ring.q_power
 _S = ring.s_power
@@ -152,12 +152,6 @@ def generic_eigenvalues(N: int, Z: RingElem) -> tuple[RingElem, ...]:
     return tuple(out)
 
 
-def unknot_value(N: int) -> RingElem:
-    """Closure weight of the unknot, (-1)^(N-1) q^-(N-1) (1 + q^2 + ... + q^(2N-2))."""
-    d = loop_sum(N)
-    return _Q(-(N - 1), (-1) ** (N - 1)) * d
-
-
 def loop_sum(N: int) -> RingElem:
     """D = 1 + q^2 + ... + q^(2(N-1)), the denominator of tau."""
     acc = ring.zero()
@@ -221,6 +215,22 @@ def _check_charge_conservation(R: SqMatrix, conv: IndexConvention):
             )
 
 
+def check_trace_constants(N: int, Z: RingElem, k: RingElem, D: RingElem,
+                          tau_trace: RingElem, taubar_trace: RingElem) -> None:
+    """Pin the trace constants to their closed forms.
+
+    k = tr(mu) = (-1)^(N-1) q^-(N-1) D, and the traces of R and R^-1
+    against mu (x) mu give tau = Z / D and taubar = Z q^(N^2-1) / D once
+    divided by k^2.
+    """
+    if k != _Q(-(N - 1), (-1) ** (N - 1)) * D:
+        raise ClosedFormMismatch("closure weight k disagrees with its closed form")
+    if tau_trace * D != Z * k * k:
+        raise ClosedFormMismatch("tau disagrees with Z / D")
+    if taubar_trace * D != Z * _Q(N * N - 1) * k * k:
+        raise ClosedFormMismatch("taubar disagrees with Z q^(N^2-1) / D")
+
+
 def _finalize(
     N: int,
     sign: int,
@@ -238,18 +248,10 @@ def _finalize(
     mu = M_u @ M_d.transpose()
     k = mu.trace()
     D = loop_sum(N)
-    if k != _Q(-(N - 1), (-1) ** (N - 1)) * D:
-        raise ClosedFormMismatch("closure weight k disagrees with its closed form")
     eig = generic_eigenvalues(N, Z)
     R_inv = inverse_via_minpoly(R, list(eig))
     mm = mu.kron(mu)
-    tau_num = Z
-    taubar_num = Z * _Q(N * N - 1)
-    if trace_product(R, mm) * D != tau_num * k * k:
-        raise ClosedFormMismatch("tau disagrees with Z / D")
-    if trace_product(R_inv, mm) * D != taubar_num * k * k:
-        raise ClosedFormMismatch("taubar disagrees with Z q^(N^2-1) / D")
-    det_mu_u = _det_dense(_dense(M_u))
+    check_trace_constants(N, Z, k, D, trace_product(R, mm), trace_product(R_inv, mm))
     return VertexModel(
         N=N,
         sign=sign,
@@ -263,9 +265,9 @@ def _finalize(
         k=k,
         D=D,
         eigenvalues=eig,
-        tau_num=tau_num,
-        taubar_num=taubar_num,
-        det_mu_u=det_mu_u,
+        tau_num=Z,
+        taubar_num=Z * _Q(N * N - 1),
+        det_mu_u=det(M_u),
         mirrored=mirrored,
     )
 
@@ -343,7 +345,7 @@ class SpectralModel:
     u: float = 0.0
 
     def __post_init__(self):
-        if self.N not in (2, 3, 4):
+        if self.N not in (2, 3):
             raise UnsupportedN(f"no spectral weights for N = {self.N}")
         if self.lam <= 0:
             raise DomainError("crossing parameter lam must be positive")
@@ -403,9 +405,7 @@ def _weights_n3(lam: float, mu_a: float, u: float) -> dict:
 def _weights(sm: SpectralModel, u: float) -> dict:
     if sm.N == 2:
         return _weights_n2(sm.lam, sm.mu_aniso, u)
-    if sm.N == 3:
-        return _weights_n3(sm.lam, sm.mu_aniso, u)
-    raise UnsupportedN(f"no Boltzmann weights for N = {sm.N}")
+    return _weights_n3(sm.lam, sm.mu_aniso, u)
 
 
 def boltzmann_tensor(sm: SpectralModel, u: float | None = None) -> np.ndarray:

@@ -124,9 +124,6 @@ class RingElem:
     def is_zero(self) -> bool:
         return not self.rat[1] and not self.rad[1]
 
-    def is_one(self) -> bool:
-        return self.rat == K.PONE and not self.rad[1]
-
     def is_unit(self) -> bool:
         """Units are exactly +-s^k with zero radical part."""
         return not self.rad[1] and len(self.rat[1]) == 1 and self.rat[1][0] in (1, -1)
@@ -207,9 +204,6 @@ class RingElem:
 
     def __repr__(self):
         return f"RingElem({render(self)})"
-
-    def eval(self, q_value):
-        return eval_numeric(self, q_value)
 
 
 def zero() -> RingElem:

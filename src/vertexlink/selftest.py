@@ -10,6 +10,7 @@ substituting the weaker statement.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import sys
 import time
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from . import ring, tlbracket, uqsl2
 from .axioms import check_axioms, check_markov_conditions, solve_twist
-from .braid import BraidWord
+from .braid import BraidWord, random_word
 from .invariants import (
     ambient_invariant,
     compute_constants,
@@ -27,6 +28,7 @@ from .invariants import (
     minpoly_check,
     regular_invariant,
     skein_coefficients,
+    skein_contexts,
     skein_residual,
 )
 from .models import SpectralModel, build_model, limit_check, mirror_model, spectral_checks
@@ -38,11 +40,6 @@ class CheckResult:
     name: str
     ok: bool
     detail: str
-
-
-def _random_word(rng: random.Random, strands: int, length: int) -> BraidWord:
-    alphabet = [k for k in range(-(strands - 1), strands) if k != 0]
-    return BraidWord(strands, tuple(rng.choice(alphabet) for _ in range(length)))
 
 
 def _check_axioms(seed: int, mutate: bool) -> CheckResult:
@@ -63,8 +60,6 @@ def _check_axioms(seed: int, mutate: bool) -> CheckResult:
 
 
 def _with_r(m, R: SqMatrix):
-    import dataclasses
-
     return dataclasses.replace(m, R=R)
 
 
@@ -140,11 +135,8 @@ def _check_skein(seed: int, mutate: bool) -> CheckResult:
         m = build_model(N)
         if skein_coefficients(m) != derived_skein_coefficients(m):
             return CheckResult("skein", False, f"N={N}: coefficient tables disagree")
-        rng = random.Random(seed * 1000 + N)
-        for t in range(20):
-            n = rng.randint(2, 4)
-            ctx = _random_word(rng, n, rng.randint(0, 6))
-            i = rng.randint(1, n - 1)
+        contexts = skein_contexts(random.Random(seed * 1000 + N), 20)
+        for t, (ctx, i) in enumerate(contexts):
             if not skein_residual(m, ctx, i).is_zero():
                 return CheckResult("skein", False, f"N={N} trial {t}: nonzero residual")
     return CheckResult("skein", True, "60 random contexts, residual identically zero")
@@ -228,7 +220,7 @@ def _check_radical(seed: int, mutate: bool) -> CheckResult:
     rng = random.Random(seed + 4)
     for t in range(20):
         n = rng.randint(2, 4)
-        word = _random_word(rng, n, rng.randint(1, 8))
+        word = random_word(rng, n, rng.randint(1, 8))
         reg = regular_invariant(word, m)
         amb = ambient_invariant(word, m)
         if not (reg.radical_part.is_zero() and amb.radical_part.is_zero()):

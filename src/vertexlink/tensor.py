@@ -274,6 +274,11 @@ def _det_dense(rows: list[list[RingElem]]) -> RingElem:
     return acc
 
 
+def det(M: SqMatrix) -> RingElem:
+    """Exact determinant by cofactor expansion (small matrices)."""
+    return _det_dense(_dense(M))
+
+
 def small_inverse(M: SqMatrix) -> SqMatrix:
     """Adjugate inverse for small matrices; entries must divide exactly."""
     rows = _dense(M)

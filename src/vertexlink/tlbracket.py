@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from . import ring
 from .axioms import CheckReport, nullspace
+from .braid import embed_two_site
 from .errors import ConventionValidationFailed, NotDecomposable, NotScalar
 from .models import VertexModel
 from .ring import RingElem
@@ -67,20 +68,6 @@ def build_tl(m: VertexModel) -> TLData:
     return TLData(e=e, f=P @ e @ P, k=m.k)
 
 
-def _embed_two_site(op: SqMatrix, N: int, n: int, i: int) -> SqMatrix:
-    left = N ** (i - 1)
-    right = N ** (n - i - 1)
-    out = SqMatrix(N ** n)
-    entries = out.entries
-    for (rp, cp), v in op.entries.items():
-        for x in range(left):
-            base_r = (x * N * N + rp) * right
-            base_c = (x * N * N + cp) * right
-            for y in range(right):
-                entries[(base_r + y, base_c + y)] = v
-    return out
-
-
 def tl_relations_check(m: VertexModel, max_strands: int = 4) -> CheckReport:
     """E_i^2 = k E_i, E_i E_(i+-1) E_i = E_i, far commutation, for e and f."""
     rep = CheckReport()
@@ -88,7 +75,7 @@ def tl_relations_check(m: VertexModel, max_strands: int = 4) -> CheckReport:
     N = m.N
     for name, gen in (("e", tl.e), ("f", tl.f)):
         for n in range(2, max_strands + 1):
-            E = [None] + [_embed_two_site(gen, N, n, i) for i in range(1, n)]
+            E = [None] + [embed_two_site(gen, N, n, i) for i in range(1, n)]
             for i in range(1, n):
                 ok = E[i] @ E[i] == m.k * E[i]
                 rep.record(f"{name}:square:n{n}:i{i}", ok, "E^2 != k E")

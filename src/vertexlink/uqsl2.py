@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ring
-from .axioms import _twist1_sides, _twist2_sides
+from .axioms import twist1_sides, twist2_sides
 from .errors import DimensionMismatch, DomainError, UnsupportedN
 from .models import VertexModel, build_model
 from .tensor import SqMatrix, small_inverse
@@ -152,8 +152,8 @@ def exact_twist_substitution(j) -> bool:
     m = build_model(N)
     M_d = build_w(jf).transpose()
     M_u = small_inverse(M_d)
-    l1, r1 = _twist1_sides(m.R, m.R_inv, M_u, M_d, N)
-    l2, r2 = _twist2_sides(m.R, m.R_inv, M_u, M_d, N)
+    l1, r1 = twist1_sides(m.R, m.R_inv, M_u, M_d, N)
+    l2, r2 = twist2_sides(m.R, m.R_inv, M_u, M_d, N)
     return l1 == r1 and l2 == r2
 
 

@@ -22,6 +22,7 @@ from vertexlink.invariants import (
     mirror_model_check,
     regular_invariant,
     skein_coefficients,
+    skein_contexts,
     skein_residual,
 )
 from vertexlink.models import build_model
@@ -268,3 +269,16 @@ def test_crossing_matrix_rescale_gauge(each_model):
         assert g.M_u @ g.M_d.transpose() == m.mu
         assert check_axioms(g).passed
         assert regular_invariant(TREFOIL, g) == regular_invariant(TREFOIL, m)
+
+
+def test_skein_contexts_draw_order():
+    # strands, length, letters, then the generator: seeded runs replay
+    rng = random.Random(7)
+    want = []
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        length = rng.randint(0, 6)
+        alphabet = [k for k in range(-(n - 1), n) if k != 0]
+        letters = tuple(rng.choice(alphabet) for _ in range(length))
+        want.append((BraidWord(n, letters), rng.randint(1, n - 1)))
+    assert list(skein_contexts(random.Random(7), 30)) == want

@@ -174,9 +174,8 @@ def test_spectral_residuals_small():
 
 
 def test_spectral_unsupported_n4():
-    sm = SpectralModel(4, 1.0)
     with pytest.raises(UnsupportedN):
-        boltzmann_matrix(sm, 1.0)
+        SpectralModel(4, 1.0)
 
 
 def test_limit_check():

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from vertexlink import ring
+from vertexlink.braid import embed_two_site, letter_matrix
 from vertexlink.errors import NotDecomposable, NotScalar
 from vertexlink.models import build_model
 from vertexlink.tlbracket import (
@@ -53,6 +54,18 @@ def test_tl_generator_identities(each_signed_model):
     assert tl.f @ tl.f == m.k * tl.f
     P = SqMatrix.permutation(m.N)
     assert tl.f == P @ tl.e @ P
+
+
+def test_bracket_identity_on_braid_generators(m2):
+    # b_i = A 1 + B E_i and b_i^-1 = B 1 + A E_i, E_i = e on strands i, i+1
+    A, B = bracket_decompose_n2(m2)
+    e = build_tl(m2).e
+    for n in range(2, 5):
+        ident = SqMatrix.identity(2 ** n)
+        for i in range(1, n):
+            E = embed_two_site(e, 2, n, i)
+            assert letter_matrix(m2, n, i) == A * ident + B * E
+            assert letter_matrix(m2, n, -i) == B * ident + A * E
 
 
 def test_tl_relations_up_to_four_strands(each_model):
