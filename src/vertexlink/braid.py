@@ -3,7 +3,8 @@
 A braid on n strands is a word in generators b_1 .. b_(n-1); the letter i
 stands for b_i and -i for its inverse.  The representation sends b_i to
 1 (x) ... (x) R (x) ... (x) 1 with R acting on factors i, i+1, so a word
-maps to a product of sparse matrices of dimension N^n.
+maps to a product of sparse matrices of dimension N^n, over the exact ring
+or over its packed image.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import BadLetter, DimensionMismatch
-from .tensor import SqMatrix
 
 
 @dataclass(frozen=True)
@@ -91,27 +91,29 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
-def embed_two_site(op: SqMatrix, N: int, n: int, i: int) -> SqMatrix:
-    """1 (x) ... (x) op (x) ... (x) 1 on n factors of size N, op on factors i, i+1."""
+def embed_two_site(op, N: int, n: int, i: int):
+    """1 (x) ... (x) op (x) ... (x) 1 on n factors of size N, op on factors i, i+1.
+
+    ``op`` is a ``SqMatrix`` or a ``PackedMatrix``; the result is of the
+    same kind.
+    """
+    if not 1 <= i < n:
+        raise BadLetter(f"generator {i} on {n} strands")
     left = N ** (i - 1)
     right = N ** (n - i - 1)
-    out = SqMatrix(N ** n)
-    entries = out.entries
+    entries = {}
     for (rp, cp), v in op.entries.items():
         for x in range(left):
             base_r = (x * N * N + rp) * right
             base_c = (x * N * N + cp) * right
             for y in range(right):
                 entries[(base_r + y, base_c + y)] = v
-    return out
+    return op.like(N ** n, entries)
 
 
-def letter_matrix(model, n: int, letter: int) -> SqMatrix:
-    """Sparse matrix of one generator on n strands."""
-    i = abs(letter)
-    if i >= n:
-        raise BadLetter(f"letter {letter} on {n} strands")
-    return embed_two_site(model.R if letter > 0 else model.R_inv, model.N, n, i)
+def letter_matrix(model, n: int, letter: int):
+    """Sparse matrix of one generator on n strands, over the ring of ``model.R``."""
+    return embed_two_site(model.R if letter > 0 else model.R_inv, model.N, n, abs(letter))
 
 
 def random_word(rng: random.Random, strands: int, length: int) -> BraidWord:
@@ -120,19 +122,24 @@ def random_word(rng: random.Random, strands: int, length: int) -> BraidWord:
     return BraidWord(strands, tuple(rng.choice(alphabet) for _ in range(length)))
 
 
-def represent(word: BraidWord, model) -> SqMatrix:
-    """Product of generator matrices; the identity for the empty word."""
+def represent(word: BraidWord, model):
+    """Product of generator matrices; the identity for the empty word.
+
+    ``model`` needs ``N``, ``R`` and ``R_inv``: a vertex model, or its
+    packed image (:mod:`vertexlink.packed`), whose matrices the product
+    stays over.
+    """
     n = word.strands
     dim = model.N ** n
     acc = None
-    cache: dict[int, SqMatrix] = {}
+    cache: dict = {}
     for letter in word.letters:
         g = cache.get(letter)
         if g is None:
             g = letter_matrix(model, n, letter)
             cache[letter] = g
         acc = g if acc is None else acc @ g
-    return SqMatrix.identity(dim) if acc is None else acc
+    return model.R.identity(dim) if acc is None else acc
 
 
 def markov_move(word: BraidWord, move: str, g: int | None = None) -> BraidWord:

@@ -1,10 +1,11 @@
 """Link invariants of braid closures and their consistency checks.
 
-The regular (closure-trace) invariant is tr(rep(word) mu^(x)n); dividing
-by k^n gives the Markov trace, and the ambient normalization removes the
-writhe dependence so the result is invariant under conjugation, both
-stabilizations and free reduction.  All arithmetic stays in the exact
-ring; the single division by the loop sum D is checked exact.
+The regular (closure-trace) invariant is tr(rep(word) mu^(x)n), computed
+on the Kronecker-packed image of the chain (:mod:`vertexlink.packed`);
+dividing by k^n gives the Markov trace, and the ambient normalization
+removes the writhe dependence so the result is invariant under
+conjugation, both stabilizations and free reduction.  All arithmetic is
+exact; the single division by the loop sum D is checked exact.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import functools
 import random
 from dataclasses import dataclass, field
 
-from . import ring
+from . import packed, ring
 from .axioms import check_axioms, check_markov_conditions
 from .braid import BraidWord, random_word, represent
 from .errors import DomainError
@@ -28,19 +29,31 @@ from .ring import RingElem
 from .tensor import SqMatrix, trace_product
 
 
-@functools.lru_cache(maxsize=None)
-def _mu_power(m: VertexModel, n: int) -> SqMatrix:
-    acc = m.mu
-    for _ in range(n - 1):
-        acc = acc.kron(m.mu)
-    return acc
+def _closure_trace(word: BraidWord, m: VertexModel, bits: int) -> RingElem:
+    """Z^-writhe <L> on the image of the ring at q = 2^bits, meeting in the middle.
+
+    The two half-words are represented separately and contracted against
+    mu^(x)n without forming the whole product.  Exact when ``bits`` is at
+    least ``packed.closure_bits(m, word)``.
+    """
+    n = word.strands
+    img = packed.image(m, bits)
+    half = len(word.letters) // 2
+    left = represent(BraidWord(n, word.letters[:half]), img)
+    right = represent(BraidWord(n, word.letters[half:]), img)
+    return trace_product(left, right @ img.mu_power(n))
 
 
 @functools.lru_cache(maxsize=None)
 def regular_invariant(word: BraidWord, m: VertexModel) -> RingElem:
-    """Closure trace <L> = tr(rep(word) mu^(x)n), exact."""
-    rep = represent(word, m)
-    return trace_product(rep, _mu_power(m, word.strands))
+    """Closure trace <L> = tr(rep(word) mu^(x)n), exact.
+
+    Each letter is Z times a unit-free matrix, so <L> is Z^writhe times
+    the unit-free trace, which runs on plain ints (:mod:`vertexlink.packed`)
+    at a width proven wide enough to read every coefficient back.
+    """
+    bits = packed.closure_bits(m, word)
+    return m.Z ** word.writhe * _closure_trace(word, m, bits)
 
 
 def markov_phi(word: BraidWord, m: VertexModel) -> tuple[RingElem, RingElem]:

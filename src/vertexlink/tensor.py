@@ -21,6 +21,7 @@ from .errors import (
     MinPolyViolated,
     NonUnitEigenvalue,
 )
+from .packed import PackedMatrix
 from .ring import RingElem
 
 
@@ -73,6 +74,12 @@ class SqMatrix:
                 if v:
                     clean[(r, c)] = v
         self.entries = clean
+
+    def like(self, dim: int, entries: dict[tuple[int, int], RingElem]) -> "SqMatrix":
+        """A matrix over the same ring, entries taken as given (no zero check)."""
+        res = SqMatrix(dim)
+        res.entries = entries
+        return res
 
     @classmethod
     def identity(cls, dim: int) -> "SqMatrix":
@@ -179,8 +186,10 @@ class SqMatrix:
         return cls(obj["dim"], entries)
 
 
-def trace_product(a: SqMatrix, b: SqMatrix) -> RingElem:
-    """tr(a @ b) without forming the product."""
+def trace_product(a, b) -> RingElem:
+    """tr(a @ b) without forming the product; packed operands unpack the result."""
+    if isinstance(a, PackedMatrix):
+        return a.trace_product(b)
     if a.dim != b.dim:
         raise DimensionMismatch(f"{a.dim} vs {b.dim}")
     acc = ring.zero()

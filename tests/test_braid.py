@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vertexlink.braid import BraidWord, letter_matrix, markov_move, parse_braid, represent
+from vertexlink.braid import (
+    BraidWord,
+    embed_two_site,
+    letter_matrix,
+    markov_move,
+    parse_braid,
+    represent,
+)
 from vertexlink.errors import BadLetter, DimensionMismatch
 from vertexlink.tensor import SqMatrix
 
@@ -95,6 +102,17 @@ def test_letter_matrix_matches_kron(each_model):
     assert letter_matrix(m, 3, -2) == ident.kron(m.R_inv)
     with pytest.raises(BadLetter):
         letter_matrix(m, 2, 2)
+
+
+def test_letter_zero_is_a_bad_letter(m2):
+    with pytest.raises(BadLetter):
+        letter_matrix(m2, 3, 0)
+
+
+@pytest.mark.parametrize("i", [0, 3, -1], ids=["i=0", "i=n", "i=-1"])
+def test_embed_two_site_rejects_sites_outside_the_word(m2, i):
+    with pytest.raises(BadLetter):
+        embed_two_site(m2.R, 2, 3, i)
 
 
 def test_represent_is_homomorphism(each_model):
