@@ -122,17 +122,19 @@ def random_word(rng: random.Random, strands: int, length: int) -> BraidWord:
     return BraidWord(strands, tuple(rng.choice(alphabet) for _ in range(length)))
 
 
-def represent(word: BraidWord, model):
+def represent(word: BraidWord, model, *, cache: dict | None = None):
     """Product of generator matrices; the identity for the empty word.
 
     ``model`` needs ``N``, ``R`` and ``R_inv``: a vertex model, or its
     packed image (:mod:`vertexlink.packed`), whose matrices the product
-    stays over.
+    stays over.  ``cache`` maps letters to their matrices; pass one dict
+    to words on the same strands and model to build each letter once.
     """
     n = word.strands
     dim = model.N ** n
     acc = None
-    cache: dict = {}
+    if cache is None:
+        cache = {}
     for letter in word.letters:
         g = cache.get(letter)
         if g is None:

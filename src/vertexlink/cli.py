@@ -55,7 +55,7 @@ def _best_render(value: ring.RingElem) -> str:
     return ring.render(value, "s")
 
 
-def _poly_payload(value: ring.RingElem) -> dict:
+def _value_payload(value: ring.RingElem) -> dict:
     return {
         "s": ring.render(value, "s"),
         "q": _render_optional(value, "q"),
@@ -109,7 +109,7 @@ def _cmd_invariant(args) -> int:
             "strands": word.strands,
             "writhe": word.writhe,
             "normalization": args.normalization,
-            "value": _poly_payload(value),
+            "value": _value_payload(value),
         })
     else:
         print(f"model N={m.N} sign={args.sign}  braid {list(word.letters)}  "

@@ -32,15 +32,16 @@ from .tensor import SqMatrix, trace_product
 def _closure_trace(word: BraidWord, m: VertexModel, bits: int) -> RingElem:
     """Z^-writhe <L> on the image of the ring at q = 2^bits, meeting in the middle.
 
-    The two half-words are represented separately and contracted against
-    mu^(x)n without forming the whole product.  Exact when ``bits`` is at
-    least ``packed.closure_bits(m, word)``.
+    The two half-words are represented separately, sharing their letter
+    matrices, and contracted against mu^(x)n without forming the whole
+    product.  Exact when ``bits`` is at least ``packed.closure_bits(m, word)``.
     """
     n = word.strands
     img = packed.image(m, bits)
     half = len(word.letters) // 2
-    left = represent(BraidWord(n, word.letters[:half]), img)
-    right = represent(BraidWord(n, word.letters[half:]), img)
+    letters: dict = {}
+    left = represent(BraidWord(n, word.letters[:half]), img, cache=letters)
+    right = represent(BraidWord(n, word.letters[half:]), img, cache=letters)
     return trace_product(left, right @ img.mu_power(n))
 
 

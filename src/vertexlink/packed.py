@@ -13,10 +13,15 @@ model has a radical.
 
 Only the final scalar is unpacked, as balanced base-2^bits digits.  That is
 exact when every coefficient of the result has absolute value below
-2^(bits-1), which :func:`closure_bits` proves from l1 norms: with
-||fg|| <= c ||f|| ||g|| (c = 3 with a radical, as ||r'^2|| = 3, else 1),
-the largest row sum rho of entry norms obeys rho(AB) <= c rho(A) rho(B),
-and a trace is at most dim times a row sum.  No value is ever rounded.
+2^(bits-1), which :func:`closure_bits` proves with the weighted norm
+w(a + b r) = ||a|| + 2 ||b|| (l1 norms of the coefficients).  It bounds
+every coefficient of both parts, and w(xy) <= w(x) w(y): the product
+(a + b r)(c + d r) = (ac + bd r^2) + (ad + bc) r weighs at most
+||a|| ||c|| + 3 ||b|| ||d|| + 2 ||a|| ||d|| + 2 ||b|| ||c||, as
+||r^2|| = 3 <= 2^2 (likewise ||r'^2|| = 3 in the packed basis).  So the
+largest row sum rho of entry weights obeys rho(AB) <= rho(A) rho(B) and
+rho(A (x) B) <= rho(A) rho(B), and a trace weighs at most dim times a row
+sum.  No value is ever rounded.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from . import _kernel as K
 from . import ring
 from .errors import DimensionMismatch, DomainError
 from .ring import RingElem
@@ -183,23 +189,18 @@ def _digits(x: int, bits: int) -> list[int]:
     return out
 
 
-def _poly_in_s(digits: list[int], q_offset: int):
+def _q_digits_in_s(digits: list[int], q_offset: int):
     """Kernel polynomial sum digits[i] s^(2 (i + q_offset)), canonical."""
-    lo = 0
-    while lo < len(digits) and not digits[lo]:
-        lo += 1
-    if lo == len(digits):
-        return (0, ())
-    buf = [0] * (2 * (len(digits) - lo) - 1)
-    buf[::2] = digits[lo:]
-    return (2 * (lo + q_offset), tuple(buf))
+    buf = [0] * (2 * len(digits) - 1)
+    buf[::2] = digits
+    return K.canon(2 * q_offset, buf)
 
 
 def unpack(a: int, b: int, bits: int, shift: int) -> RingElem:
     """q^-shift (a + b r') read back at q = 2^bits, as a ring element in s."""
     # b r' = q b r, so the radical part sits one power of q higher
-    return RingElem(_poly_in_s(_digits(a, bits), -shift),
-                    _poly_in_s(_digits(b, bits), 1 - shift))
+    return RingElem(_q_digits_in_s(_digits(a, bits), -shift),
+                    _q_digits_in_s(_digits(b, bits), 1 - shift))
 
 
 @dataclass(frozen=True)
@@ -226,18 +227,22 @@ class _Letters:
     R_hat: object  # R / Z
     R_bar: object  # Z R^-1
     radical: bool
-    # c times the largest row sum of entry norms, c = 3 with a radical
+    # largest row sums of entry weights
     rho_pos: int
     rho_neg: int
     rho_mu: int
 
 
-def _row_norm(M) -> int:
-    """Largest row sum of entry l1 norms (both parts)."""
+def weight(v: RingElem) -> int:
+    """w(a + b r) = ||a|| + 2 ||b||, a submultiplicative bound on every coefficient."""
+    return sum(abs(x) for x in v.rat[1]) + 2 * sum(abs(x) for x in v.rad[1])
+
+
+def _row_weight(M) -> int:
+    """Largest row sum of entry weights."""
     rows: dict[int, int] = {}
     for (r, _), v in M.entries.items():
-        norm = sum(abs(x) for x in v.rat[1]) + sum(abs(x) for x in v.rad[1])
-        rows[r] = rows.get(r, 0) + norm
+        rows[r] = rows.get(r, 0) + weight(v)
     return max(rows.values(), default=0)
 
 
@@ -247,16 +252,15 @@ def _letters(m) -> _Letters:
     R_hat = m.R * inv_z
     R_bar = m.R_inv * m.Z
     radical = any(v.rad[1] for M in (R_hat, R_bar, m.mu) for v in M.entries.values())
-    c = 3 if radical else 1
     return _Letters(R_hat, R_bar, radical,
-                    c * _row_norm(R_hat), c * _row_norm(R_bar), c * _row_norm(m.mu))
+                    _row_weight(R_hat), _row_weight(R_bar), _row_weight(m.mu))
 
 
 def closure_bits(m, word) -> int:
     """Packing width that makes the closure trace of ``word`` unpack exactly.
 
-    With rho(M) = c times the largest row sum of entry norms, the trace of
-    R_1 ... R_L mu^(x)n has norm at most X = dim rho(mu)^n prod rho(R_i),
+    With rho(M) the largest row sum of entry weights, the trace of
+    R_1 ... R_L mu^(x)n weighs at most X = dim rho(mu)^n prod rho(R_i),
     so bits = bitlen(2 X) + 1 leaves every coefficient below 2^(bits-2).
     """
     L = _letters(m)

@@ -19,7 +19,7 @@ import warnings
 from fractions import Fraction
 
 from . import _kernel as K
-from .errors import DomainError, InexactDivision
+from .errors import DomainError
 
 
 class LaurentPoly:
@@ -239,56 +239,17 @@ def radical() -> RingElem:
 # ---------------------------------------------------------------- division
 
 
-def _pdiv_exact(a, b):
-    """Exact division of kernel polynomials; remainder must vanish."""
-    if not b[1]:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a[1]:
-        return K.PZERO
-    ao, ac = a
-    bo, bc = b
-    la, lb = len(ac), len(bc)
-    if la < lb:
-        raise InexactDivision(f"degree span too small: {la} < {lb}")
-    rem = list(ac)
-    quot = [0] * (la - lb + 1)
-    lead = bc[-1]
-    for i in range(la - lb, -1, -1):
-        c = rem[i + lb - 1]
-        if c == 0:
-            continue
-        if c % lead:
-            raise InexactDivision(f"coefficient {c} not divisible by {lead}")
-        f = c // lead
-        quot[i] = f
-        for j in range(lb):
-            rem[i + j] -= f * bc[j]
-    if any(rem):
-        raise InexactDivision("nonzero remainder")
-    # strip and rebuild
-    buf = quot
-    lo = 0
-    hi = len(buf)
-    while hi > lo and buf[hi - 1] == 0:
-        hi -= 1
-    while hi > lo and buf[lo] == 0:
-        lo += 1
-    if hi == lo:
-        return K.PZERO
-    return (ao - bo + lo, tuple(buf[lo:hi]))
-
-
 def exact_divide(a: RingElem, b: RingElem) -> RingElem:
     """Exact quotient a/b in the ring; raises InexactDivision otherwise."""
     if b.is_zero():
         raise ZeroDivisionError("ring division by zero")
     if not b.rad[1]:
-        return RingElem(_pdiv_exact(a.rat, b.rat), _pdiv_exact(a.rad, b.rat))
+        return RingElem(K.pdiv_exact(a.rat, b.rat), K.pdiv_exact(a.rad, b.rat))
     # clear the radical: a/b = a*conj(b) / (b*conj(b)), the norm is rational
     conj = RingElem(b.rat, K.pneg(b.rad))
     num = a * conj
     norm = K.psub(K.pmul(b.rat, b.rat), K.pmul(K.pmul(b.rad, b.rad), K.RHO))
-    return RingElem(_pdiv_exact(num.rat, norm), _pdiv_exact(num.rad, norm))
+    return RingElem(K.pdiv_exact(num.rat, norm), K.pdiv_exact(num.rad, norm))
 
 
 def invert_unit(a: RingElem) -> RingElem:

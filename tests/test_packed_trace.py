@@ -106,3 +106,19 @@ def test_packed_matrices_stay_packed_through_represent(m4):
     rep = braid.represent(BraidWord(3, (1, -2)), img)
     assert isinstance(rep, packed.PackedMatrix) and rep.bits == 40
     assert isinstance(braid.represent(BraidWord(2, ()), img), packed.PackedMatrix)
+
+
+def test_closure_trace_builds_each_letter_once(m3, monkeypatch):
+    built = []
+    letter_matrix = braid.letter_matrix
+
+    def counting(model, n, letter):
+        built.append(letter)
+        return letter_matrix(model, n, letter)
+
+    monkeypatch.setattr(braid, "letter_matrix", counting)
+    w = BraidWord(4, (1, -2, 3, 1, -2, 3))  # every letter sits in both halves
+    want = reference(w, m3)
+    built.clear()
+    assert m3.Z ** w.writhe * invariants._closure_trace(w, m3, packed.closure_bits(m3, w)) == want
+    assert sorted(built) == [-2, 1, 3]

@@ -11,8 +11,8 @@ PACKAGE = Path(vertexlink.__file__).parent
 def private_imports(package: Path) -> list[str]:
     """``file:line: name`` for each private name a module imports from the package.
 
-    The kernel modules ``_kernel`` and ``_poly_*`` are private by name yet
-    meant to be imported as modules, so ``from . import _kernel`` passes.
+    The kernel module ``_kernel`` is private by name yet meant to be
+    imported as a module, so ``from . import _kernel`` passes.
     """
     found = []
     for path in sorted(package.glob("*.py")):
@@ -23,8 +23,7 @@ def private_imports(package: Path) -> list[str]:
             if not node.level and not module.startswith("vertexlink"):
                 continue
             for alias in node.names:
-                kernel_module = alias.name == "_kernel" or alias.name.startswith("_poly_")
-                if alias.name.startswith("_") and not kernel_module:
+                if alias.name.startswith("_") and alias.name != "_kernel":
                     found.append(f"{path.name}:{node.lineno}: {alias.name}")
     return found
 

@@ -4,10 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vertexlink import ring
+from vertexlink import packed, ring
 from vertexlink.errors import DomainError, InexactDivision
 
 coeffs = st.integers(min_value=-40, max_value=40)
@@ -49,6 +49,16 @@ def test_exact_divide_round_trip(a, b):
             ring.exact_divide(a, b)
         return
     assert ring.exact_divide(a * b, b) == a
+
+
+@given(ring_elems(), ring_elems())
+@example(ring.radical(), ring.radical())
+def test_weight_is_submultiplicative(a, b):
+    # the packing width lemma: r*r = s^-4 + 1 + s^4 weighs 3, so the
+    # radical's weight must square to at least 3; weight 1 fails on r, r
+    assert packed.weight(a * b) <= packed.weight(a) * packed.weight(b)
+    for part in (a.rat, a.rad):
+        assert all(abs(c) <= packed.weight(a) for c in part[1])
 
 
 def test_inexact_division_raises():
@@ -148,7 +158,7 @@ def test_eval_exact():
         ring.eval_exact(a, Fraction(0))
 
 
-def test_laurent_poly_views():
+def test_laurent_polynomial_views():
     a = ring.RingElem.from_parts({2: 5, -1: -3}, {0: 7})
     assert a.rational_part.terms == {2: 5, -1: -3}
     assert a.radical_part.terms == {0: 7}
