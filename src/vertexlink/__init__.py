@@ -16,7 +16,6 @@ from .errors import (
     DomainError,
     InexactDivision,
     MinPolyViolated,
-    NonUnitEigenvalue,
     NoSolution,
     NotDecomposable,
     NotScalar,
@@ -33,7 +32,6 @@ __all__ = [
     "InexactDivision",
     "DimensionMismatch",
     "MinPolyViolated",
-    "NonUnitEigenvalue",
     "BadLetter",
     "UnsupportedN",
     "ConventionValidationFailed",

@@ -26,10 +26,6 @@ class MinPolyViolated(VertexLinkError):
     """The claimed eigenvalue list does not annihilate the matrix."""
 
 
-class NonUnitEigenvalue(VertexLinkError):
-    """An eigenvalue is not a unit, so the inverse formula cannot be used."""
-
-
 class BadLetter(VertexLinkError):
     """A braid letter is zero or names a generator outside the strand range."""
 

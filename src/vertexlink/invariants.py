@@ -26,7 +26,7 @@ from .models import (
     mirror_model,
 )
 from .ring import RingElem
-from .tensor import SqMatrix, trace_product
+from .tensor import annihilates, trace_product
 
 
 def _closure_trace(word: BraidWord, m: VertexModel, bits: int) -> RingElem:
@@ -105,20 +105,9 @@ def minpoly_check(m: VertexModel, eigenvalues=None) -> bool:
     eig = tuple(eigenvalues) if eigenvalues is not None else m.eigenvalues
     if eigenvalues is None and eig != generic_eigenvalues(m.N, m.Z):
         return False
-    ident = SqMatrix.identity(m.R.dim)
-    prod = ident
-    for lam in eig:
-        prod = prod @ (m.R - lam * ident)
-    if not prod.is_zero():
+    if not annihilates(m.R, eig):
         return False
-    for skip in range(len(eig)):
-        partial = ident
-        for i, lam in enumerate(eig):
-            if i != skip:
-                partial = partial @ (m.R - lam * ident)
-        if partial.is_zero():
-            return False
-    return True
+    return not any(annihilates(m.R, eig[:i] + eig[i + 1:]) for i in range(len(eig)))
 
 
 def skein_coefficients(m: VertexModel) -> list[tuple[int, RingElem]]:
@@ -193,11 +182,21 @@ def skein_residual(m: VertexModel, context: BraidWord, i: int) -> RingElem:
 
 
 def skein_contexts(rng: random.Random, trials: int):
-    """``trials`` random (context, i) pairs: 2-4 strands, 0-6 letters, any generator i."""
-    for _ in range(trials):
-        n = rng.randint(2, 4)
-        context = random_word(rng, n, rng.randint(0, 6))
-        yield context, rng.randint(1, n - 1)
+    """``trials`` random (context, i) pairs: 2-4 strands, 0-6 letters, any generator i.
+
+    A negative count is refused here, before anything is drawn; the pairs
+    themselves are drawn lazily.
+    """
+    if trials < 0:
+        raise DomainError(f"trials must be non-negative, got {trials}")
+
+    def draw():
+        for _ in range(trials):
+            n = rng.randint(2, 4)
+            context = random_word(rng, n, rng.randint(0, 6))
+            yield context, rng.randint(1, n - 1)
+
+    return draw()
 
 
 # strands per model: the CLI refuses larger closures, and the invariance

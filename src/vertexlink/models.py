@@ -2,10 +2,13 @@
 
 Each model packages the constant R-matrix, its inverse, the crossing
 matrices M_u and M_d, the closure weight mu = M_u M_d^T and the trace
-constants.  Construction re-derives every internal identity (inverses,
-charge conservation, the closed forms of k, tau and taubar, the minimal
-polynomial) and aborts on any mismatch, so a successfully built model is
-already a verified one.
+constants.  Every N is written one way: a tensor table of R / Z keyed by
+(a, c, b, d), the form that charge conservation reads.  Construction
+checks R in this order and aborts on any failure, so a successfully built
+model is already a verified one: charge conservation (the error names the
+offending entry), annihilation by the minimal polynomial prod(R - lambda),
+the inverse taken block by block over the charge sectors, and R R^-1 = 1
+exactly.  The closed forms of k, tau and taubar are pinned after that.
 
 The numeric side carries the solvable-model weights R(u) for N = 2, 3
 whose u -> infinity limit reproduces the constant matrices.
@@ -25,10 +28,18 @@ from .errors import (
     ClosedFormMismatch,
     ConventionValidationFailed,
     DomainError,
+    MinPolyViolated,
     UnsupportedN,
 )
 from .ring import RingElem
-from .tensor import IndexConvention, SqMatrix, det, inverse_via_minpoly, trace_product
+from .tensor import (
+    IndexConvention,
+    SqMatrix,
+    annihilates,
+    det,
+    inverse_blockwise,
+    trace_product,
+)
 
 _Q = ring.q_power
 _S = ring.s_power
@@ -56,36 +67,25 @@ def _r2_tensor_table() -> dict:
     }
 
 
-def _r2_display() -> list[list[RingElem]]:
-    z = ring.zero()
-    return [
-        [_ONE, z, z, z],
-        [z, _ONE - _Q(2), _Q(1), z],
-        [z, _Q(1), z, z],
-        [z, z, z, _ONE],
-    ]
-
-
-def _r3_display() -> list[list[RingElem]]:
-    z = ring.zero()
-    a = _ONE - _Q(4)
-    b = _Q(2, -1)
-    rows = [[z] * 9 for _ in range(9)]
-    rows[0][0] = _ONE
-    rows[1][1] = a
-    rows[1][3] = b
-    rows[2][2] = (_ONE - _Q(2)) * a
-    rows[2][4] = _Q(1) * a
-    rows[2][6] = _Q(4)
-    rows[3][1] = b
-    rows[4][2] = _Q(1) * a
-    rows[4][4] = _Q(2)
-    rows[5][5] = a
-    rows[5][7] = b
-    rows[6][2] = _Q(4)
-    rows[7][5] = b
-    rows[8][8] = _ONE
-    return rows
+def _r3_tensor_table() -> dict:
+    w2 = _ONE - _Q(2)
+    w4 = _ONE - _Q(4)
+    return {
+        (-1, -1, -1, -1): _ONE,
+        (1, 1, 1, 1): _ONE,
+        (-1, -1, 0, 0): w4,
+        (0, 0, 1, 1): w4,
+        (-1, 0, 0, -1): _Q(2, -1),
+        (0, -1, -1, 0): _Q(2, -1),
+        (0, 1, 1, 0): _Q(2, -1),
+        (1, 0, 0, 1): _Q(2, -1),
+        (-1, -1, 1, 1): w2 * w4,
+        (-1, 0, 1, 0): _Q(1) * w4,
+        (0, -1, 0, 1): _Q(1) * w4,
+        (-1, 1, 1, -1): _Q(4),
+        (1, -1, -1, 1): _Q(4),
+        (0, 0, 0, 0): _Q(2),
+    }
 
 
 def _r4_tensor_table() -> dict:
@@ -242,14 +242,21 @@ def _finalize(
     mirrored: bool = False,
 ) -> VertexModel:
     _check_charge_conservation(R, conv)
+    eig = generic_eigenvalues(N, Z)
+    # before the inversion, so a mis-signed R is refused as such and not by
+    # a later step it happens to break (the adjugate's exact divisions, the
+    # trace constants)
+    if not annihilates(R, eig):
+        raise MinPolyViolated("prod(R - lambda) over the eigenvalues is not zero")
+    R_inv = inverse_blockwise(R, conv)
+    if R @ R_inv != SqMatrix.identity(N * N):
+        raise ClosedFormMismatch("R @ R_inv is not the identity")
     ident = SqMatrix.identity(N)
     if M_d @ M_u != ident or M_u @ M_d != ident:
         raise ClosedFormMismatch("M_u and M_d are not mutually inverse")
     mu = M_u @ M_d.transpose()
     k = mu.trace()
     D = loop_sum(N)
-    eig = generic_eigenvalues(N, Z)
-    R_inv = inverse_via_minpoly(R, list(eig))
     mm = mu.kron(mu)
     check_trace_constants(N, Z, k, D, trace_product(R, mm), trace_product(R_inv, mm))
     return VertexModel(
@@ -284,30 +291,16 @@ def _normalize_sign(sign) -> int:
 def _build_model(N: int, sign: int) -> VertexModel:
     conv = IndexConvention.for_size(N)
     Z = _S(-((N - 1) ** 2), sign)
-    if N == 2:
-        entries = _entries_from_tensor_table(_r2_tensor_table(), conv)
-        display = _r2_display()
-        for r in range(4):
-            for c in range(4):
-                if entries.get((r, c), ring.zero()) != display[r][c]:
-                    raise ConventionValidationFailed(
-                        f"flatten convention broken at display entry ({r},{c})"
-                    )
-    elif N == 3:
-        display = _r3_display()
-        entries = {
-            (r, c): v
-            for r, row in enumerate(display)
-            for c, v in enumerate(row)
-            if v
-        }
-    elif N == 4:
-        table = _r4_tensor_table()
-        if len(table) != 30:
-            raise ConventionValidationFailed("N = 4 table must have 30 entries")
-        entries = _entries_from_tensor_table(table, conv)
-    else:
-        raise UnsupportedN(f"no model for N = {N}")
+    make_table, size = {
+        2: (_r2_tensor_table, 5),
+        3: (_r3_tensor_table, 14),
+        4: (_r4_tensor_table, 30),
+    }[N]
+    table = make_table()
+    # a key typed twice in a dict literal silently drops an entry
+    if len(table) != size:
+        raise ConventionValidationFailed(f"N = {N} table must have {size} entries")
+    entries = _entries_from_tensor_table(table, conv)
     R = SqMatrix(N * N, {k: Z * v for k, v in entries.items()})
     M_u = _m_upper(N)
     M_d = -M_u if N % 2 == 0 else M_u

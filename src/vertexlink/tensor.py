@@ -15,12 +15,7 @@ from fractions import Fraction
 
 from . import _kernel as K
 from . import ring
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    MinPolyViolated,
-    NonUnitEigenvalue,
-)
+from .errors import DimensionMismatch, DomainError
 from .packed import PackedMatrix
 from .ring import RingElem
 
@@ -224,43 +219,13 @@ def partial_close_second(R: SqMatrix, mu: SqMatrix, conv: IndexConvention) -> Sq
     return SqMatrix(N, out)
 
 
-def inverse_via_minpoly(R: SqMatrix, eigenvalues: list[RingElem]) -> SqMatrix:
-    """Invert R using its annihilating polynomial prod (R - lam * 1).
-
-    Every eigenvalue must be a unit and the product must vanish; the
-    inverse is then the complementary polynomial in R divided by the unit
-    constant term.  The result is verified against R exactly.
-    """
-    dim = R.dim
-    ident = SqMatrix.identity(dim)
-    for lam in eigenvalues:
-        if not lam.is_unit():
-            raise NonUnitEigenvalue(f"eigenvalue {lam!r} is not a unit")
+def annihilates(R: SqMatrix, eigenvalues) -> bool:
+    """Whether prod (R - lam * 1) over ``eigenvalues`` is the zero matrix."""
+    ident = SqMatrix.identity(R.dim)
     prod = ident
     for lam in eigenvalues:
         prod = prod @ (R - lam * ident)
-    if not prod.is_zero():
-        raise MinPolyViolated("eigenvalue list does not annihilate the matrix")
-    # p(x) = prod (x - lam) = sum a_i x^i; from p(R) = 0 and unit a_0:
-    # R^-1 = -(1/a_0) * (R^(n-1) + a_(n-1) R^(n-2) + ... + a_1)
-    coeffs = [ring.one()]
-    for lam in eigenvalues:
-        nxt = [ring.zero()] + coeffs
-        for i in range(len(coeffs)):
-            nxt[i] = nxt[i] - lam * coeffs[i]
-        coeffs = nxt
-    a0 = coeffs[0]
-    inv_a0 = ring.invert_unit(a0)
-    acc = SqMatrix(dim)
-    power = ident
-    for i in range(1, len(coeffs)):
-        acc = acc + coeffs[i] * power
-        if i + 1 < len(coeffs):
-            power = power @ R
-    rinv = acc * (-inv_a0)
-    if (R @ rinv) != ident:
-        raise MinPolyViolated("constructed inverse failed verification")
-    return rinv
+    return prod.is_zero()
 
 
 def _dense(M: SqMatrix) -> list[list[RingElem]]:

@@ -131,6 +131,13 @@ def test_skein(capsys):
     assert data["failures"] == 0
 
 
+def test_skein_refuses_negative_trials(capsys):
+    code, out, err = run_cli(capsys, "skein", "--model", "2", "--trials", "-1")
+    assert code == 2
+    assert out == ""
+    assert "trials" in err
+
+
 def test_tl(capsys):
     code, out, _ = run_cli(capsys, "tl", "--model", "2")
     assert code == 0

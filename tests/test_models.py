@@ -5,8 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from vertexlink import ring
-from vertexlink.errors import DomainError, UnsupportedN
+from vertexlink import models, ring
+from vertexlink.errors import (
+    ConventionValidationFailed,
+    DomainError,
+    MinPolyViolated,
+    UnsupportedN,
+)
 from vertexlink.models import (
     SpectralModel,
     boltzmann_matrix,
@@ -75,6 +80,62 @@ def test_charge_conservation(each_model):
     m = each_model
     for (r, c) in m.R.entries:
         assert charge_of_pair(m.conv, r) == charge_of_pair(m.conv, c)
+
+
+def _r_hat_display(N):
+    """R / Z written out as the N^2 x N^2 matrix [flatten(a, b), flatten(c, d)]."""
+    one, z = ring.one(), ring.zero()
+    if N == 2:
+        return [
+            [one, z, z, z],
+            [z, one - Q(2), Q(1), z],
+            [z, Q(1), z, z],
+            [z, z, z, one],
+        ]
+    a = one - Q(4)
+    b = -Q(2)
+    c = (one - Q(2)) * a
+    d = Q(1) * a
+    e = Q(4)
+    return [
+        [one, z, z, z, z, z, z, z, z],
+        [z, a, z, b, z, z, z, z, z],
+        [z, z, c, z, d, z, e, z, z],
+        [z, b, z, z, z, z, z, z, z],
+        [z, z, d, z, Q(2), z, z, z, z],
+        [z, z, z, z, z, a, z, b, z],
+        [z, z, e, z, z, z, z, z, z],
+        [z, z, z, z, z, b, z, z, z],
+        [z, z, z, z, z, z, z, z, one],
+    ]
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_r_hat_fixture(N):
+    # pins the orientation of the tensor tables: (a, c, b, d) lands at
+    # row flatten(a, b), column flatten(c, d)
+    m = build_model(N)
+    r_hat = m.R * ring.invert_unit(m.Z)
+    rows = _r_hat_display(N)
+    want = {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row)}
+    assert r_hat == SqMatrix(N * N, want)
+
+
+def test_build_refuses_mis_signed_r(monkeypatch):
+    table = models._r3_tensor_table()
+    table[(-1, 1, 1, -1)] = -table[(-1, 1, 1, -1)]
+    monkeypatch.setattr(models, "_r3_tensor_table", lambda: dict(table))
+    # __wrapped__ skips the lru_cache, so no cached model is replaced
+    with pytest.raises(MinPolyViolated):
+        models._build_model.__wrapped__(3, 1)
+
+
+def test_build_refuses_charge_violation(monkeypatch):
+    table = models._r3_tensor_table()
+    table[(-1, 1, 1, 0)] = table.pop((-1, 1, 1, -1))
+    monkeypatch.setattr(models, "_r3_tensor_table", lambda: dict(table))
+    with pytest.raises(ConventionValidationFailed, match="charge conservation"):
+        models._build_model.__wrapped__(3, 1)
 
 
 def test_eigenvalue_fixtures():

@@ -8,18 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vertexlink import ring
-from vertexlink.errors import (
-    DimensionMismatch,
-    DomainError,
-    MinPolyViolated,
-    NonUnitEigenvalue,
-)
+from vertexlink.errors import DimensionMismatch, DomainError
 from vertexlink.tensor import (
     IndexConvention,
     SqMatrix,
     charge_of_pair,
     inverse_blockwise,
-    inverse_via_minpoly,
     partial_close_second,
     small_inverse,
     trace_product,
@@ -138,17 +132,6 @@ def test_small_inverse():
     assert inv @ m == SqMatrix.identity(3)
     with pytest.raises(DomainError):
         small_inverse(SqMatrix(2, {(0, 0): ring.one()}))
-
-
-def test_inverse_via_minpoly(each_model):
-    m = each_model
-    inv = inverse_via_minpoly(m.R, list(m.eigenvalues))
-    assert inv == m.R_inv
-    with pytest.raises(MinPolyViolated):
-        inverse_via_minpoly(m.R, [m.eigenvalues[0]] * m.N)
-    bad = [ring.integer(2)] + list(m.eigenvalues[1:])
-    with pytest.raises(NonUnitEigenvalue):
-        inverse_via_minpoly(m.R, bad)
 
 
 def test_inverse_blockwise(each_model):
