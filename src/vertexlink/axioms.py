@@ -5,16 +5,15 @@ index by index rather than trusting matrix-level shortcuts, so a passing
 report certifies the displayed equations themselves.  The solver runs the
 other way: given only an R-matrix it recovers the crossing matrix M_d (and
 M_u) as the nullspace of an exact linear system, and can additionally
-discover the normalization Z from a numeric eigenvalue sweep before
-confirming it symbolically.
+discover the normalization Z from one exact ratio of two partial traces
+(Turaev's enhancement condition) before confirming it symbolically.  No
+step uses floats or tolerances.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import ring
 from .errors import DomainError, InexactDivision, NoSolution
@@ -306,50 +305,29 @@ class TwistSolution:
     twin_consistent: bool | None = None
 
 
-def _md_terms(inv_entries, r_entries, N: int):
-    """Terms (row, column, value, side) of the twist system for M_d.
+def _assemble_md_system(R: SqMatrix, R_inv: SqMatrix, N: int) -> list[list[RingElem]]:
+    """Twist 1 multiplied by M_d, as dense rows over the unknown M_d.
 
     Row (a', b, c, d) reads sum_a R^-1[(a,b),(c,d)] M_d[a',a]
-    = sum_f R[(b,f),(a',c)] M_d[f,d], with column a'N + a or fN + d of the
-    unknown M_d; side 0 is the R^-1 sum, side 1 the R sum.  Rows come in
-    order of first appearance, R^-1 entries before R entries.
+    - sum_f R[(b,f),(a',c)] M_d[f,d] = 0, with column a'N + a or fN + d of
+    the unknown.  Rows come in order of first appearance, R^-1 entries
+    before R entries.  Given the transposes (R^T, R^-1^T) the same rows are
+    twist 2 multiplied by M_u, with M_u as the unknown.
     """
-    for (rp, cp), v in inv_entries:
-        a, b = divmod(rp, N)
-        c, d = divmod(cp, N)
-        for ap in range(N):
-            yield (ap, b, c, d), ap * N + a, v, 0
-    for (rp, cp), v in r_entries:
-        b, f = divmod(rp, N)
-        ap, c = divmod(cp, N)
-        for d in range(N):
-            yield (ap, b, c, d), f * N + d, v, 1
-
-
-def _assemble_md_system(R: SqMatrix, R_inv: SqMatrix, N: int) -> list[list[RingElem]]:
-    zero = ring.zero()
-    rows: dict[tuple, list[RingElem]] = {}
-    for key, col, v, side in _md_terms(R_inv.entries.items(), R.entries.items(), N):
-        row = rows.setdefault(key, [zero] * (N * N))
-        row[col] = row[col] - v if side else row[col] + v
-    return list(rows.values())
-
-
-def _assemble_mu_system(R: SqMatrix, R_inv: SqMatrix, N: int) -> list[list[RingElem]]:
     zero = ring.zero()
     rows: dict[tuple, list[RingElem]] = {}
     for (rp, cp), v in R_inv.entries.items():
-        a, b = rp // N, rp % N
-        c, d = cp // N, cp % N
-        for cp2 in range(N):
-            row = rows.setdefault((cp2, a, b, d), [zero] * (N * N))
-            row[cp2 * N + c] = row[cp2 * N + c] + v
+        a, b = divmod(rp, N)
+        c, d = divmod(cp, N)
+        for ap in range(N):
+            row = rows.setdefault((ap, b, c, d), [zero] * (N * N))
+            row[ap * N + a] = row[ap * N + a] + v
     for (rp, cp), v in R.entries.items():
-        cp2, a = rp // N, rp % N
-        d, f = cp // N, cp % N
-        for b in range(N):
-            row = rows.setdefault((cp2, a, b, d), [zero] * (N * N))
-            row[f * N + b] = row[f * N + b] - v
+        b, f = divmod(rp, N)
+        ap, c = divmod(cp, N)
+        for d in range(N):
+            row = rows.setdefault((ap, b, c, d), [zero] * (N * N))
+            row[f * N + d] = row[f * N + d] - v
     return list(rows.values())
 
 
@@ -364,7 +342,7 @@ def _solve_exact(R: SqMatrix, conv: IndexConvention) -> TwistSolution:
     md_basis = [_vec_to_matrix(v, N) for v in nullspace(md_rows, N * N)]
     if not md_basis:
         raise NoSolution("twist system for M_d has trivial nullspace")
-    mu_rows = _assemble_mu_system(R, R_inv, N)
+    mu_rows = _assemble_md_system(R.transpose(), R_inv.transpose(), N)
     mu_basis = [_vec_to_matrix(v, N) for v in nullspace(mu_rows, N * N)]
     sol = TwistSolution(
         md_basis=md_basis,
@@ -379,57 +357,39 @@ def _solve_exact(R: SqMatrix, conv: IndexConvention) -> TwistSolution:
     return sol
 
 
-def _discover_z(R_hat: SqMatrix, conv: IndexConvention, seed: int = 11):
-    """Numeric sweep for zeta = Z^2 followed by an exponent fit.
+def _discover_z(R_hat: SqMatrix, conv: IndexConvention) -> int:
+    """The exponent m of zeta = Z^2 = q^m, from two exact partial traces.
 
-    At rational q samples the contracted twist system reads
-    A x = zeta B x; generic matrices leave exactly one zeta with a
-    singular pencil.  The fit zeta = q^m is returned as the integer m.
+    Closing twist 1 with d = a cancels the crossing matrices through
+    M_d M_u = 1 and leaves Turaev's enhancement condition
+    sum_a R^-1[(a,b),(c,a)] = sum_e R[(b,e),(e,c)] for every b, c.  With
+    R = Z R_hat the R_hat^-1 side is zeta times the R_hat side, so each
+    (b, c) gives zeta as one exact ratio; all must agree on +q^m.
     """
-    from scipy.linalg import eig as geig
-
     N = conv.N
-    samples = (1.5, 2.0, 2.5)
-    rng = np.random.default_rng(seed)
-    zetas = []
-    for q in samples:
-        dim = N * N
-        rhat = np.zeros((dim, dim))
-        for (r, c), v in R_hat.entries.items():
-            rhat[r, c] = ring.eval_numeric(v, q)
-        rinv = np.linalg.inv(rhat)
-        inv_terms = ((pos, v) for pos, v in np.ndenumerate(rinv) if v != 0.0)
-        r_terms = ((pos, rhat[pos]) for pos in R_hat.entries)
-        rows: dict[tuple, int] = {}
-        A = np.zeros((N ** 4, N * N))
-        B = np.zeros((N ** 4, N * N))
-        for key, col, v, side in _md_terms(inv_terms, r_terms, N):
-            (B if side else A)[rows.setdefault(key, len(rows)), col] += v
-        A = A[: len(rows)]
-        B = B[: len(rows)]
-        proj = rng.standard_normal((N * N, A.shape[0]))
-        vals = geig(proj @ A, proj @ B, right=False)
-        found = []
-        scale = np.linalg.norm(A) + np.linalg.norm(B)
-        for z in vals:
-            if not np.isfinite(z) or abs(z.imag) > 1e-8 * (1 + abs(z.real)):
-                continue
-            zr = z.real
-            smin = np.linalg.svd(A - zr * B, compute_uv=False)[-1]
-            if smin <= 1e-8 * scale:
-                if not any(abs(zr - f) <= 1e-6 * (1 + abs(f)) for f in found):
-                    found.append(zr)
-        if len(found) != 1:
-            raise NoSolution(
-                f"expected one generic zeta at q={q}, found {len(found)}"
-            )
-        zetas.append(found[0])
-
-    logs = [math.log(z) / math.log(q) for z, q in zip(zetas, samples)]
-    m = round(sum(logs) / len(logs))
-    for z, q in zip(zetas, samples):
-        if abs(z - q ** m) > 1e-6 * abs(z):
-            raise NoSolution(f"zeta does not fit q^{m} at q={q}")
+    inv_side: dict = {}
+    r_side: dict = {}
+    for (rp, cp), v in inverse_blockwise(R_hat, conv).entries.items():
+        a, b = divmod(rp, N)
+        c, d = divmod(cp, N)
+        if d == a:
+            _accumulate(inv_side, (b, c), v)
+    for (rp, cp), v in R_hat.entries.items():
+        b, e = divmod(rp, N)
+        e2, c = divmod(cp, N)
+        if e2 == e:
+            _accumulate(r_side, (b, c), v)
+    inv_side, r_side = _strip_zeros(inv_side), _strip_zeros(r_side)
+    if not r_side or set(inv_side) != set(r_side):
+        raise NoSolution("partial traces of R^-1 and R have different supports")
+    try:
+        ratios = {ring.exact_divide(inv_side[key], v) for key, v in r_side.items()}
+    except InexactDivision:
+        raise NoSolution("a partial trace of R does not divide that of R^-1") from None
+    zeta = ratios.pop()
+    m = zeta.rat[0] // 2
+    if ratios or zeta != ring.q_power(m):
+        raise NoSolution("partial-trace ratios are not one common +q^m")
     return m
 
 
@@ -438,9 +398,11 @@ def solve_twist(R_hat: SqMatrix, z: RingElem | None = None,
     """Recover crossing matrices from an R-matrix.
 
     With ``z`` given, solves the exact twist system for R = z * R_hat.
-    Without it, runs Z-discovery: fit zeta = Z^2 = q^m numerically, then
-    confirm both square roots +-s^m symbolically.  The returned basis
-    matrices are primitive (no common factor) and determined up to scale.
+    Without it, runs Z-discovery: read zeta = Z^2 = q^m off the partial
+    traces of R_hat and R_hat^-1 (exact; NoSolution unless every ratio is
+    the same +q^m), then confirm both square roots +-s^m on the twist
+    system.  The returned basis matrices are primitive (no common factor)
+    and determined up to scale.
     """
     if conv is None:
         N = int(round(math.isqrt(R_hat.dim)))

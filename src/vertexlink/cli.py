@@ -317,7 +317,7 @@ def _cmd_uq(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    return selftest.run(seed=args.seed, only=args.only, mutate=args.mutate)
+    return selftest.run(seed=args.seed, only=args.only)
 
 
 # ---------------------------------------------------------------- parser
@@ -384,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--only", default=None, metavar="CHECK",
                    help="run a single named check")
-    p.add_argument("--mutate", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -36,6 +36,7 @@ from .tensor import (
     IndexConvention,
     SqMatrix,
     annihilates,
+    charge_sectors,
     det,
     inverse_blockwise,
     trace_product,
@@ -194,27 +195,6 @@ class VertexModel:
         return f"VertexModel(N={self.N}, sign={tag}{mir})"
 
 
-def _entries_from_tensor_table(table: dict, conv: IndexConvention) -> dict:
-    out = {}
-    for (a, c, b, d), v in table.items():
-        key = (conv.flatten(_f(a), _f(b)), conv.flatten(_f(c), _f(d)))
-        if key in out:
-            raise ConventionValidationFailed(f"duplicate tensor entry at {key}")
-        out[key] = v
-    return out
-
-
-def _check_charge_conservation(R: SqMatrix, conv: IndexConvention):
-    for (rp, cp) in R.entries:
-        a, b = conv.unflatten(rp)
-        c, d = conv.unflatten(cp)
-        if a + b != c + d:
-            raise ConventionValidationFailed(
-                f"entry [{rp},{cp}] violates charge conservation: "
-                f"{a}+{b} != {c}+{d}"
-            )
-
-
 def check_trace_constants(N: int, Z: RingElem, k: RingElem, D: RingElem,
                           tau_trace: RingElem, taubar_trace: RingElem) -> None:
     """Pin the trace constants to their closed forms.
@@ -241,7 +221,7 @@ def _finalize(
     M_d: SqMatrix,
     mirrored: bool = False,
 ) -> VertexModel:
-    _check_charge_conservation(R, conv)
+    charge_sectors(R, conv)
     eig = generic_eigenvalues(N, Z)
     # before the inversion, so a mis-signed R is refused as such and not by
     # a later step it happens to break (the adjugate's exact divisions, the
@@ -300,8 +280,10 @@ def _build_model(N: int, sign: int) -> VertexModel:
     # a key typed twice in a dict literal silently drops an entry
     if len(table) != size:
         raise ConventionValidationFailed(f"N = {N} table must have {size} entries")
-    entries = _entries_from_tensor_table(table, conv)
-    R = SqMatrix(N * N, {k: Z * v for k, v in entries.items()})
+    R = SqMatrix(N * N, {
+        (conv.flatten(_f(a), _f(b)), conv.flatten(_f(c), _f(d))): Z * v
+        for (a, c, b, d), v in table.items()
+    })
     M_u = _m_upper(N)
     M_d = -M_u if N % 2 == 0 else M_u
     return _finalize(N, sign, conv, Z, R, M_u, M_d)

@@ -10,7 +10,6 @@ substituting the weaker statement.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import sys
 import time
@@ -32,7 +31,6 @@ from .invariants import (
     skein_residual,
 )
 from .models import SpectralModel, build_model, limit_check, mirror_model, spectral_checks
-from .tensor import SqMatrix
 
 
 @dataclass(frozen=True)
@@ -42,16 +40,11 @@ class CheckResult:
     detail: str
 
 
-def _check_axioms(seed: int, mutate: bool) -> CheckResult:
+def _check_axioms(seed: int) -> CheckResult:
     count = 0
     for N in (2, 3, 4):
         for sign in (1, -1):
-            m = build_model(N, sign)
-            if mutate and N == 2 and sign == 1:
-                bad = dict(m.R.entries)
-                bad[(0, 0)] = bad[(0, 0)] + ring.one()
-                m = _with_r(m, SqMatrix(4, bad))
-            rep = check_axioms(m)
+            rep = check_axioms(build_model(N, sign))
             if not rep.passed:
                 first = sorted(rep.witnesses)[0]
                 return CheckResult("axioms", False, f"{first}: {rep.witnesses[first]}")
@@ -59,11 +52,7 @@ def _check_axioms(seed: int, mutate: bool) -> CheckResult:
     return CheckResult("axioms", True, f"6 models, {count} identities")
 
 
-def _with_r(m, R: SqMatrix):
-    return dataclasses.replace(m, R=R)
-
-
-def _check_solver(seed: int, mutate: bool) -> CheckResult:
+def _check_solver(seed: int) -> CheckResult:
     for N in (2, 3, 4):
         m = build_model(N)
         r_hat = m.R * ring.invert_unit(m.Z)
@@ -89,7 +78,7 @@ def _check_solver(seed: int, mutate: bool) -> CheckResult:
     return CheckResult("twist-solver", True, "M recovered and Z^2 = q^-(N-1)^2 for N=2,3,4")
 
 
-def _check_markov(seed: int, mutate: bool) -> CheckResult:
+def _check_markov(seed: int) -> CheckResult:
     count = 0
     for N in (2, 3, 4):
         for sign in (1, -1):
@@ -103,7 +92,7 @@ def _check_markov(seed: int, mutate: bool) -> CheckResult:
     return CheckResult("markov", True, f"models and mirrors, {count} conditions")
 
 
-def _check_constants(seed: int, mutate: bool) -> CheckResult:
+def _check_constants(seed: int) -> CheckResult:
     for N in (2, 3, 4):
         for sign in (1, -1):
             m = build_model(N, sign)
@@ -121,7 +110,7 @@ def _check_constants(seed: int, mutate: bool) -> CheckResult:
     return CheckResult("constants", True, "tau, taubar match displays for N=2,3,4")
 
 
-def _check_minpoly(seed: int, mutate: bool) -> CheckResult:
+def _check_minpoly(seed: int) -> CheckResult:
     for N in (2, 3, 4):
         for sign in (1, -1):
             m = build_model(N, sign)
@@ -130,7 +119,7 @@ def _check_minpoly(seed: int, mutate: bool) -> CheckResult:
     return CheckResult("minimal-polynomials", True, "degree-N annihilators, all minimal")
 
 
-def _check_skein(seed: int, mutate: bool) -> CheckResult:
+def _check_skein(seed: int) -> CheckResult:
     for N in (2, 3, 4):
         m = build_model(N)
         if skein_coefficients(m) != derived_skein_coefficients(m):
@@ -151,7 +140,7 @@ _BASE_LINKS = (
 )
 
 
-def _check_invariance(seed: int, mutate: bool) -> CheckResult:
+def _check_invariance(seed: int) -> CheckResult:
     moves = 0
     stabs = 0
     for N in (2, 3, 4):
@@ -198,7 +187,7 @@ _JONES_FROZEN = {
 }
 
 
-def _check_jones(seed: int, mutate: bool) -> CheckResult:
+def _check_jones(seed: int) -> CheckResult:
     m = build_model(2)
     for (strands, letters), rows in _JONES_FROZEN.items():
         word = BraidWord(strands, letters)
@@ -215,7 +204,7 @@ def _check_jones(seed: int, mutate: bool) -> CheckResult:
     return CheckResult("jones-oracle", True, "3 links x 5 rational points, exact match")
 
 
-def _check_radical(seed: int, mutate: bool) -> CheckResult:
+def _check_radical(seed: int) -> CheckResult:
     m = build_model(4)
     rng = random.Random(seed + 4)
     for t in range(20):
@@ -228,7 +217,7 @@ def _check_radical(seed: int, mutate: bool) -> CheckResult:
     return CheckResult("radical-cancellation", True, "20 random N=4 closures, radical-free")
 
 
-def _check_tl(seed: int, mutate: bool) -> CheckResult:
+def _check_tl(seed: int) -> CheckResult:
     for N in (2, 3, 4):
         m = build_model(N)
         rep = tlbracket.tl_relations_check(m, max_strands=4)
@@ -251,7 +240,7 @@ def _check_tl(seed: int, mutate: bool) -> CheckResult:
     return CheckResult("tl-bracket", True, "relations to n=4, bracket, Dubrovnik, curls")
 
 
-def _check_spectral(seed: int, mutate: bool) -> CheckResult:
+def _check_spectral(seed: int) -> CheckResult:
     rng = random.Random(seed + 11)
     worst = 0.0
     for N in (2, 3):
@@ -273,7 +262,7 @@ def _check_spectral(seed: int, mutate: bool) -> CheckResult:
     return CheckResult("spectral", True, f"worst residual {worst:.1e} over 10 samples")
 
 
-def _check_uq(seed: int, mutate: bool) -> CheckResult:
+def _check_uq(seed: int) -> CheckResult:
     plain_bad = []
     for j in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
         rep = uqsl2.correspondence_report(j)
@@ -314,7 +303,6 @@ CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 def run(
     seed: int = 0,
     only: str | None = None,
-    mutate: bool = False,
     out=None,
     err=None,
 ) -> int:
@@ -332,7 +320,7 @@ def run(
         if only is not None and name != only:
             continue
         t0 = time.perf_counter()
-        res = fn(seed, mutate)
+        res = fn(seed)
         dt = time.perf_counter() - t0
         ran += 1
         passed += res.ok

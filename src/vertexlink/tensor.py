@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import _kernel as K
 from . import ring
-from .errors import DimensionMismatch, DomainError
+from .errors import ConventionValidationFailed, DimensionMismatch, DomainError
 from .packed import PackedMatrix
 from .ring import RingElem
 
@@ -281,19 +281,33 @@ def charge_of_pair(conv: IndexConvention, flat: int) -> Fraction:
     return a + b
 
 
-def inverse_blockwise(R: SqMatrix, conv: IndexConvention) -> SqMatrix:
-    """Invert a charge-block-diagonal matrix block by block."""
+def charge_sectors(R: SqMatrix, conv: IndexConvention) -> list[list[int]]:
+    """Indices of a two-factor matrix grouped by charge a + b.
+
+    Refuses, naming the entry, any R entry that joins two sectors: a
+    charge-conserving R is block diagonal over these groups.
+    """
     N = conv.N
     if R.dim != N * N:
-        raise DimensionMismatch("blockwise inverse expects a two-factor matrix")
+        raise DimensionMismatch("charge sectors need a two-factor matrix")
+    for (rp, cp) in R.entries:
+        a, b = conv.unflatten(rp)
+        c, d = conv.unflatten(cp)
+        if a + b != c + d:
+            raise ConventionValidationFailed(
+                f"entry [{rp},{cp}] violates charge conservation: "
+                f"{a}+{b} != {c}+{d}"
+            )
     groups: dict[Fraction, list[int]] = {}
     for idx in range(N * N):
         groups.setdefault(charge_of_pair(conv, idx), []).append(idx)
-    for (r, c) in R.entries:
-        if charge_of_pair(conv, r) != charge_of_pair(conv, c):
-            raise DomainError("matrix is not charge block diagonal")
+    return list(groups.values())
+
+
+def inverse_blockwise(R: SqMatrix, conv: IndexConvention) -> SqMatrix:
+    """Invert a charge-conserving matrix block by block over its sectors."""
     out: dict[tuple[int, int], RingElem] = {}
-    for idxs in groups.values():
+    for idxs in charge_sectors(R, conv):
         sub = SqMatrix(len(idxs))
         for a, ra in enumerate(idxs):
             for b, cb in enumerate(idxs):

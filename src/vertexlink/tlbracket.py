@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from . import ring
 from .axioms import CheckReport, nullspace
 from .braid import embed_two_site
-from .errors import ConventionValidationFailed, NotDecomposable, NotScalar
+from .errors import (
+    ConventionValidationFailed,
+    DomainError,
+    InexactDivision,
+    NotDecomposable,
+    NotScalar,
+)
 from .models import VertexModel
 from .ring import RingElem
 from .tensor import SqMatrix, partial_close_second
@@ -70,6 +76,8 @@ def build_tl(m: VertexModel) -> TLData:
 
 def tl_relations_check(m: VertexModel, max_strands: int = 4) -> CheckReport:
     """E_i^2 = k E_i, E_i E_(i+-1) E_i = E_i, far commutation, for e and f."""
+    if max_strands < 2:
+        raise DomainError(f"max_strands must be at least 2, got {max_strands}")
     rep = CheckReport()
     tl = build_tl(m)
     N = m.N
@@ -114,7 +122,7 @@ def span_membership(target: SqMatrix, basis: list[SqMatrix]) -> list[RingElem] |
             continue
         try:
             return [ring.exact_divide(c, last) for c in vec[:-1]]
-        except Exception:
+        except InexactDivision:
             continue
     return None
 

@@ -1,7 +1,12 @@
 """Identity checks and the exact twist solver."""
 
 import dataclasses
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +20,9 @@ from vertexlink.axioms import (
     nullspace,
     solve_twist,
 )
-from vertexlink.errors import NoSolution
-from vertexlink.models import mirror_model
-from vertexlink.tensor import IndexConvention, SqMatrix
+from vertexlink.errors import NoSolution, VertexLinkError
+from vertexlink.models import build_model, mirror_model
+from vertexlink.tensor import IndexConvention, SqMatrix, inverse_blockwise
 
 
 def test_axioms_pass(each_signed_model):
@@ -160,6 +165,9 @@ def test_solver_no_solution():
                        (2, 2): ring.s_power(5), (3, 3): ring.one()})
     with pytest.raises(NoSolution):
         solve_twist(bad, z=ring.one(), conv=conv)
+    # its partial-trace ratios are s^-2 and 1, not one common q^m
+    with pytest.raises(NoSolution):
+        solve_twist(bad, conv=conv)
 
 
 def test_solver_degenerate_crossing():
@@ -169,3 +177,100 @@ def test_solver_degenerate_crossing():
     assert sol.uniqueness == 4
     assert sol.non_generic
     assert sol.twin_consistent is None
+    # discovery reads Z^2 = 1, but neither +-1 leaves a unique M to confirm
+    with pytest.raises(NoSolution):
+        solve_twist(SqMatrix.permutation(2), conv=conv)
+
+
+def test_solver_refuses_charge_violation(m2):
+    entries = dict(m2.R.entries)
+    entries[(0, 3)] = ring.one()  # charge -1 row meets the charge +1 column
+    r_hat = SqMatrix(4, entries)
+    with pytest.raises(VertexLinkError, match="charge conservation"):
+        solve_twist(r_hat, z=m2.Z)
+    with pytest.raises(VertexLinkError, match="charge conservation"):
+        solve_twist(r_hat)
+
+
+def _conjugated_n3(R: SqMatrix) -> SqMatrix:
+    # (D x D) R (D x D)^-1 with D = diag(1, q, 1): charge-conserving, not symmetric
+    d = {0: 0, 1: 1, 2: 0}
+    return SqMatrix(9, {
+        (r, c): v * ring.q_power(d[r // 3] + d[r % 3] - d[c // 3] - d[c % 3])
+        for (r, c), v in R.entries.items()
+    })
+
+
+@pytest.mark.parametrize("case", ["N2", "N3", "N4", "N3-conjugated"])
+def test_mu_basis_solves_twist2(case):
+    # twist 2 multiplied by M_u, written out index by index:
+    # sum_c R^-1[(a,b),(c,d)] M_u[p,c] = sum_f R[(p,a),(d,f)] M_u[f,b]
+    m = build_model(int(case[1]))
+    R = _conjugated_n3(m.R) if case == "N3-conjugated" else m.R
+    # the models are symmetric, where both twist systems coincide
+    assert (R == R.transpose()) == (case != "N3-conjugated")
+    sol = solve_twist(R * ring.invert_unit(m.Z), z=m.Z)
+    assert len(sol.mu_basis) == 1
+    R_inv = inverse_blockwise(R, m.conv)
+    N = m.N
+    zero = ring.zero()
+
+    def at(X, r, c):
+        return X.entries.get((r, c), zero)
+
+    for M in sol.mu_basis:
+        for p in range(N):
+            for a in range(N):
+                for b in range(N):
+                    for d in range(N):
+                        lhs = zero
+                        rhs = zero
+                        for c in range(N):
+                            lhs = lhs + at(R_inv, a * N + b, c * N + d) * at(M, p, c)
+                        for f in range(N):
+                            rhs = rhs + at(R, p * N + a, d * N + f) * at(M, f, b)
+                        assert lhs == rhs, (p, a, b, d)
+
+
+_SOLVER_REPORT = """
+import io, json
+from vertexlink import ring, selftest
+from vertexlink.axioms import solve_twist
+from vertexlink.models import build_model
+found = []
+for N in (2, 3, 4):
+    m = build_model(N)
+    sol = solve_twist(m.R * ring.invert_unit(m.Z))
+    found.append([sol.fitted_exponent, [ring.render(z) for z in sol.z_candidates],
+                  [b.to_json() for b in sol.md_basis + sol.mu_basis]])
+out = io.StringIO()
+code = selftest.run(only="twist-solver", out=out, err=io.StringIO())
+print(json.dumps([found, code, out.getvalue()]))
+"""
+
+
+# refuses every import outside the standard library, numpy and the package
+_DECLARED_ONLY = """
+import sys
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        top = name.partition(".")[0]
+        if top not in sys.stdlib_module_names and top not in ("numpy", "vertexlink"):
+            raise ImportError(f"{name} is not a declared dependency")
+sys.meta_path.insert(0, Refuse())
+"""
+
+
+def test_solver_runs_on_declared_dependencies_only(capsys):
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    child = subprocess.run(
+        [sys.executable, "-c", _DECLARED_ONLY + _SOLVER_REPORT],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+    )
+    assert child.returncode == 0, child.stderr
+    exec(_SOLVER_REPORT, {})
+    assert child.stdout == capsys.readouterr().out
+    found, code, _ = json.loads(child.stdout)
+    assert [row[0] for row in found] == [-1, -4, -9]
+    assert code == 0

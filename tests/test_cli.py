@@ -1,15 +1,17 @@
 """Command-line interface: exit codes, JSON contract, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from vertexlink import cli, ring
+from vertexlink import cli, ring, selftest
 from vertexlink.braid import parse_braid
 from vertexlink.invariants import ambient_invariant, regular_invariant
 from vertexlink.models import build_model
+from vertexlink.tensor import SqMatrix
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +150,14 @@ def test_tl(capsys):
     assert data["checks"]["dubrovnik"] is True
 
 
+@pytest.mark.parametrize("bound", ["1", "0", "-1"])
+def test_tl_refuses_short_max_strands(capsys, bound):
+    code, out, err = run_cli(capsys, "tl", "--model", "2", "--max-strands", bound)
+    assert code == 2
+    assert out == ""
+    assert "max_strands" in err
+
+
 def test_uq_half_spin(capsys):
     code, out, _ = run_cli(capsys, "uq", "--j", "1/2", "--q", "1.5")
     assert code == 0
@@ -181,8 +191,15 @@ def test_selftest_only(capsys):
     assert code == 2
 
 
-def test_selftest_mutate_hook(capsys):
-    code, out, _ = run_cli(capsys, "selftest", "--only", "axioms", "--mutate")
+def test_selftest_mutate_hook(capsys, monkeypatch):
+    def bumped_model(N, sign=1):
+        m = build_model(N, sign)
+        entries = dict(m.R.entries)
+        entries[(0, 0)] = entries[(0, 0)] + ring.one()
+        return dataclasses.replace(m, R=SqMatrix(N * N, entries))
+
+    monkeypatch.setattr(selftest, "build_model", bumped_model)
+    code, out, _ = run_cli(capsys, "selftest", "--only", "axioms")
     assert code == 1
     assert "FAIL" in out
 

@@ -1,6 +1,7 @@
 """Model construction fixtures and the numeric weight limits."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -135,6 +136,16 @@ def test_build_refuses_charge_violation(monkeypatch):
     table[(-1, 1, 1, 0)] = table.pop((-1, 1, 1, -1))
     monkeypatch.setattr(models, "_r3_tensor_table", lambda: dict(table))
     with pytest.raises(ConventionValidationFailed, match="charge conservation"):
+        models._build_model.__wrapped__(3, 1)
+
+
+def test_build_refuses_table_key_typed_twice(monkeypatch):
+    # (Fraction(0), 0, 0, 0) and (0, 0, 0, 0) are one dict key, so typing it
+    # in place of another entry leaves 13 of the 14 entries
+    items = list(models._r3_tensor_table().items())
+    items[items.index(((1, 0, 0, 1), Q(2, -1)))] = ((Fraction(0), 0, 0, 0), Q(2))
+    monkeypatch.setattr(models, "_r3_tensor_table", lambda: dict(items))
+    with pytest.raises(ConventionValidationFailed, match="14 entries"):
         models._build_model.__wrapped__(3, 1)
 
 

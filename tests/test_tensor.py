@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vertexlink import ring
-from vertexlink.errors import DimensionMismatch, DomainError
+from vertexlink.errors import ConventionValidationFailed, DimensionMismatch, DomainError
 from vertexlink.tensor import (
     IndexConvention,
     SqMatrix,
@@ -139,7 +139,7 @@ def test_inverse_blockwise(each_model):
     inv = inverse_blockwise(m.R, m.conv)
     assert inv == m.R_inv
     off_block = SqMatrix(m.N * m.N, {(0, m.N * m.N - 1): ring.one()})
-    with pytest.raises(DomainError):
+    with pytest.raises(ConventionValidationFailed, match="charge conservation"):
         inverse_blockwise(off_block, m.conv)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from vertexlink import ring
 from vertexlink.braid import embed_two_site, letter_matrix
-from vertexlink.errors import NotDecomposable, NotScalar
+from vertexlink.errors import DomainError, NotDecomposable, NotScalar
 from vertexlink.models import build_model
 from vertexlink.tlbracket import (
     bracket_decompose_n2,
@@ -73,6 +73,12 @@ def test_tl_relations_up_to_four_strands(each_model):
     assert rep.passed
     assert any(name.startswith("e:hook:n4") for name in rep.results)
     assert any(name.startswith("f:far:n4") for name in rep.results)
+
+
+@pytest.mark.parametrize("bound", [1, 0, -1])
+def test_tl_relations_refuse_short_bound(m2, bound):
+    with pytest.raises(DomainError, match="max_strands"):
+        tl_relations_check(m2, max_strands=bound)
 
 
 def test_bracket_decomposition(m2):
