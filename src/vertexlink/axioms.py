@@ -1,13 +1,14 @@
 """Mechanical verification of the defining equations, plus the M-solver.
 
-Checks are evaluated in literal component form, summing tensor entries
-index by index rather than trusting matrix-level shortcuts, so a passing
-report certifies the displayed equations themselves.  The solver runs the
-other way: given only an R-matrix it recovers the crossing matrix M_d (and
-M_u) as the nullspace of an exact linear system, and can additionally
-discover the normalization Z from one exact ratio of two partial traces
-(Turaev's enhancement condition) before confirming it symbolically.  No
-step uses floats or tolerances.
+Checks are evaluated in literal component form: each equation is written
+as its einsum index string over ``tensor.contract``, which sums tensor
+entries index by index rather than trusting matrix-level shortcuts, so a
+passing report certifies the displayed equations themselves.  The solver
+runs the other way: given only an R-matrix it recovers the crossing
+matrix M_d (and M_u) as the nullspace of an exact linear system, and can
+additionally discover the normalization Z from one exact ratio of two
+partial traces (Turaev's enhancement condition) before confirming it
+symbolically.  No step uses floats or tolerances.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from . import ring
 from .errors import DomainError, InexactDivision, NoSolution
 from .ring import RingElem
-from .tensor import IndexConvention, SqMatrix, inverse_blockwise
+from .tensor import YANG_BAXTER, IndexConvention, SqMatrix, contract, inverse_blockwise, legs
 
 
 @dataclass
@@ -51,15 +52,6 @@ def _dict_diff(lhs: dict, rhs: dict) -> str:
     return ""
 
 
-def _accumulate(out: dict, key, val: RingElem):
-    cur = out.get(key)
-    out[key] = val if cur is None else cur + val
-
-
-def _strip_zeros(d: dict) -> dict:
-    return {k: v for k, v in d.items() if v}
-
-
 def braid_equation_sides(R: SqMatrix, N: int) -> tuple[dict, dict]:
     """Both sides of the constant Yang-Baxter equation, fully indexed.
 
@@ -67,85 +59,21 @@ def braid_equation_sides(R: SqMatrix, N: int) -> tuple[dict, dict]:
     sum_ijk R^a_i^b_j R^j_k^c_f R^i_d^k_e  and
     sum_ijk R^b_i^c_j R^a_d^i_k R^k_e^j_f.
     """
-    ent = [
-        (rp // N, rp % N, cp // N, cp % N, v)
-        for (rp, cp), v in R.entries.items()
-    ]
-    by_low_first: dict[int, list] = {}
-    by_up_pair: dict[tuple[int, int], list] = {}
-    by_up_first: dict[int, list] = {}
-    for (u1, u2, l1, l2, v) in ent:
-        by_low_first.setdefault(l1, []).append((u1, u2, l2, v))
-        by_up_pair.setdefault((u1, u2), []).append((l1, l2, v))
-        by_up_first.setdefault(u1, []).append((u2, l1, l2, v))
-
-    lhs: dict = {}
-    # R^a_i^b_j has upper (a,b) lower (i,j); then R^j_k^c_f upper (j,c)
-    # lower (k,f); then R^i_d^k_e upper (i,k) lower (d,e).
-    for (a, b, i, j, v1) in ent:
-        for (j2, c, k, f, v2) in (
-            (j, u2, l1, l2, v)
-            for (u2, l1, l2, v) in by_up_first.get(j, ())
-        ):
-            for (d, e, v3) in by_up_pair.get((i, k), ()):
-                _accumulate(lhs, (a, b, c, d, e, f), v1 * v2 * v3)
-
-    rhs: dict = {}
-    # R^b_i^c_j upper (b,c) lower (i,j); R^a_d^i_k upper (a,i) lower (d,k);
-    # R^k_e^j_f upper (k,j) lower (e,f).
-    by_up_second: dict[int, list] = {}
-    for (u1, u2, l1, l2, v) in ent:
-        by_up_second.setdefault(u2, []).append((u1, l1, l2, v))
-    for (b, c, i, j, v1) in ent:
-        for (a, d, k, v2) in (
-            (u1, l1, l2, v)
-            for (u1, l1, l2, v) in by_up_second.get(i, ())
-        ):
-            for (e, f, v3) in by_up_pair.get((k, j), ()):
-                _accumulate(rhs, (a, b, c, d, e, f), v1 * v2 * v3)
-    return _strip_zeros(lhs), _strip_zeros(rhs)
+    T = legs(R, N)
+    lhs_spec, rhs_spec = YANG_BAXTER
+    return contract(lhs_spec, T, T, T), contract(rhs_spec, T, T, T)
 
 
 def twist1_sides(R: SqMatrix, R_inv: SqMatrix, M_u: SqMatrix, M_d: SqMatrix, N: int):
     """R^-1^a_c^b_d  vs  sum_ef M^ae R^b_e^f_c M_fd (first twist form)."""
-    lhs = {
-        (rp // N, rp % N, cp // N, cp % N): v
-        for (rp, cp), v in R_inv.entries.items()
-    }
-    # group R by lower-first index e: R^b_e^f_c -> upper (b,f) lower (e,c)
-    by_low_first: dict[int, list] = {}
-    for (rp, cp), v in R.entries.items():
-        by_low_first.setdefault(cp // N, []).append((rp // N, rp % N, cp % N, v))
-    md_by_first: dict[int, list] = {}
-    for (f, d), v in M_d.entries.items():
-        md_by_first.setdefault(f, []).append((d, v))
-    rhs: dict = {}
-    for (a, e), vu in M_u.entries.items():
-        for (b, f, c, vr) in by_low_first.get(e, ()):
-            for (d, vd) in md_by_first.get(f, ()):
-                _accumulate(rhs, (a, b, c, d), vu * vr * vd)
-    return _strip_zeros(lhs), _strip_zeros(rhs)
+    lhs = contract("acbd->abcd", legs(R_inv, N))
+    return lhs, contract("ae,befc,fd->abcd", M_u.entries, legs(R, N), M_d.entries)
 
 
 def twist2_sides(R: SqMatrix, R_inv: SqMatrix, M_u: SqMatrix, M_d: SqMatrix, N: int):
     """R^-1^a_c^b_d  vs  sum_ef M_ce R^e_d^a_f M^fb (second twist form)."""
-    lhs = {
-        (rp // N, rp % N, cp // N, cp % N): v
-        for (rp, cp), v in R_inv.entries.items()
-    }
-    # group R by upper-first index e: R^e_d^a_f -> upper (e,a) lower (d,f)
-    by_up_first: dict[int, list] = {}
-    for (rp, cp), v in R.entries.items():
-        by_up_first.setdefault(rp // N, []).append((rp % N, cp // N, cp % N, v))
-    mu_by_first: dict[int, list] = {}
-    for (f, b), v in M_u.entries.items():
-        mu_by_first.setdefault(f, []).append((b, v))
-    rhs: dict = {}
-    for (c, e), vd in M_d.entries.items():
-        for (a, d, f, vr) in by_up_first.get(e, ()):
-            for (b, vu) in mu_by_first.get(f, ()):
-                _accumulate(rhs, (a, b, c, d), vd * vr * vu)
-    return _strip_zeros(lhs), _strip_zeros(rhs)
+    lhs = contract("acbd->abcd", legs(R_inv, N))
+    return lhs, contract("ce,edaf,fb->abcd", M_d.entries, legs(R, N), M_u.entries)
 
 
 def check_axioms(m) -> CheckReport:
@@ -183,12 +111,7 @@ def check_markov_conditions(m) -> CheckReport:
     for name, X in (("c2", m.R), ("c2_inv", m.R_inv)):
         prod = X @ mm
         total = prod.trace()
-        closed: dict[tuple[int, int], RingElem] = {}
-        for (rp, cp), v in prod.entries.items():
-            a, cr = rp // N, rp % N
-            b, cc = cp // N, cp % N
-            if cr == cc:
-                _accumulate(closed, (a, b), v)
+        closed = contract("abcc->ab", legs(prod, N))
         lhs = SqMatrix(N, {key: v * m.k for key, v in closed.items()})
         rhs = SqMatrix(N, {key: v * total for key, v in m.mu.entries.items()})
         rep.record(name, lhs == rhs, "partial closure does not scale like mu")
@@ -367,19 +290,8 @@ def _discover_z(R_hat: SqMatrix, conv: IndexConvention) -> int:
     (b, c) gives zeta as one exact ratio; all must agree on +q^m.
     """
     N = conv.N
-    inv_side: dict = {}
-    r_side: dict = {}
-    for (rp, cp), v in inverse_blockwise(R_hat, conv).entries.items():
-        a, b = divmod(rp, N)
-        c, d = divmod(cp, N)
-        if d == a:
-            _accumulate(inv_side, (b, c), v)
-    for (rp, cp), v in R_hat.entries.items():
-        b, e = divmod(rp, N)
-        e2, c = divmod(cp, N)
-        if e2 == e:
-            _accumulate(r_side, (b, c), v)
-    inv_side, r_side = _strip_zeros(inv_side), _strip_zeros(r_side)
+    inv_side = contract("acba->bc", legs(inverse_blockwise(R_hat, conv), N))
+    r_side = contract("beec->bc", legs(R_hat, N))
     if not r_side or set(inv_side) != set(r_side):
         raise NoSolution("partial traces of R^-1 and R have different supports")
     try:
@@ -400,9 +312,12 @@ def solve_twist(R_hat: SqMatrix, z: RingElem | None = None,
     With ``z`` given, solves the exact twist system for R = z * R_hat.
     Without it, runs Z-discovery: read zeta = Z^2 = q^m off the partial
     traces of R_hat and R_hat^-1 (exact; NoSolution unless every ratio is
-    the same +q^m), then confirm both square roots +-s^m on the twist
-    system.  The returned basis matrices are primitive (no common factor)
-    and determined up to scale.
+    the same +q^m), then confirm both square roots +-s^m with one solve of
+    the twist system.  One solve suffices: with R = z R_hat and
+    R^-1 = z^-1 R_hat^-1, z times each row reads R_hat^-1 against z^2 R_hat,
+    so the system sees only Z^2 and both roots share one nullspace.  The
+    returned basis matrices are primitive (no common factor) and determined
+    up to scale.
     """
     if conv is None:
         N = int(round(math.isqrt(R_hat.dim)))
@@ -413,20 +328,12 @@ def solve_twist(R_hat: SqMatrix, z: RingElem | None = None,
         return _solve_exact(R_hat * z, conv)
 
     m = _discover_z(R_hat, conv)
-    candidates = [ring.s_power(m), ring.s_power(m, -1)]
-    confirmed = []
-    sol = None
-    for cand in candidates:
-        try:
-            trial = _solve_exact(R_hat * cand, conv)
-        except (NoSolution, InexactDivision, DomainError):
-            continue
-        if trial.uniqueness == 1:
-            confirmed.append(cand)
-            if sol is None:
-                sol = trial
-    if sol is None:
+    try:
+        sol = _solve_exact(R_hat * ring.s_power(m), conv)
+    except (NoSolution, InexactDivision, DomainError):
+        sol = None
+    if sol is None or sol.uniqueness != 1:
         raise NoSolution("no symbolically confirmed Z candidate")
-    sol.z_candidates = confirmed
+    sol.z_candidates = [ring.s_power(m), ring.s_power(m, -1)]
     sol.fitted_exponent = m
     return sol

@@ -233,8 +233,11 @@ def invariance_suite(word: BraidWord, m: VertexModel, trials: int = 50,
     Each trial applies one to three moves drawn from conjugation,
     positive/negative stabilization and free reduction, within per-model
     strand caps; every stabilization step additionally checks the Markov
-    trace identity phi(A b_n) = tau phi(A) exactly.
+    trace identity phi(A b_n) = tau phi(A) exactly.  A negative trial
+    count is refused rather than reported as a vacuous pass.
     """
+    if trials < 0:
+        raise DomainError(f"trials must be non-negative, got {trials}")
     rng = random.Random(seed)
     base = ambient_invariant(word, m)
     report = SuiteReport(word=word, trials=trials)

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .ring import RingElem
 from .tensor import (
+    YANG_BAXTER,
     IndexConvention,
     SqMatrix,
     annihilates,
@@ -433,8 +434,8 @@ def spectral_checks(sm: SpectralModel, u: float, v: float) -> SpectralReport:
     Tu = boltzmann_tensor(sm, u)
     Tv = boltzmann_tensor(sm, v)
     Tuv = boltzmann_tensor(sm, u + v)
-    lhs = np.einsum("aibj,jkcf,idke->abcdef", Tu, Tuv, Tv)
-    rhs = np.einsum("bicj,adik,kejf->abcdef", Tv, Tuv, Tu)
+    lhs = np.einsum(YANG_BAXTER[0], Tu, Tuv, Tv)  # the exact braid check's strings
+    rhs = np.einsum(YANG_BAXTER[1], Tv, Tuv, Tu)
     ybe_rel, ybe_abs = _rel(lhs, rhs)
 
     Bu = boltzmann_matrix(sm, u)

@@ -5,11 +5,13 @@ dropped.  Tensor legs follow one pinned convention: an R-matrix entry
 R^a_c^b_d sits at ``[flatten(a, b), flatten(c, d)]``, i.e. rows are the
 upper index pair and columns the lower pair, with
 ``flatten(a, b) = pos(a) * N + pos(b)`` over the ascending index set.
+``legs`` keys it as the tensor (a, c, b, d); ``contract`` is an exact einsum.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -181,6 +183,101 @@ class SqMatrix:
         return cls(obj["dim"], entries)
 
 
+# -------------------------------------------------------- exact contraction
+
+YANG_BAXTER = ("aibj,jkcf,idke->abcdef", "bicj,adik,kejf->abcdef")
+"""The two sides of the constant Yang-Baxter equation over R^a_c^b_d legs:
+sum_ijk R^a_i^b_j R^j_k^c_f R^i_d^k_e = sum_ijk R^b_i^c_j R^a_d^i_k R^k_e^j_f."""
+
+
+def legs(M: SqMatrix, N: int) -> dict[tuple[int, int, int, int], RingElem]:
+    """A two-factor matrix as a four-leg tensor: M[(a,b),(c,d)] keyed (a, c, b, d).
+
+    That is R^a_c^b_d, the key order of the model tables and of
+    ``models.boltzmann_tensor``.
+    """
+    if M.dim != N * N:
+        raise DimensionMismatch(f"legs need a two-factor matrix of dim {N * N}, got {M.dim}")
+    return {(r // N, c // N, r % N, c % N): v for (r, c), v in M.entries.items()}
+
+
+def _picker(positions):
+    """The map from a tuple to the tuple of its items at ``positions``."""
+    if len(positions) == 1:
+        return lambda t, p=positions[0]: (t[p],)
+    return operator.itemgetter(*positions) if positions else lambda t: ()
+
+
+def _parse_spec(spec: str, operands) -> tuple[list[str], str]:
+    """The operand terms and output letters of ``spec``; DomainError if malformed."""
+    inputs, arrow, out = spec.partition("->")
+    terms = inputs.split(",")
+    if not arrow or "->" in out or not all(
+            x.isascii() and x.isalpha() for x in (inputs + out).replace(",", "")):
+        raise DomainError(f"spec {spec!r} is not letters, commas and one explicit '->'")
+    if len(terms) != len(operands):
+        raise DomainError(f"spec {spec!r} names {len(terms)} operands, got {len(operands)}")
+    if len(set(out)) != len(out) or not set(out) <= set(inputs):
+        raise DomainError(f"output {out!r} repeats a letter or has one no input has")
+    if any(len(key) != len(term) for term, op in zip(terms, operands) for key in op):
+        raise DomainError(f"spec {spec!r}: an operand has a key of another arity")
+    return terms, out
+
+
+def _summed(pairs) -> dict:
+    """Add up (key, value) pairs per key, dropping exact zeros."""
+    out: dict = {}
+    for key, v in pairs:
+        cur = out.get(key)
+        out[key] = v if cur is None else cur + v
+    return {k: v for k, v in out.items() if v}
+
+
+def _project(op: dict, term: str, keep: str) -> dict:
+    """Entries whose repeated letters agree, keyed by ``keep``, the rest summed out."""
+    # on the diagonal iff reading each letter at its first position gives k back
+    on_diagonal = _picker([term.index(x) for x in term])
+    pick = _picker([term.index(x) for x in keep])
+    return _summed((pick(k), v) for k, v in op.items() if on_diagonal(k) == k)
+
+
+def _join(left: dict, l_letters: str, right: dict, r_letters: str, keep: str) -> dict:
+    """Multiply matching entries of two tensors, summing every letter not kept."""
+    shared = [x for x in r_letters if x in l_letters]
+    l_key = _picker([l_letters.index(x) for x in shared])
+    r_key = _picker([r_letters.index(x) for x in shared])
+    pick = _picker([(l_letters + r_letters).index(x) for x in keep])
+    groups: dict = {}
+    for k, v in right.items():
+        groups.setdefault(r_key(k), []).append((k, v))
+    return _summed((pick(k1 + k2), v1 * v2) for k1, v1 in left.items()
+                   for k2, v2 in groups.get(l_key(k1), ()))
+
+
+def contract(spec: str, *operands: dict) -> dict:
+    """Exact einsum over sparse tensors ``{index tuple: RingElem}``.
+
+    ``spec`` is numpy's einsum syntax with an explicit ``->``, e.g.
+    ``"ae,befc,fd->abcd"`` is sum_ef A[a,e] B[b,e,f,c] C[f,d].  A letter
+    repeated inside one operand selects that operand's diagonal.  Operands
+    are joined left to right, and each letter is summed out as soon as no
+    later operand and not the output needs it.  The result is keyed in
+    output-letter order with exact zeros dropped; a malformed spec raises
+    DomainError.
+    """
+    terms, out = _parse_spec(spec, operands)
+    letters = ""
+    for i, (op, term) in enumerate(zip(operands, terms)):
+        own = "".join(dict.fromkeys(term))
+        needed = set(out).union(*terms[i + 1:])
+        keep = out if i == len(terms) - 1 else "".join(
+            x for x in dict.fromkeys(letters + own) if x in needed)
+        acc = _project(op, term, keep) if i == 0 else _join(
+            acc, letters, _project(op, term, own), own, keep)
+        letters = keep
+    return acc
+
+
 def trace_product(a, b) -> RingElem:
     """tr(a @ b) without forming the product; packed operands unpack the result."""
     if isinstance(a, PackedMatrix):
@@ -205,18 +302,7 @@ def partial_close_second(R: SqMatrix, mu: SqMatrix, conv: IndexConvention) -> Sq
     N = conv.N
     if R.dim != N * N or mu.dim != N:
         raise DimensionMismatch("partial closure dims do not match the convention")
-    out: dict[tuple[int, int], RingElem] = {}
-    for (rp, cp), v in R.entries.items():
-        a, c = rp // N, rp % N
-        b, e = cp // N, cp % N
-        w = mu.entries.get((e, c))
-        if w is None:
-            continue
-        key = (a, b)
-        cur = out.get(key)
-        term = v * w
-        out[key] = term if cur is None else cur + term
-    return SqMatrix(N, out)
+    return SqMatrix(N, contract("abce,ec->ab", legs(R, N), mu.entries))
 
 
 def annihilates(R: SqMatrix, eigenvalues) -> bool:

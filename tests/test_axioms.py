@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vertexlink import ring
+from vertexlink import axioms, ring
 from vertexlink.axioms import (
     braid_equation_sides,
     check_axioms,
@@ -44,6 +44,12 @@ def test_mutated_r_fails_with_witness(m2):
     assert not rep.passed
     assert not rep.results["braid"]
     assert "at (" in rep.witnesses["braid"]  # names a concrete index tuple
+    # the first differing index tuple and both sides' values, pinned
+    assert rep.witnesses["braid"] == (
+        "at (0, 0, 1, 0, 0, 1): -s + s^-2 + s^-3 != -s^2 - s + s^-1 + 2*s^-2 + s^-3"
+    )
+    assert rep.witnesses["twist1"] == "at (1, 0, 1, 0): s - s^-3 != s - s^-2 - s^-3"
+    assert rep.witnesses["twist2"] == "at (1, 0, 1, 0): s - s^-3 != s - s^-2 - s^-3"
 
 
 def test_braid_equation_sides_structural(m3):
@@ -157,6 +163,21 @@ def test_solver_discovery(each_model):
     assert m.Z in sol.z_candidates
     assert len(sol.z_candidates) == 2  # both square roots confirm symbolically
     assert sol.uniqueness == 1
+
+
+def test_solver_discovery_solves_once(m4, monkeypatch):
+    # +s^m and -s^m give the same twist system up to row signs: one solve
+    calls = []
+    real = axioms._solve_exact
+
+    def counted(R, conv):
+        calls.append(R)
+        return real(R, conv)
+
+    monkeypatch.setattr(axioms, "_solve_exact", counted)
+    sol = solve_twist(m4.R * ring.invert_unit(m4.Z))
+    assert len(calls) == 1
+    assert sol.z_candidates == [ring.s_power(-9), ring.s_power(-9, -1)]
 
 
 def test_solver_no_solution():

@@ -185,6 +185,11 @@ def test_invariance_under_markov_moves(each_model):
         assert rep.stab_checks > 0
 
 
+def test_invariance_suite_refuses_negative_trials(m2):
+    with pytest.raises(DomainError, match="non-negative"):
+        invariance_suite(BraidWord(2, (1,)), m2, trials=-3)
+
+
 def test_stabilization_identities_direct(each_model):
     # D <L(w b_n)> = Z k <L(w)> and D <L(w b_n^-1)> = Z q^(N^2-1) k <L(w)>
     m = each_model

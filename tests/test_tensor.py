@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,10 +11,13 @@ from hypothesis import strategies as st
 from vertexlink import ring
 from vertexlink.errors import ConventionValidationFailed, DimensionMismatch, DomainError
 from vertexlink.tensor import (
+    YANG_BAXTER,
     IndexConvention,
     SqMatrix,
     charge_of_pair,
+    contract,
     inverse_blockwise,
+    legs,
     partial_close_second,
     small_inverse,
     trace_product,
@@ -162,3 +166,87 @@ def test_scalar_multiplication(seed):
     c = ring.s_power(rng.randint(-2, 2)) + ring.integer(rng.randint(-1, 1))
     assert (c * a) == (a * c)
     assert (c * a) + (-c * a) == SqMatrix(3)
+
+
+# ------------------------------------------------------------- contract
+
+# every index string the package passes to contract, plus a few general ones
+PACKAGE_SPECS = [
+    *YANG_BAXTER,
+    "acbd->abcd",
+    "ae,befc,fd->abcd",
+    "ce,edaf,fb->abcd",
+    "abcc->ab",
+    "acba->bc",
+    "beec->bc",
+    "abce,ec->ab",
+]
+EXTRA_SPECS = ["ab,bc,cd->ad", "aab,bc->ca", "ab,ba->", "ab->ba", "aa->", "a,b->ab"]
+
+
+def random_sparse(rng, shape, density=0.4):
+    """A dense int array and its sparse ``{index: RingElem}`` twin."""
+    dense = np.zeros(shape, dtype=np.int64)
+    for idx in np.ndindex(*shape):
+        if rng.random() < density:
+            dense[idx] = rng.randint(-3, 3)
+    sparse = {idx: ring.integer(int(v)) for idx, v in np.ndenumerate(dense) if v}
+    return dense, sparse
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("spec", PACKAGE_SPECS + EXTRA_SPECS)
+def test_contract_matches_numpy_einsum(spec, N):
+    rng = random.Random(f"{spec}/{N}")
+    terms = spec.split("->")[0].split(",")
+    for _ in range(3):
+        pairs = [random_sparse(rng, (N,) * len(t)) for t in terms]
+        want = np.einsum(spec, *(d for d, _ in pairs))
+        got = contract(spec, *(sp for _, sp in pairs))
+        assert got == {
+            idx: ring.integer(int(v)) for idx, v in np.ndenumerate(want) if v
+        }
+
+
+def test_contract_drops_exact_zeros_and_copies():
+    a = {(0, 0): ring.one(), (0, 1): ring.one()}
+    b = {(0,): ring.one(), (1,): -ring.one()}
+    assert contract("ab,b->a", a, b) == {}
+    same = contract("ab->ab", a)
+    assert same == a and same is not a
+
+
+@pytest.mark.parametrize("spec, operands", [
+    ("ab,bc", ({}, {})),                        # no explicit ->
+    ("ab->b->a", ({},)),                        # two arrows
+    ("ab,bc->ac", ({},)),                       # too few operands
+    ("ab->ab", ({}, {})),                       # too many operands
+    ("ab->a", ({(0, 1, 2): ring.one()},)),      # key arity 3 for a 2-letter term
+    ("ab->c", ({},)),                           # output letter no input has
+    ("ab->aa", ({},)),                          # output letter repeated
+    ("a1->a", ({},)),                           # not a letter
+], ids=["no-arrow", "two-arrows", "few-operands", "many-operands", "arity",
+        "unknown-output", "repeated-output", "non-letter"])
+def test_contract_refuses_malformed_spec(spec, operands):
+    with pytest.raises(DomainError):
+        contract(spec, *operands)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]))
+@settings(max_examples=20)
+def test_legs_key_order(seed, N):
+    # legs(M)[a, c, b, d] = M[(a,b),(c,d)]: transposing legs 1 and 2 back
+    # and flattening gives the matrix again, as models.boltzmann_matrix does
+    M = random_matrix(random.Random(seed), N * N, radical=True)
+    T = np.zeros((N,) * 4, dtype=object)
+    T[...] = ring.zero()
+    for key, v in legs(M, N).items():
+        T[key] = v
+    flat = T.transpose(0, 2, 1, 3).reshape(N * N, N * N)
+    assert SqMatrix(N * N, {(r, c): flat[r, c] for r in range(N * N)
+                            for c in range(N * N)}) == M
+
+
+def test_legs_dim_mismatch():
+    with pytest.raises(DimensionMismatch):
+        legs(SqMatrix(3), 2)
