@@ -105,16 +105,14 @@ def check_markov_conditions(m) -> CheckReport:
     rep = CheckReport()
     N = m.N
     mm = m.mu.kron(m.mu)
-    for name, X in (("c1", m.R), ("c1_inv", m.R_inv)):
-        ok = X @ mm == mm @ X
-        rep.record(name, ok, "does not commute with mu (x) mu")
-    for name, X in (("c2", m.R), ("c2_inv", m.R_inv)):
-        prod = X @ mm
+    for tag, X in (("", m.R), ("_inv", m.R_inv)):
+        prod = X @ mm  # shared by both conditions
+        rep.record("c1" + tag, prod == mm @ X, "does not commute with mu (x) mu")
         total = prod.trace()
         closed = contract("abcc->ab", legs(prod, N))
         lhs = SqMatrix(N, {key: v * m.k for key, v in closed.items()})
         rhs = SqMatrix(N, {key: v * total for key, v in m.mu.entries.items()})
-        rep.record(name, lhs == rhs, "partial closure does not scale like mu")
+        rep.record("c2" + tag, lhs == rhs, "partial closure does not scale like mu")
     return rep
 
 

@@ -26,15 +26,16 @@ from .models import (
     mirror_model,
 )
 from .ring import RingElem
-from .tensor import annihilates, trace_product
+from .tensor import annihilates, partial_close_second, trace_product
 
 
 def _closure_trace(word: BraidWord, m: VertexModel, bits: int) -> RingElem:
     """Z^-writhe <L> on the image of the ring at q = 2^bits, meeting in the middle.
 
     The two half-words are represented separately, sharing their letter
-    matrices, and contracted against mu^(x)n without forming the whole
-    product.  Exact when ``bits`` is at least ``packed.closure_bits(m, word)``.
+    matrices, and traced against each other with mu^(x)n as its character,
+    sigma^n q^(kappa w) on the charge sector w of each diagonal term's row.
+    Exact when ``bits`` is at least ``packed.closure_bits(m, word)``.
     """
     n = word.strands
     img = packed.image(m, bits)
@@ -42,7 +43,8 @@ def _closure_trace(word: BraidWord, m: VertexModel, bits: int) -> RingElem:
     letters: dict = {}
     left = represent(BraidWord(n, word.letters[:half]), img, cache=letters)
     right = represent(BraidWord(n, word.letters[half:]), img, cache=letters)
-    return trace_product(left, right @ img.mu_power(n))
+    unit, exps = img.closure_weight(n)
+    return unit * trace_product(left, right, exps)
 
 
 @functools.lru_cache(maxsize=None)
@@ -87,9 +89,10 @@ class ModelConstants:
 
 def compute_constants(m: VertexModel) -> ModelConstants:
     """Re-derive k, tau, taubar from traces and pin them to closed forms."""
-    mm = m.mu.kron(m.mu)
     k = m.mu.trace()
-    check_trace_constants(m.N, m.Z, k, m.D, trace_product(m.R, mm), trace_product(m.R_inv, mm))
+    # tr(X mu (x) mu) is tr(K mu) for the partial closure K of X
+    traces = [trace_product(partial_close_second(X, m.mu, m.conv), m.mu) for X in (m.R, m.R_inv)]
+    check_trace_constants(m.N, m.Z, k, m.D, *traces)
     curl_ratio = ring.q_power(m.N * m.N - 1)
     return ModelConstants(
         k=k,

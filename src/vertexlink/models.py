@@ -8,7 +8,9 @@ checks R in this order and aborts on any failure, so a successfully built
 model is already a verified one: charge conservation (the error names the
 offending entry), annihilation by the minimal polynomial prod(R - lambda),
 the inverse taken block by block over the charge sectors, and R R^-1 = 1
-exactly.  The closed forms of k, tau and taubar are pinned after that.
+exactly.  M_u and M_d must be mutually inverse, and mu a charge character
+sigma diag(q^(kappa a)); the closed forms of k, tau and taubar, pinned
+last, leave sigma = (-1)^(N-1) and kappa = -2 (+2 for mirrors).
 
 The numeric side carries the solvable-model weights R(u) for N = 2, 3
 whose u -> infinity limit reproduces the constant matrices.
@@ -212,6 +214,23 @@ def check_trace_constants(N: int, Z: RingElem, k: RingElem, D: RingElem,
         raise ClosedFormMismatch("taubar disagrees with Z q^(N^2-1) / D")
 
 
+def closure_character(mu: SqMatrix, conv: IndexConvention) -> tuple[int, int]:
+    """(sigma, kappa) with mu = sigma diag(q^(kappa a)) over the labels a, exactly.
+
+    Turaev's enhancement (Invent. Math. 92, 1988): mu^(x)n is then the unit
+    sigma^n q^(kappa w) on each charge sector w.  Anything else is refused.
+    """
+    first = mu.entries.get((0, 0))
+    if first is None or not first.is_unit():
+        raise ConventionValidationFailed("closure weight mu[0,0] is not a unit")
+    sigma, lo = first.as_unit()
+    kappa = -lo // (conv.N - 1)  # lo = 2 kappa a for the lowest label a = -(N - 1) / 2
+    if mu != SqMatrix(conv.N, {(i, i): _S(int(2 * kappa * a), sigma)
+                               for i, a in enumerate(conv.labels)}):
+        raise ConventionValidationFailed("closure weight mu is not sigma diag(q^(kappa a))")
+    return sigma, kappa
+
+
 def _finalize(
     N: int,
     sign: int,
@@ -236,6 +255,7 @@ def _finalize(
     if M_d @ M_u != ident or M_u @ M_d != ident:
         raise ClosedFormMismatch("M_u and M_d are not mutually inverse")
     mu = M_u @ M_d.transpose()
+    closure_character(mu, conv)
     k = mu.trace()
     D = loop_sum(N)
     mm = mu.kron(mu)

@@ -19,9 +19,12 @@ every coefficient of both parts, and w(xy) <= w(x) w(y): the product
 (a + b r)(c + d r) = (ac + bd r^2) + (ad + bc) r weighs at most
 ||a|| ||c|| + 3 ||b|| ||d|| + 2 ||a|| ||d|| + 2 ||b|| ||c||, as
 ||r^2|| = 3 <= 2^2 (likewise ||r'^2|| = 3 in the packed basis).  So the
-largest row sum rho of entry weights obeys rho(AB) <= rho(A) rho(B) and
-rho(A (x) B) <= rho(A) rho(B), and a trace weighs at most dim times a row
-sum.  No value is ever rounded.
+largest row sum rho of entry weights obeys rho(AB) <= rho(A) rho(B), and
+a trace weighs at most dim times a row sum.  The closure weight mu^(x)n
+adds no factor: it is the unit sigma^n q^(kappa w) on each charge sector
+w (:func:`vertexlink.models.closure_character`), of weight 1, so the
+trace shifts each sector's sum by its power of q once and never forms
+mu^(x)n as a matrix.  No value is ever rounded.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 from . import _kernel as K
 from . import ring
 from .errors import DimensionMismatch, DomainError
+from .models import closure_character
 from .ring import RingElem
 
 
@@ -99,39 +103,32 @@ class PackedMatrix:
             entries = {k: v for k, v in out.items() if v[0] or v[1]}
         return PackedMatrix(self.dim, entries, self.bits, rho, self.shift + other.shift)
 
-    def kron(self, other: "PackedMatrix") -> "PackedMatrix":
-        d2 = other.dim
-        rho = self.rho
-        entries = {}
-        for (r1, c1), u in self.entries.items():
-            for (r2, c2), v in other.entries.items():
-                entries[(r1 * d2 + r2, c1 * d2 + c2)] = (
-                    u * v if rho is None
-                    else (u[0] * v[0] + u[1] * v[1] * rho, u[0] * v[1] + u[1] * v[0]))
-        return PackedMatrix(self.dim * d2, entries, self.bits, rho, self.shift + other.shift)
+    def trace_product(self, other: "PackedMatrix", exps=None) -> RingElem:
+        """tr(self @ other @ diag(q^exps)), unpacked, without forming the product.
 
-    def trace_product(self, other: "PackedMatrix") -> RingElem:
-        """tr(self @ other), unpacked, without forming the product."""
-        if self.dim != other.dim or self.bits != other.bits:
+        The diagonal terms are summed per exponent (per charge sector, for a
+        closure weight), and each sum is shifted by its power of q once.
+        """
+        exps = exps or (0,) * self.dim
+        if self.dim != other.dim or self.bits != other.bits or len(exps) != self.dim:
             raise DimensionMismatch(f"{self!r} vs {other!r}")
         get = other.entries.get
-        shift = self.shift + other.shift
-        if self.rho is None:
-            acc = 0
-            for (r, c), v in self.entries.items():
-                w = get((c, r))
-                if w is not None:
-                    acc += v * w
-            return unpack(acc, 0, self.bits, shift)
         rho = self.rho
-        acc_a = acc_b = 0
-        for (r, c), (va, vb) in self.entries.items():
+        sum_a: dict[int, int] = {}
+        sum_b: dict[int, int] = {}
+        for (r, c), v in self.entries.items():
             w = get((c, r))
-            if w is not None:
-                wa, wb = w
-                acc_a += va * wa + vb * wb * rho
-                acc_b += va * wb + vb * wa
-        return unpack(acc_a, acc_b, self.bits, shift)
+            if w is None:
+                continue
+            e = exps[r]
+            if rho is None:
+                sum_a[e] = sum_a.get(e, 0) + v * w
+            else:
+                (va, vb), (wa, wb) = v, w
+                sum_a[e] = sum_a.get(e, 0) + va * wa + vb * wb * rho
+                sum_b[e] = sum_b.get(e, 0) + va * wb + vb * wa
+        a, b = (sum(t << self.bits * e for e, t in part.items()) for part in (sum_a, sum_b))
+        return unpack(a, b, self.bits, self.shift + other.shift)
 
     def __repr__(self):
         return f"PackedMatrix(dim={self.dim}, nnz={len(self.entries)}, bits={self.bits})"
@@ -203,9 +200,20 @@ def unpack(a: int, b: int, bits: int, shift: int) -> RingElem:
                     _q_digits_in_s(_digits(b, bits), 1 - shift))
 
 
+@functools.lru_cache(maxsize=32)
+def _closure_weight(N: int, n: int, sigma: int, kappa: int) -> tuple[RingElem, tuple[int, ...]]:
+    levels = [0]  # label positions summed per row: the charge is w = level - top / 2
+    for _ in range(n):
+        levels = [x + p for x in levels for p in range(N)]
+    top = n * (N - 1)
+    # q^(kappa w) = q^(e - |kappa| top / 2), with e >= 0 for every row
+    exps = tuple(abs(kappa) * (x if kappa > 0 else top - x) for x in levels)
+    return ring.s_power(-abs(kappa) * top, sigma ** n), exps
+
+
 @dataclass(frozen=True)
 class PackedImage:
-    """A model's unit-free letters and closure weight at q = 2^bits.
+    """A model's unit-free letters at q = 2^bits, and the character (sigma, kappa) of its mu.
 
     ``braid.represent`` reads ``N``, ``R`` and ``R_inv``, as on a model.
     """
@@ -213,13 +221,11 @@ class PackedImage:
     N: int
     R: PackedMatrix
     R_inv: PackedMatrix
-    mu: PackedMatrix
+    character: tuple[int, int]
 
-    def mu_power(self, n: int) -> PackedMatrix:
-        acc = self.mu
-        for _ in range(n - 1):
-            acc = acc.kron(self.mu)
-        return acc
+    def closure_weight(self, n: int) -> tuple[RingElem, tuple[int, ...]]:
+        """mu^(x)n on n strands as (unit, exps): row r weighs unit q^(exps[r])."""
+        return _closure_weight(self.N, n, *self.character)
 
 
 @dataclass(frozen=True)
@@ -230,7 +236,6 @@ class _Letters:
     # largest row sums of entry weights
     rho_pos: int
     rho_neg: int
-    rho_mu: int
 
 
 def weight(v: RingElem) -> int:
@@ -251,28 +256,28 @@ def _letters(m) -> _Letters:
     inv_z = ring.invert_unit(m.Z)
     R_hat = m.R * inv_z
     R_bar = m.R_inv * m.Z
-    radical = any(v.rad[1] for M in (R_hat, R_bar, m.mu) for v in M.entries.values())
-    return _Letters(R_hat, R_bar, radical,
-                    _row_weight(R_hat), _row_weight(R_bar), _row_weight(m.mu))
+    radical = any(v.rad[1] for M in (R_hat, R_bar) for v in M.entries.values())
+    return _Letters(R_hat, R_bar, radical, _row_weight(R_hat), _row_weight(R_bar))
 
 
 def closure_bits(m, word) -> int:
     """Packing width that makes the closure trace of ``word`` unpack exactly.
 
     With rho(M) the largest row sum of entry weights, the trace of
-    R_1 ... R_L mu^(x)n weighs at most X = dim rho(mu)^n prod rho(R_i),
-    so bits = bitlen(2 X) + 1 leaves every coefficient below 2^(bits-2).
+    R_1 ... R_L mu^(x)n weighs at most X = dim prod rho(R_i): mu^(x)n is a
+    diagonal of units, each of weight 1.  So bits = bitlen(2 X) + 1 leaves
+    every coefficient below 2^(bits-2).
     """
     L = _letters(m)
     n = word.strands
     pos = sum(1 for x in word.letters if x > 0)
-    bound = (m.N ** n) * L.rho_mu ** n * L.rho_pos ** pos * L.rho_neg ** (len(word.letters) - pos)
+    bound = (m.N ** n) * L.rho_pos ** pos * L.rho_neg ** (len(word.letters) - pos)
     return (2 * bound).bit_length() + 1
 
 
 @functools.lru_cache(maxsize=64)
 def image(m, bits: int) -> PackedImage:
-    """The unit-free letters and mu of ``m`` packed at q = 2^bits."""
+    """The unit-free letters of ``m`` packed at q = 2^bits, with the character of its mu."""
     L = _letters(m)
     return PackedImage(m.N, pack_matrix(L.R_hat, bits, L.radical),
-                       pack_matrix(L.R_bar, bits, L.radical), pack_matrix(m.mu, bits, L.radical))
+                       pack_matrix(L.R_bar, bits, L.radical), closure_character(m.mu, m.conv))

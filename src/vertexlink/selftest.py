@@ -55,8 +55,8 @@ def _check_axioms(seed: int) -> CheckResult:
 def _check_solver(seed: int) -> CheckResult:
     for N in (2, 3, 4):
         m = build_model(N)
-        r_hat = m.R * ring.invert_unit(m.Z)
-        sol = solve_twist(r_hat, z=m.Z)
+        # discovery solves at +s^m, which is Z of build_model(N): its basis is M_d's
+        sol = solve_twist(m.R * ring.invert_unit(m.Z))
         if sol.uniqueness != 1 or not sol.twin_consistent:
             return CheckResult("twist-solver", False, f"N={N}: nullspace not 1-dimensional")
         md = sol.md_basis[0]
@@ -68,12 +68,11 @@ def _check_solver(seed: int) -> CheckResult:
             ratios.add(ring.exact_divide(v, got))
         if len(ratios) != 1 or not next(iter(ratios)).is_unit():
             return CheckResult("twist-solver", False, f"N={N}: basis not proportional to M_d")
-        disc = solve_twist(r_hat)
-        if disc.fitted_exponent != -((N - 1) ** 2):
+        if sol.fitted_exponent != -((N - 1) ** 2):
             return CheckResult(
-                "twist-solver", False, f"N={N}: discovered exponent {disc.fitted_exponent}"
+                "twist-solver", False, f"N={N}: discovered exponent {sol.fitted_exponent}"
             )
-        if m.Z not in disc.z_candidates:
+        if m.Z not in sol.z_candidates:
             return CheckResult("twist-solver", False, f"N={N}: Z not among candidates")
     return CheckResult("twist-solver", True, "M recovered and Z^2 = q^-(N-1)^2 for N=2,3,4")
 

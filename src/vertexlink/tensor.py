@@ -18,7 +18,6 @@ from fractions import Fraction
 from . import _kernel as K
 from . import ring
 from .errors import ConventionValidationFailed, DimensionMismatch, DomainError
-from .packed import PackedMatrix
 from .ring import RingElem
 
 
@@ -278,10 +277,13 @@ def contract(spec: str, *operands: dict) -> dict:
     return acc
 
 
-def trace_product(a, b) -> RingElem:
-    """tr(a @ b) without forming the product; packed operands unpack the result."""
-    if isinstance(a, PackedMatrix):
-        return a.trace_product(b)
+def trace_product(a, b, exps=None) -> RingElem:
+    """tr(a @ b) without forming the product; packed operands unpack the result
+    and alone take ``exps``, giving tr(a @ b @ diag(q^exps))."""
+    if not isinstance(a, SqMatrix):
+        return a.trace_product(b, exps)
+    if exps is not None:
+        raise DomainError("per-row powers of q apply to packed operands only")
     if a.dim != b.dim:
         raise DimensionMismatch(f"{a.dim} vs {b.dim}")
     acc = ring.zero()

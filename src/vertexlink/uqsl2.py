@@ -10,6 +10,7 @@ pinned tolerances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -48,8 +49,8 @@ class SpinRep:
 
 def build_rep(j, q: float) -> SpinRep:
     jf = _as_spin(j)
-    if not q > 0 or q == 1.0:
-        raise DomainError("q must be positive and != 1")
+    if not 0 < q < math.inf or q == 1.0:
+        raise DomainError(f"q must be positive, finite and != 1, got {q}")
     dim = int(2 * jf) + 1
     ms = [-jf + k for k in range(dim)]
     H = np.diag([float(2 * m) for m in ms])
@@ -298,62 +299,54 @@ class CorrespondenceReport:
     md_exact: bool = False
     twist_exact: bool = False
 
+    def _shared_ok(self) -> bool:
+        """Every check both forms of the R identification rely on."""
+        return (self.algebra <= 1e-10 and self.casimir <= 1e-10 and self.truncation <= 1e-10
+                and self.wconj <= 1e-9 and self.cs <= 1e-9 and self.md_exact and self.twist_exact)
+
     def ok(self) -> bool:
         """The plain claim: P R^(jj) proportional to R/Z entry for entry.
 
         This is false for integer spin (ratio_spread is about 2 there,
         not a rounding artifact); ok_gauged() is the version that holds.
         """
-        return (
-            self.algebra <= 1e-10
-            and self.casimir <= 1e-10
-            and self.truncation <= 1e-10
-            and self.wconj <= 1e-9
-            and self.cs <= 1e-9
-            and self.ratio_spread <= 1e-8
-            and self.md_exact
-            and self.twist_exact
-        )
+        return self._shared_ok() and self.ratio_spread <= 1e-8
 
     def ok_gauged(self) -> bool:
         """Same, with the sign-gauge form of the R identification."""
-        return (
-            self.algebra <= 1e-10
-            and self.casimir <= 1e-10
-            and self.truncation <= 1e-10
-            and self.wconj <= 1e-9
-            and self.cs <= 1e-9
-            and self.gauged_spread <= 1e-8
-            and self.constant_dev <= 1e-8
-            and self.md_exact
-            and self.twist_exact
-        )
+        return self._shared_ok() and self.gauged_spread <= 1e-8 and self.constant_dev <= 1e-8
 
 
 def correspondence_report(j, q_samples: tuple[float, ...] = (1.2, 1.5, 2.0)) -> CorrespondenceReport:
-    """Run every check for one spin across the sample q values."""
+    """Run every check for one spin across the sample q values.
+
+    A spin without a vertex model raises UnsupportedN, and a sample q at
+    which the float arithmetic overflows raises DomainError naming it.
+    """
     jf = _as_spin(j)
     out = CorrespondenceReport(j=jf, q_samples=tuple(q_samples))
-    N = int(2 * jf) + 1
-    m = build_model(N) if N in (2, 3, 4) else None
-    for q in q_samples:
-        rep = build_rep(jf, q)
-        out.algebra = max(out.algebra, max(rep_residuals(rep).values()))
-        out.casimir = max(out.casimir, casimir_scalar(rep)[1])
-        _, tail = universal_r(rep)
-        out.truncation = max(out.truncation, tail)
-        out.wconj = max(out.wconj, w_conjugation_residual(jf, q))
-        out.cs = max(out.cs, max(cs_residuals(jf, q).values()))
-        if m is not None:
-            spread, _ = model_ratio_residual(m, rep)
-            gspread, c = model_ratio_residual(m, rep, gauge=True)
-            out.ratio_spread = max(out.ratio_spread, spread)
-            out.gauged_spread = max(out.gauged_spread, gspread)
-            # the fitted constant must be q^(2 j^2) = 1/Z: the gauged
-            # identification is an equality of matrices, not just a ray
-            expect = q ** float(2 * jf * jf)
-            out.constant_dev = max(out.constant_dev, abs(c - expect) / expect)
-    if m is not None:
-        out.md_exact = exact_w_matches_md(jf)
-        out.twist_exact = exact_twist_substitution(jf)
+    m = build_model(int(2 * jf) + 1)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for q in q_samples:
+                rep = build_rep(jf, q)
+                out.algebra = max(out.algebra, max(rep_residuals(rep).values()))
+                out.casimir = max(out.casimir, casimir_scalar(rep)[1])
+                _, tail = universal_r(rep)
+                out.truncation = max(out.truncation, tail)
+                out.wconj = max(out.wconj, w_conjugation_residual(jf, q))
+                out.cs = max(out.cs, max(cs_residuals(jf, q).values()))
+                spread, _ = model_ratio_residual(m, rep)
+                gspread, c = model_ratio_residual(m, rep, gauge=True)
+                out.ratio_spread = max(out.ratio_spread, spread)
+                out.gauged_spread = max(out.gauged_spread, gspread)
+                # the fitted constant must be q^(2 j^2) = 1/Z: the gauged
+                # identification is an equality of matrices, not just a ray
+                expect = q ** float(2 * jf * jf)
+                out.constant_dev = max(out.constant_dev, abs(c - expect) / expect)
+    except (OverflowError, FloatingPointError) as exc:
+        raise DomainError(f"q = {q} overflows the spin-{jf} arithmetic") from exc
+    out.md_exact = exact_w_matches_md(jf)
+    out.twist_exact = exact_twist_substitution(jf)
     return out
+

@@ -230,7 +230,7 @@ def test_criterion_10_tl_bracket(announce):
     ok = True
     for N in (2, 3, 4):
         m = build_model(N)
-        tlbracket.build_tl(m)  # raises if the display blocks disagree
+        tlbracket.build_tl(m)  # raises unless e^2 = k e and tr e = k
         ok = ok and tlbracket.tl_relations_check(m, max_strands=4).passed
     ok = ok and tlbracket.bracket_decompose_n2(build_model(2)) == (S(-1), S(1))
     ok = ok and tlbracket.dubrovnik_check_n3(build_model(3))

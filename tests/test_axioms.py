@@ -1,6 +1,7 @@
 """Identity checks and the exact twist solver."""
 
 import dataclasses
+import io
 import json
 import os
 import random
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vertexlink import axioms, ring
+from vertexlink import axioms, ring, selftest, tensor
 from vertexlink.axioms import (
     braid_equation_sides,
     check_axioms,
@@ -73,6 +74,20 @@ def test_markov_fails_on_mutated_mu(m2):
     bad = dataclasses.replace(m2, mu=bad_mu)
     rep = check_markov_conditions(bad)
     assert not rep.passed
+
+
+def test_markov_conditions_form_each_product_once(each_signed_model, monkeypatch):
+    # X (mu (x) mu) serves c1 and c2 alike: one product per X, plus (mu (x) mu) X
+    calls = []
+    spgemm = tensor.K.spgemm
+
+    def counting(a, b):
+        calls.append((len(a), len(b)))
+        return spgemm(a, b)
+
+    monkeypatch.setattr(tensor.K, "spgemm", counting)
+    assert check_markov_conditions(each_signed_model).passed
+    assert len(calls) == 4
 
 
 # --------------------------------------------------------------- nullspace
@@ -178,6 +193,22 @@ def test_solver_discovery_solves_once(m4, monkeypatch):
     sol = solve_twist(m4.R * ring.invert_unit(m4.Z))
     assert len(calls) == 1
     assert sol.z_candidates == [ring.s_power(-9), ring.s_power(-9, -1)]
+
+
+def test_selftest_solver_check_solves_once_per_model(monkeypatch):
+    # the discovery solve at +s^m is the solve at Z of build_model(N)
+    calls = []
+    real = axioms._solve_exact
+
+    def counted(R, conv):
+        calls.append(R)
+        return real(R, conv)
+
+    monkeypatch.setattr(axioms, "_solve_exact", counted)
+    out = io.StringIO()
+    assert selftest.run(only="twist-solver", out=out, err=io.StringIO()) == 0
+    assert "twist-solver" in out.getvalue() and "PASS" in out.getvalue()
+    assert len(calls) == 3
 
 
 def test_solver_no_solution():

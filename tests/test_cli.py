@@ -183,6 +183,22 @@ def test_uq_bad_spin(capsys):
     assert "not a spin" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--j", "1/2", "--q", "inf"),
+    ("--j", "1/2", "--q", "1e300"),
+    ("--j", "1/2", "--q", "1e-300"),
+    ("--j", "3/2", "--q", "1e80"),
+    ("--j", "2"),
+    ("--j", "5/2"),
+], ids=["inf", "huge", "tiny", "j3/2-huge", "j2", "j5/2"])
+def test_uq_refuses_what_it_cannot_check(capsys, argv):
+    # no vertex model to compare with, or q beyond the float arithmetic
+    code, out, err = run_cli(capsys, "uq", *argv)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
 def test_selftest_only(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--only", "axioms")
     assert code == 0

@@ -62,6 +62,41 @@ def test_mu_fixture_n2(m2):
     assert m2.mu.entries == {(0, 0): -Q(1), (1, 1): -Q(-1)}
 
 
+def test_closure_character(each_model):
+    # mu_a = sigma q^(kappa a): kappa = -2, and +2 once the mirror transposes M
+    m = each_model
+    want = ((-1) ** (m.N - 1), 2 if m.mirrored else -2)
+    assert models.closure_character(m.mu, m.conv) == want
+
+
+def _refused_before_trace_constants(monkeypatch, m, M_u, M_d):
+    def unreachable(*args):
+        pytest.fail("trace constants checked before the closure weight")
+
+    monkeypatch.setattr(models, "check_trace_constants", unreachable)
+    with pytest.raises(ConventionValidationFailed, match="closure weight"):
+        models._finalize(m.N, m.sign, m.conv, m.Z, m.R, M_u, M_d)
+
+
+def test_finalize_refuses_non_diagonal_mu(m2, monkeypatch):
+    # a unipotent M_u and its inverse give mu = [[0, 1], [-1, 1]]
+    one = ring.one()
+    M_u = SqMatrix(2, {(0, 0): one, (0, 1): one, (1, 1): one})
+    M_d = SqMatrix(2, {(0, 0): one, (0, 1): -one, (1, 1): one})
+    assert M_d @ M_u == SqMatrix.identity(2)
+    _refused_before_trace_constants(monkeypatch, m2, M_u, M_d)
+
+
+def test_finalize_refuses_mu_that_is_not_a_character(m4, monkeypatch):
+    # a diagonal of units, but q^5 sits where the slope from q^3 puts q^1
+    u = [Q(3), Q(5), ring.one(), ring.one()]
+    M_u = SqMatrix(4, {(i, 3 - i): u[i] for i in range(4)})
+    M_d = SqMatrix(4, {(3 - i, i): ring.invert_unit(u[i]) for i in range(4)})
+    assert (M_u @ M_d.transpose()).entries == {
+        (0, 0): Q(3), (1, 1): Q(5), (2, 2): Q(-5), (3, 3): Q(-3)}
+    _refused_before_trace_constants(monkeypatch, m4, M_u, M_d)
+
+
 def test_crossing_matrices_inverse(each_model):
     m = each_model
     ident = SqMatrix.identity(m.N)

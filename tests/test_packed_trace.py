@@ -55,6 +55,22 @@ def test_packed_trace_matches_reference(N, sign, mirrored):
         assert invariants.regular_invariant(w, m) == reference(w, m), w
 
 
+@pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirror"])
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_closure_weight_is_the_diagonal_of_mu_power(N, mirrored):
+    m = build_model(N)
+    if mirrored:
+        m = mirror_model(m)
+    for n in (1, 2, 3):
+        unit, exps = packed.image(m, 8).closure_weight(n)
+        want = SqMatrix(N ** n, {(r, r): unit * ring.q_power(e) for r, e in enumerate(exps)})
+        assert reference(BraidWord(n, ()), m) == want.trace()
+        mu = m.mu
+        for _ in range(n - 1):
+            mu = mu.kron(m.mu)
+        assert mu == want
+
+
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_packed_trace_at_strand_cap(N):
     m = build_model(N)

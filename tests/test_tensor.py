@@ -66,6 +66,12 @@ def test_trace_product_matches_full_product(seed, dim):
     assert trace_product(a, b) == (a @ b).trace()
 
 
+def test_trace_product_row_powers_are_for_packed_operands_only():
+    a = SqMatrix.identity(2)
+    with pytest.raises(DomainError, match="packed operands only"):
+        trace_product(a, a, (1, 0))
+
+
 @given(st.integers(0, 2 ** 32 - 1), dims)
 def test_transpose(seed, dim):
     rng = random.Random(seed)

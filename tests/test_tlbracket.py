@@ -44,6 +44,7 @@ def test_build_tl_display_n3(m3):
     for bi, r in enumerate(idx):
         for bj, c in enumerate(idx):
             assert tl.e.entries[(r, c)] == block[bi][bj]
+    assert set(tl.e.entries) == {(r, c) for r in idx for c in idx}
 
 
 def test_tl_generator_identities(each_signed_model):

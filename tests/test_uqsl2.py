@@ -1,5 +1,6 @@
 """Quantum sl2 spin representations against the vertex models."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -163,6 +164,23 @@ def test_correspondence_reports():
         assert rep.ok_gauged()
         assert rep.md_exact and rep.twist_exact
         assert rep.truncation == 0.0
+
+
+def test_correspondence_needs_a_vertex_model():
+    for j in (Fraction(2), Fraction(5, 2)):
+        with pytest.raises(UnsupportedN):
+            correspondence_report(j)
+
+
+@pytest.mark.parametrize("q", [math.inf, -math.inf, math.nan, 0.0, 1.0])
+def test_build_rep_refuses_q(q):
+    with pytest.raises(DomainError, match="q must be"):
+        build_rep(Fraction(1, 2), q)
+
+
+def test_overflow_names_q():
+    with pytest.raises(DomainError, match="q = 1e\\+80"):
+        correspondence_report(Fraction(3, 2), q_samples=(1.5, 1e80))
 
 
 def test_large_spin_numeric_only():
