@@ -47,7 +47,7 @@ def _closure_trace(word: BraidWord, m: VertexModel, bits: int) -> RingElem:
     return unit * trace_product(left, right, exps)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4096)
 def regular_invariant(word: BraidWord, m: VertexModel) -> RingElem:
     """Closure trace <L> = tr(rep(word) mu^(x)n), exact.
 

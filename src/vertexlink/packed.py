@@ -4,26 +4,31 @@ The closure trace only adds and multiplies ring elements, and substituting
 a number for q is a ring homomorphism, so the chain can run on Python ints
 (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009).  Factoring
 the unit Z out of every letter (R/Z and Z R^-1) leaves entries in
-Z[q^+-1][r]: every exponent in s is even.  With r' = q r the radical obeys
-r'^2 = 1 + q^2 + q^4, a polynomial in q, so a value a + b r is carried as
-the pair (a, b/q) over the basis 1, r'.  A :class:`PackedMatrix` stores
-q^shift times a matrix of such values, shifted to nonnegative degree and
-evaluated at q = 2^bits: an int per entry, or a pair of ints when the
-model has a radical.
+Z[q^+-1][r]: every exponent in s is even.
+
+The radical r, the square root of [3]_q = q^-2 + 1 + q^2, comes from
+normalising the spin-3/2 weight basis (Kirby-Melvin, Invent. Math. 105,
+1991), and a diagonal gauge takes it out of the letters.  With
+D = diag(g_a) = diag(r, 1, 1, r^-1) over the labels a = -3/2 .. 3/2 (D = 1
+for N = 2, 3), every N = 4 letter X becomes (D (x) D) X (D (x) D)^-1, whose
+entries lie in Z[q^+-1].  The closure trace does not change: the chain is
+conjugated by D^(x)n letter by letter, and D^(x)n commutes with the
+diagonal mu^(x)n, so tr(D^(x)n B D^(x)-n mu^(x)n) = tr(B mu^(x)n).  Nor does
+the rest of the model: an entry M[a, b] of M_u or M_d moves by
+(g_a g_b)^(+-1), these antidiagonal matrices have b = -a and g_a g_-a = 1,
+so M_u, M_d and mu = M_u M_d^t stay as they are.  A :class:`PackedMatrix`
+stores q^shift times a matrix over Z[q^+-1], shifted to nonnegative degree
+and evaluated at q = 2^bits: one int per entry.
 
 Only the final scalar is unpacked, as balanced base-2^bits digits.  That is
 exact when every coefficient of the result has absolute value below
-2^(bits-1), which :func:`closure_bits` proves with the weighted norm
-w(a + b r) = ||a|| + 2 ||b|| (l1 norms of the coefficients).  It bounds
-every coefficient of both parts, and w(xy) <= w(x) w(y): the product
-(a + b r)(c + d r) = (ac + bd r^2) + (ad + bc) r weighs at most
-||a|| ||c|| + 3 ||b|| ||d|| + 2 ||a|| ||d|| + 2 ||b|| ||c||, as
-||r^2|| = 3 <= 2^2 (likewise ||r'^2|| = 3 in the packed basis).  So the
-largest row sum rho of entry weights obeys rho(AB) <= rho(A) rho(B), and
-a trace weighs at most dim times a row sum.  The closure weight mu^(x)n
-adds no factor: it is the unit sigma^n q^(kappa w) on each charge sector
-w (:func:`vertexlink.models.closure_character`), of weight 1, so the
-trace shifts each sector's sum by its power of q once and never forms
+2^(bits-1), which :func:`closure_bits` proves with the l1 norm of the
+coefficients.  It bounds every coefficient and ||xy|| <= ||x|| ||y||, so
+the largest row sum rho of entry weights obeys rho(AB) <= rho(A) rho(B),
+and a trace weighs at most dim times a row sum.  The closure weight
+mu^(x)n adds no factor: it is the unit sigma^n q^(kappa w) on each charge
+sector w (:func:`vertexlink.models.closure_character`), of weight 1, so
+the trace shifts each sector's sum by its power of q once and never forms
 mu^(x)n as a matrix.  No value is ever rounded.
 """
 
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import _kernel as K
 from . import ring
@@ -40,29 +46,26 @@ from .ring import RingElem
 
 
 class PackedMatrix:
-    """Square sparse matrix over the image of the ring at q = 2^bits.
+    """Square sparse matrix over the image of Z[q^+-1] at q = 2^bits.
 
-    It stands for q^-shift times the matrix whose entries unpack from
-    ``entries``; ``rho`` is r'^2 at q = 2^bits, or None when the entries
-    are plain ints (no radical).
+    It stands for q^-shift times the matrix whose entries unpack from the
+    ints in ``entries``.
     """
 
-    __slots__ = ("dim", "entries", "bits", "rho", "shift")
+    __slots__ = ("dim", "entries", "bits", "shift")
 
-    def __init__(self, dim: int, entries: dict, bits: int, rho: int | None, shift: int):
+    def __init__(self, dim: int, entries: dict, bits: int, shift: int):
         self.dim = dim
         self.entries = entries
         self.bits = bits
-        self.rho = rho
         self.shift = shift
 
     def like(self, dim: int, entries: dict) -> "PackedMatrix":
         """A matrix over the same image with the same shift, entries taken as given."""
-        return PackedMatrix(dim, entries, self.bits, self.rho, self.shift)
+        return PackedMatrix(dim, entries, self.bits, self.shift)
 
     def identity(self, dim: int) -> "PackedMatrix":
-        one = 1 if self.rho is None else (1, 0)
-        return PackedMatrix(dim, {(i, i): one for i in range(dim)}, self.bits, self.rho, 0)
+        return PackedMatrix(dim, {(i, i): 1 for i in range(dim)}, self.bits, 0)
 
     def __matmul__(self, other: "PackedMatrix") -> "PackedMatrix":
         if self.dim != other.dim or self.bits != other.bits:
@@ -76,32 +79,15 @@ class PackedMatrix:
                 row.append((c, v))
         out: dict = {}
         get = out.get
-        rho = self.rho
-        if rho is None:
-            for (r, k), u in self.entries.items():
-                row = rows_b.get(k)
-                if row is None:
-                    continue
-                for c, v in row:
-                    key = (r, c)
-                    out[key] = get(key, 0) + u * v
-            entries = {k: v for k, v in out.items() if v}
-        else:
-            for (r, k), (ua, ub) in self.entries.items():
-                row = rows_b.get(k)
-                if row is None:
-                    continue
-                for c, (va, vb) in row:
-                    if vb:
-                        ta, tb = ua * va, ub * vb
-                        a, b = ta + tb * rho, (ua + ub) * (va + vb) - ta - tb
-                    else:
-                        a, b = ua * va, ub * va
-                    key = (r, c)
-                    acc = get(key)
-                    out[key] = (a, b) if acc is None else (acc[0] + a, acc[1] + b)
-            entries = {k: v for k, v in out.items() if v[0] or v[1]}
-        return PackedMatrix(self.dim, entries, self.bits, rho, self.shift + other.shift)
+        for (r, k), u in self.entries.items():
+            row = rows_b.get(k)
+            if row is None:
+                continue
+            for c, v in row:
+                key = (r, c)
+                out[key] = get(key, 0) + u * v
+        entries = {k: v for k, v in out.items() if v}
+        return PackedMatrix(self.dim, entries, self.bits, self.shift + other.shift)
 
     def trace_product(self, other: "PackedMatrix", exps=None) -> RingElem:
         """tr(self @ other @ diag(q^exps)), unpacked, without forming the product.
@@ -113,22 +99,14 @@ class PackedMatrix:
         if self.dim != other.dim or self.bits != other.bits or len(exps) != self.dim:
             raise DimensionMismatch(f"{self!r} vs {other!r}")
         get = other.entries.get
-        rho = self.rho
-        sum_a: dict[int, int] = {}
-        sum_b: dict[int, int] = {}
+        sums: dict[int, int] = {}
         for (r, c), v in self.entries.items():
             w = get((c, r))
-            if w is None:
-                continue
-            e = exps[r]
-            if rho is None:
-                sum_a[e] = sum_a.get(e, 0) + v * w
-            else:
-                (va, vb), (wa, wb) = v, w
-                sum_a[e] = sum_a.get(e, 0) + va * wa + vb * wb * rho
-                sum_b[e] = sum_b.get(e, 0) + va * wb + vb * wa
-        a, b = (sum(t << self.bits * e for e, t in part.items()) for part in (sum_a, sum_b))
-        return unpack(a, b, self.bits, self.shift + other.shift)
+            if w is not None:
+                e = exps[r]
+                sums[e] = sums.get(e, 0) + v * w
+        total = sum(t << self.bits * e for e, t in sums.items())
+        return unpack(total, self.bits, self.shift + other.shift)
 
     def __repr__(self):
         return f"PackedMatrix(dim={self.dim}, nnz={len(self.entries)}, bits={self.bits})"
@@ -140,34 +118,20 @@ def _q_terms(poly, lift: int):
     for i, c in enumerate(coeffs):
         if c:
             if (off + i) % 2:
-                raise DomainError("odd power of s: the entry is not in Z[q^+-1][r]")
+                raise DomainError("odd power of s: the entry is not in Z[q^+-1]")
             yield (off + i) // 2 + lift, c
 
 
-def _min_q_exp(v: RingElem) -> int:
-    """Lowest q-exponent of v over the basis 1, r' (the r' part sits one lower)."""
-    exps = [e for e, _ in _q_terms(v.rat, 0)] + [e for e, _ in _q_terms(v.rad, -1)]
-    return min(exps)
+def pack_matrix(M, bits: int) -> PackedMatrix:
+    """M (a SqMatrix over Z[q^+-1]) at q = 2^bits, shifted to nonnegative degree.
 
-
-def _evaluate(poly, lift: int, bits: int) -> int:
-    return sum(c << (bits * e) for e, c in _q_terms(poly, lift))
-
-
-def pack_matrix(M, bits: int, radical: bool) -> PackedMatrix:
-    """M (a SqMatrix over the ring) at q = 2^bits, shifted to nonnegative degree."""
-    shift = -min((_min_q_exp(v) for v in M.entries.values()), default=0)
-    entries = {}
-    for key, v in M.entries.items():
-        a = _evaluate(v.rat, shift, bits)
-        if radical:
-            entries[key] = (a, _evaluate(v.rad, shift - 1, bits))
-        elif v.rad[1]:
-            raise DomainError("radical entry packed as a plain int")
-        else:
-            entries[key] = a
-    rho = (1 + (1 << 2 * bits) + (1 << 4 * bits)) if radical else None
-    return PackedMatrix(M.dim, entries, bits, rho, shift)
+    A radical entry is refused: the letters are gauged free of r first."""
+    if any(v.rad[1] for v in M.entries.values()):
+        raise DomainError("radical entry: only Z[q^+-1] packs as an int")
+    shift = -min((min(e for e, _ in _q_terms(v.rat, 0)) for v in M.entries.values()), default=0)
+    entries = {key: sum(c << bits * e for e, c in _q_terms(v.rat, shift))
+               for key, v in M.entries.items()}
+    return PackedMatrix(M.dim, entries, bits, shift)
 
 
 def _digits(x: int, bits: int) -> list[int]:
@@ -186,18 +150,12 @@ def _digits(x: int, bits: int) -> list[int]:
     return out
 
 
-def _q_digits_in_s(digits: list[int], q_offset: int):
-    """Kernel polynomial sum digits[i] s^(2 (i + q_offset)), canonical."""
-    buf = [0] * (2 * len(digits) - 1)
+def unpack(a: int, bits: int, shift: int) -> RingElem:
+    """q^-shift a read back at q = 2^bits, as a ring element in s."""
+    digits = _digits(a, bits)
+    buf = [0] * (2 * len(digits) - 1)  # digit i is the coefficient of s^(2 (i - shift))
     buf[::2] = digits
-    return K.canon(2 * q_offset, buf)
-
-
-def unpack(a: int, b: int, bits: int, shift: int) -> RingElem:
-    """q^-shift (a + b r') read back at q = 2^bits, as a ring element in s."""
-    # b r' = q b r, so the radical part sits one power of q higher
-    return RingElem(_q_digits_in_s(_digits(a, bits), -shift),
-                    _q_digits_in_s(_digits(b, bits), 1 - shift))
+    return RingElem(K.canon(-2 * shift, buf))
 
 
 @functools.lru_cache(maxsize=32)
@@ -230,17 +188,15 @@ class PackedImage:
 
 @dataclass(frozen=True)
 class _Letters:
-    R_hat: object  # R / Z
-    R_bar: object  # Z R^-1
-    radical: bool
-    # largest row sums of entry weights
-    rho_pos: int
+    R_hat: object  # R / Z, gauged
+    R_bar: object  # Z R^-1, gauged
+    rho_pos: int  # largest row sums of entry weights
     rho_neg: int
 
 
 def weight(v: RingElem) -> int:
-    """w(a + b r) = ||a|| + 2 ||b||, a submultiplicative bound on every coefficient."""
-    return sum(abs(x) for x in v.rat[1]) + 2 * sum(abs(x) for x in v.rad[1])
+    """l1 norm of the coefficients: it bounds each, and is submultiplicative on Z[q^+-1]."""
+    return sum(abs(x) for part in (v.rat, v.rad) for x in part[1])
 
 
 def _row_weight(M) -> int:
@@ -251,13 +207,26 @@ def _row_weight(M) -> int:
     return max(rows.values(), default=0)
 
 
+# the power of r in D = diag(r, 1, 1, r^-1) at each label; D = 1 for N = 2, 3
+_GAUGE = {Fraction(-3, 2): 1, Fraction(3, 2): -1}
+
+
+def _gauged(M, conv):
+    """(D (x) D) M (D (x) D)^-1, entry by entry and exact."""
+    power = [sum(_GAUGE.get(a, 0) for a in conv.unflatten(i)) for i in range(M.dim)]
+    r = ring.radical()
+    entries = {}
+    for (i, j), v in M.entries.items():
+        k = power[i] - power[j]
+        entries[(i, j)] = v * r ** k if k >= 0 else ring.exact_divide(v, r ** -k)
+    return M.like(M.dim, entries)
+
+
 @functools.lru_cache(maxsize=32)
 def _letters(m) -> _Letters:
-    inv_z = ring.invert_unit(m.Z)
-    R_hat = m.R * inv_z
-    R_bar = m.R_inv * m.Z
-    radical = any(v.rad[1] for M in (R_hat, R_bar) for v in M.entries.values())
-    return _Letters(R_hat, R_bar, radical, _row_weight(R_hat), _row_weight(R_bar))
+    R_hat = _gauged(m.R * ring.invert_unit(m.Z), m.conv)
+    R_bar = _gauged(m.R_inv * m.Z, m.conv)
+    return _Letters(R_hat, R_bar, _row_weight(R_hat), _row_weight(R_bar))
 
 
 def closure_bits(m, word) -> int:
@@ -279,5 +248,5 @@ def closure_bits(m, word) -> int:
 def image(m, bits: int) -> PackedImage:
     """The unit-free letters of ``m`` packed at q = 2^bits, with the character of its mu."""
     L = _letters(m)
-    return PackedImage(m.N, pack_matrix(L.R_hat, bits, L.radical),
-                       pack_matrix(L.R_bar, bits, L.radical), closure_character(m.mu, m.conv))
+    return PackedImage(m.N, pack_matrix(L.R_hat, bits), pack_matrix(L.R_bar, bits),
+                       closure_character(m.mu, m.conv))

@@ -22,6 +22,7 @@ from .errors import (
     NotDecomposable,
     NotScalar,
 )
+from .invariants import STRAND_CAP
 from .models import VertexModel
 from .ring import RingElem
 from .tensor import SqMatrix, partial_close_second
@@ -51,9 +52,11 @@ def build_tl(m: VertexModel) -> TLData:
 
 
 def tl_relations_check(m: VertexModel, max_strands: int = 4) -> CheckReport:
-    """E_i^2 = k E_i, E_i E_(i+-1) E_i = E_i, far commutation, for e and f."""
-    if max_strands < 2:
-        raise DomainError(f"max_strands must be at least 2, got {max_strands}")
+    """E_i^2 = k E_i, E_i E_(i+-1) E_i = E_i, far commutation, for e and f,
+    on 2 up to the model's strand cap (``invariants.STRAND_CAP``)."""
+    cap = STRAND_CAP[m.N]
+    if not 2 <= max_strands <= cap:
+        raise DomainError(f"max_strands must be between 2 and {cap}, got {max_strands}")
     rep = CheckReport()
     tl = build_tl(m)
     N = m.N

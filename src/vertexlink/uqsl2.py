@@ -158,16 +158,21 @@ def exact_twist_substitution(j) -> bool:
     return l1 == r1 and l2 == r2
 
 
-def universal_r(rep: SpinRep) -> tuple[np.ndarray, float]:
-    """Truncated universal R on the spin-j square, and the norm of the
-    first discarded term (must vanish: X+^(2j+1) = 0)."""
+def _r_series(rep: SpinRep, sign: float) -> tuple[np.ndarray, float]:
+    """Truncated R^jj (sign = 1) or its inverse (sign = -1), and the largest
+    entry of the first discarded term.
+
+    With E = q^(-H/2) X+ and F = q^(H/2) X-, R = q^(-H (x) H / 2) sum_n c_n
+    E^n (x) F^n, c_n = (1 - q^2)^n q^(-n(n-1)/2) / [n]!, and R^-1 =
+    sum_n (-1)^n (1 - q^2)^n q^(+n(n-1)/2) / [n]! E^n (x) F^n q^(+H (x) H / 2).
+    """
     q, dim = rep.q, rep.dim
     d = np.diag(rep.H)
-    prefactor = np.zeros((dim * dim, dim * dim))
+    cartan = np.zeros((dim * dim, dim * dim))
     for a in range(dim):
         for b in range(dim):
             i = a * dim + b
-            prefactor[i, i] = q ** (-d[a] * d[b] / 2.0)
+            cartan[i, i] = q ** (-sign * d[a] * d[b] / 2.0)
     qmh = np.diag(np.array([q ** (-x / 2.0) for x in d]))
     qph = np.diag(np.array([q ** (+x / 2.0) for x in d]))
     up = qmh @ rep.Xp
@@ -183,13 +188,24 @@ def universal_r(rep: SpinRep) -> tuple[np.ndarray, float]:
             fact *= _qint(float(n), q)
             up_n = up_n @ up
             dn_n = dn_n @ dn
-        coeff = ((1.0 - q * q) ** n / fact) * q ** (-n * (n - 1) / 2.0)
+        coeff = ((sign * (1.0 - q * q)) ** n / fact) * q ** (-sign * n * (n - 1) / 2.0)
         term = coeff * np.kron(up_n, dn_n)
         if n <= nmax:
             total += term
         else:
             tail = float(np.max(np.abs(term)))
-    return prefactor @ total, tail
+    return (cartan @ total if sign > 0 else total @ cartan), tail
+
+
+def universal_r(rep: SpinRep) -> tuple[np.ndarray, float]:
+    """Truncated universal R on the spin-j square, and the norm of the
+    first discarded term (must vanish: X+^(2j+1) = 0)."""
+    return _r_series(rep, 1.0)
+
+
+def universal_r_inverse(rep: SpinRep) -> np.ndarray:
+    """(R^jj)^-1 from its own series: no float inversion to lose digits as q grows."""
+    return _r_series(rep, -1.0)[0]
 
 
 def exchange_sign_gauge(j) -> tuple[np.ndarray, np.ndarray]:
@@ -212,9 +228,10 @@ def exchange_sign_gauge(j) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ratio_spread(target: np.ndarray, cand: np.ndarray) -> tuple[float, float]:
-    """Fit the constant from the first nonzero entry, return (spread, constant)."""
-    scale = np.abs(target).max()
-    mask = np.abs(target) > 1e-9 * scale
+    """Fit the constant from the first nonzero entry, return (spread, constant).
+
+    Every entry of the model's support counts, however small at large q."""
+    mask = target != 0.0
     if not np.allclose(cand[~mask], 0.0, atol=1e-9 * max(1.0, np.abs(cand).max())):
         return float("inf"), 0.0
     ratios = target[mask] / cand[mask]
@@ -262,7 +279,7 @@ def cs_residuals(j, q: float) -> dict[str, float]:
     rep = build_rep(j, q)
     dim = rep.dim
     Rjj, _ = universal_r(rep)
-    Rinv = np.linalg.inv(Rjj)
+    Rinv = universal_r_inverse(rep)
     W = _w_numeric(j, q)
     Winv = np.linalg.inv(W)
     eye = np.eye(dim)

@@ -150,7 +150,7 @@ def test_tl(capsys):
     assert data["checks"]["dubrovnik"] is True
 
 
-@pytest.mark.parametrize("bound", ["1", "0", "-1"])
+@pytest.mark.parametrize("bound", ["1", "0", "-1", "8"])
 def test_tl_refuses_short_max_strands(capsys, bound):
     code, out, err = run_cli(capsys, "tl", "--model", "2", "--max-strands", bound)
     assert code == 2
@@ -162,6 +162,14 @@ def test_uq_half_spin(capsys):
     code, out, _ = run_cli(capsys, "uq", "--j", "1/2", "--q", "1.5")
     assert code == 0
     assert "correspondence holds" in out
+
+
+def test_uq_spin_three_halves_at_large_q(capsys):
+    code, out, _ = run_cli(capsys, "uq", "--j", "3/2", "--q", "30", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["passed"] is True
+    assert data["crossing_symmetry"] <= 1e-15
 
 
 def test_uq_integer_spin_fails_honestly(capsys):

@@ -100,16 +100,61 @@ def test_too_narrow_width_reads_back_wrong(N):
 
 
 def test_packed_product_entries_with_radicals(m4):
-    """N = 4 closure traces come out radical-free, so read single entries of a product back."""
-    A = m4.R * ring.invert_unit(m4.Z)
+    """The N = 4 letters carry r until gauged; read each entry of a gauged product back."""
+    assert any(v.rad[1] for v in (m4.R * ring.invert_unit(m4.Z)).entries.values())
+    A = packed._letters(m4).R_hat
     want = A @ A
     bits = packed.closure_bits(m4, BraidWord(2, (1, 1)))  # also bounds each entry of A A
-    got = packed.pack_matrix(A, bits, True) @ packed.pack_matrix(A, bits, True)
+    got = packed.pack_matrix(A, bits) @ packed.pack_matrix(A, bits)
     assert set(got.entries) == set(want.entries)
     for (r, c), v in want.entries.items():
-        probe = packed.pack_matrix(SqMatrix(A.dim, {(c, r): ring.one()}), bits, True)
+        probe = packed.pack_matrix(SqMatrix(A.dim, {(c, r): ring.one()}), bits)
         assert tensor.trace_product(got, probe) == v
-    assert any(v.rad[1] for v in want.entries.values())
+
+
+def _old_weight(v):
+    """||a|| + 2 ||b|| for a + b r: the weight the ungauged letters were bounded with."""
+    return sum(abs(x) for x in v.rat[1]) + 2 * sum(abs(x) for x in v.rad[1])
+
+
+def _largest_row(M, weigh):
+    rows = {}
+    for (r, _), v in M.entries.items():
+        rows[r] = rows.get(r, 0) + weigh(v)
+    return max(rows.values())
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirror"])
+@pytest.mark.parametrize("N,sign", SIGNED, ids=[f"N{N}{'+' if s > 0 else '-'}" for N, s in SIGNED])
+def test_gauge_clears_the_radical_and_fixes_the_closure(N, sign, mirrored):
+    m = build_model(N, sign)
+    if mirrored:
+        m = mirror_model(m)
+    # D = diag(r^g(a)) over the labels a
+    g = {a: {-1.5: 1, 1.5: -1}.get(float(a), 0) for a in m.conv.labels}
+    power = [sum(g[a] for a in m.conv.unflatten(i)) for i in range(N * N)]
+    r = ring.radical()
+    L = packed._letters(m)
+    for raw, gauged, rho in ((m.R * ring.invert_unit(m.Z), L.R_hat, L.rho_pos),
+                             (m.R_inv * m.Z, L.R_bar, L.rho_neg)):
+        assert not any(v.rad[1] for v in gauged.entries.values())
+        assert set(gauged.entries) == set(raw.entries)
+        # (D (x) D) raw = gauged (D (x) D), both sides times r^2 to stay in the ring
+        for (i, j), v in raw.entries.items():
+            assert gauged.entries[(i, j)] * r ** (power[j] + 2) == v * r ** (power[i] + 2)
+        assert rho == _largest_row(gauged, packed.weight) == _largest_row(raw, _old_weight)
+    # M_u and M_d move by (g_a g_b)^(+-1) per entry, mu by g_a / g_b: all unit
+    for M in (m.M_u, m.M_d):
+        assert all(g[m.conv.labels[a]] + g[m.conv.labels[b]] == 0 for a, b in M.entries)
+    assert all(a == b for a, b in m.mu.entries)
+
+
+def test_pack_matrix_refuses_a_radical_entry(m4):
+    A = m4.R * ring.invert_unit(m4.Z)
+    with pytest.raises(DomainError, match="radical"):
+        packed.pack_matrix(A, 40)
+    with pytest.raises(DomainError, match="radical"):
+        packed.pack_matrix(SqMatrix(2, {(0, 1): ring.radical()}), 8)
 
 
 def test_one_bit_width_is_refused(m2):

@@ -76,10 +76,11 @@ def test_tl_relations_up_to_four_strands(each_model):
     assert any(name.startswith("f:far:n4") for name in rep.results)
 
 
-@pytest.mark.parametrize("bound", [1, 0, -1])
+@pytest.mark.parametrize("bound", [1, 0, -1, 8])  # 8 is above the N = 2 strand cap
 def test_tl_relations_refuse_short_bound(m2, bound):
     with pytest.raises(DomainError, match="max_strands"):
         tl_relations_check(m2, max_strands=bound)
+
 
 
 def test_bracket_decomposition(m2):

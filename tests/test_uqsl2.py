@@ -21,11 +21,14 @@ from vertexlink.uqsl2 import (
     model_ratio_residual,
     rep_residuals,
     universal_r,
+    universal_r_inverse,
     w_conjugation_residual,
 )
 
 SPINS = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
 QS = (1.2, 1.5, 2.0)
+# where a float inverse of R^jj, or a cut relative to its largest entry, loses digits
+LARGE_QS = (30.0, 1e3, 1e5)
 
 
 def test_spin_validation():
@@ -90,10 +93,19 @@ def test_w_conjugation_numeric():
 
 
 def test_crossing_symmetry_residuals():
+    # (R^jj)^-1 comes from its own series: rounding level at every q
+    for j in SPINS:
+        for q in QS + LARGE_QS:
+            res = cs_residuals(j, q)
+            assert max(res.values()) <= 1e-15, (j, q, res)
+
+
+def test_inverse_series_inverts_r():
     for j in SPINS:
         for q in QS:
-            res = cs_residuals(j, q)
-            assert max(res.values()) <= 1e-9, (j, q, res)
+            rep = build_rep(j, q)
+            R, _ = universal_r(rep)
+            assert np.allclose(R @ universal_r_inverse(rep), np.eye(rep.dim ** 2), rtol=0, atol=1e-12)
 
 
 def test_universal_r_truncates():
@@ -122,13 +134,13 @@ def test_ratio_plain_fails_for_integer_spin(m3):
     level.  The identification that does hold is the sign-gauged one
     below.
     """
-    for q in QS:
+    for q in QS + LARGE_QS:
         spread, _ = model_ratio_residual(m3, build_rep(Fraction(1), q))
         assert spread == pytest.approx(2.0, abs=1e-9)
 
 
 def test_ratio_gauged_exact_for_integer_spin(m3):
-    for q in QS:
+    for q in QS + LARGE_QS:
         spread, const = model_ratio_residual(m3, build_rep(Fraction(1), q), gauge=True)
         assert spread <= 1e-10
         # constant q^(2 j^2) = 1/Z: equality of matrices, not just rays
