@@ -122,13 +122,22 @@ def random_word(rng: random.Random, strands: int, length: int) -> BraidWord:
     return BraidWord(strands, tuple(rng.choice(alphabet) for _ in range(length)))
 
 
-def represent(word: BraidWord, model, *, cache: dict | None = None):
+def _keep_rows(M, rows):
+    """M with only the rows in ``rows``; all of M when ``rows`` is None."""
+    if rows is None:
+        return M
+    return M.like(M.dim, {key: v for key, v in M.entries.items() if key[0] in rows})
+
+
+def represent(word: BraidWord, model, *, cache: dict | None = None, rows=None):
     """Product of generator matrices; the identity for the empty word.
 
     ``model`` needs ``N``, ``R`` and ``R_inv``: a vertex model, or its
     packed image (:mod:`vertexlink.packed`), whose matrices the product
     stays over.  ``cache`` maps letters to their matrices; pass one dict
     to words on the same strands and model to build each letter once.
+    ``rows`` keeps only those rows of the first factor, and so of the
+    product, which is row-local: row r of A B is row r of A times B.
     """
     n = word.strands
     dim = model.N ** n
@@ -140,8 +149,8 @@ def represent(word: BraidWord, model, *, cache: dict | None = None):
         if g is None:
             g = letter_matrix(model, n, letter)
             cache[letter] = g
-        acc = g if acc is None else acc @ g
-    return model.R.identity(dim) if acc is None else acc
+        acc = _keep_rows(g, rows) if acc is None else acc @ g
+    return _keep_rows(model.R.identity(dim), rows) if acc is None else acc
 
 
 def markov_move(word: BraidWord, move: str, g: int | None = None) -> BraidWord:

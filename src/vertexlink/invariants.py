@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import packed, ring
 from .axioms import check_axioms, check_markov_conditions
@@ -33,18 +33,21 @@ def _closure_trace(word: BraidWord, m: VertexModel, bits: int) -> RingElem:
     """Z^-writhe <L> on the image of the ring at q = 2^bits, meeting in the middle.
 
     The two half-words are represented separately, sharing their letter
-    matrices, and traced against each other with mu^(x)n as its character,
-    sigma^n q^(kappa w) on the charge sector w of each diagonal term's row.
+    matrices, on the rows of charge w >= 0 only, and traced against each
+    other with mu^(x)n folded onto those rows: the trace on the sector -w
+    equals that on w (:mod:`vertexlink.packed`), so the row weighs
+    sigma^n (q^(kappa w) + q^(-kappa w)), or sigma^n once for w = 0.
     Exact when ``bits`` is at least ``packed.closure_bits(m, word)``.
     """
     n = word.strands
     img = packed.image(m, bits)
     half = len(word.letters) // 2
+    unit, weights = img.closure_weight(n)
+    rows = weights.keys()
     letters: dict = {}
-    left = represent(BraidWord(n, word.letters[:half]), img, cache=letters)
-    right = represent(BraidWord(n, word.letters[half:]), img, cache=letters)
-    unit, exps = img.closure_weight(n)
-    return unit * trace_product(left, right, exps)
+    left = represent(BraidWord(n, word.letters[:half]), img, cache=letters, rows=rows)
+    right = represent(BraidWord(n, word.letters[half:]), img, cache=letters, rows=rows)
+    return unit * trace_product(left, right, weights)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -208,13 +211,14 @@ STRAND_CAP = {2: 7, 3: 6, 4: 5}
 _SUITE_MAX_STABS = {2: 2, 3: 2, 4: 1}
 
 
-@dataclass
+@dataclass(slots=True)
 class SuiteReport:
+    # slotted, and no list unless a trial fails: callers keep one per call
     word: BraidWord
     trials: int
     moves_applied: int = 0
     stab_checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    failures: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -265,8 +269,8 @@ def invariance_suite(word: BraidWord, m: VertexModel, trials: int = 50,
                 sign = 1 if rng.random() < 0.5 else -1
                 w2 = w.stabilize(sign)
                 if not _stab_identity_holds(w, w2, sign, m):
-                    report.failures.append(
-                        f"trial {trial}: phi stabilization identity failed on {w.letters}"
+                    report.failures += (
+                        f"trial {trial}: phi stabilization identity failed on {w.letters}",
                     )
                 report.stab_checks += 1
                 w = w2
@@ -275,9 +279,7 @@ def invariance_suite(word: BraidWord, m: VertexModel, trials: int = 50,
                 w = w.free_reduce()
             report.moves_applied += 1
         if ambient_invariant(w, m) != base:
-            report.failures.append(
-                f"trial {trial}: ambient invariant changed on {w.letters}"
-            )
+            report.failures += (f"trial {trial}: ambient invariant changed on {w.letters}",)
     return report
 
 

@@ -5,12 +5,14 @@ matrices M_u and M_d, the closure weight mu = M_u M_d^T and the trace
 constants.  Every N is written one way: a tensor table of R / Z keyed by
 (a, c, b, d), the form that charge conservation reads.  Construction
 checks R in this order and aborts on any failure, so a successfully built
-model is already a verified one: charge conservation (the error names the
-offending entry), annihilation by the minimal polynomial prod(R - lambda),
-the inverse taken block by block over the charge sectors, and R R^-1 = 1
-exactly.  M_u and M_d must be mutually inverse, and mu a charge character
-sigma diag(q^(kappa a)); the closed forms of k, tau and taubar, pinned
-last, leave sigma = (-1)^(N-1) and kappa = -2 (+2 for mirrors).
+model is already a verified one: charge conservation and the flip
+(C (x) C) R (C (x) C) = P R P, with C the label flip a -> -a and P the
+factor swap (each error names the offending entry), annihilation by the
+minimal polynomial prod(R - lambda), the inverse taken block by block over
+the charge sectors, R R^-1 = 1 exactly, and the flip of R^-1.  M_u and M_d
+must be mutually inverse, and mu a charge character sigma diag(q^(kappa a));
+the closed forms of k, tau and taubar, pinned last, leave
+sigma = (-1)^(N-1) and kappa = -2 (+2 for mirrors).
 
 The numeric side carries the solvable-model weights R(u) for N = 2, 3
 whose u -> infinity limit reproduces the constant matrices.
@@ -40,6 +42,7 @@ from .tensor import (
     SqMatrix,
     annihilates,
     charge_sectors,
+    check_flip,
     det,
     inverse_blockwise,
     trace_product,
@@ -242,6 +245,7 @@ def _finalize(
     mirrored: bool = False,
 ) -> VertexModel:
     charge_sectors(R, conv)
+    check_flip(R, conv)
     eig = generic_eigenvalues(N, Z)
     # before the inversion, so a mis-signed R is refused as such and not by
     # a later step it happens to break (the adjugate's exact divisions, the
@@ -251,6 +255,7 @@ def _finalize(
     R_inv = inverse_blockwise(R, conv)
     if R @ R_inv != SqMatrix.identity(N * N):
         raise ClosedFormMismatch("R @ R_inv is not the identity")
+    check_flip(R_inv, conv)
     ident = SqMatrix.identity(N)
     if M_d @ M_u != ident or M_u @ M_d != ident:
         raise ClosedFormMismatch("M_u and M_d are not mutually inverse")

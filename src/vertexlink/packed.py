@@ -30,6 +30,32 @@ mu^(x)n adds no factor: it is the unit sigma^n q^(kappa w) on each charge
 sector w (:func:`vertexlink.models.closure_character`), of weight 1, so
 the trace shifts each sector's sum by its power of q once and never forms
 mu^(x)n as a matrix.  No value is ever rounded.
+
+The trace runs over the charges w >= 0 only.  Write t_w = tr(rep(b)|S_w)
+for the block of the braid b on the charge sector S_w; R conserves charge,
+so rep(b) is block diagonal and tr(rep(b) mu^(x)n) = sum_w mu(w) t_w with
+mu(w) = sigma^n q^(kappa w).  Every model passes the flip
+(C (x) C) R (C (x) C) = P R P at build (:func:`vertexlink.tensor.check_flip`),
+C the label flip a -> -a and P the swap of two factors.  Then t_w = t_-w:
+
+* Let W be C^(x)n composed with the reversal of the n factors.  Reversal
+  takes b_i to P R P on the factors n-i, n-i+1, and C (x) C commutes with
+  P, so by the flip W b_i W^-1 = b_(n-i).  Each label changes sign, so W
+  maps S_w onto S_-w.
+* b_i -> b_(n-i) is conjugation by the Garside half-twist Delta, so
+  W^-1 rep(b) W = rep(Delta b Delta^-1) = rep(Delta) rep(b) rep(Delta)^-1,
+  and rep(Delta), a product of letters, preserves every sector.  Hence
+  t_-w = tr(W^-1 rep(b) W | S_w) = tr(rep(b)|S_w) = t_w.
+* The letters here are R/Z and Z R^-1 gauged by D (x) D: the chain is
+  Z^-writhe rep(b) conjugated by the diagonal D^(x)n, which preserves each
+  sector and so each t_w.
+
+So the trace is sum over w >= 0 of sigma^n (q^(kappa w) + q^(-kappa w)) t_w,
+with q^0 once for w = 0.  The product is row-local and conserves charge,
+so keeping the rows of charge w >= 0 in the first factor of each half-word
+keeps them, with their columns, in the whole product: each half-word runs
+on about half the rows.  The value is the same polynomial as the full
+trace, so the same width unpacks it.
 """
 
 from __future__ import annotations
@@ -89,23 +115,29 @@ class PackedMatrix:
         entries = {k: v for k, v in out.items() if v}
         return PackedMatrix(self.dim, entries, self.bits, self.shift + other.shift)
 
-    def trace_product(self, other: "PackedMatrix", exps=None) -> RingElem:
-        """tr(self @ other @ diag(q^exps)), unpacked, without forming the product.
+    def trace_product(self, other: "PackedMatrix", weights=None) -> RingElem:
+        """tr(self @ other @ W), unpacked, without forming the product.
 
-        The diagonal terms are summed per exponent (per charge sector, for a
-        closure weight), and each sum is shifted by its power of q once.
+        W is diagonal: row r weighs the sum of q^e over the exponents e in
+        ``weights[r]``, and a row ``weights`` leaves out weighs 0; without
+        ``weights``, W = 1.  The diagonal terms are summed per row weight
+        (per charge sector, for a closure weight), and each sum is shifted
+        by its powers of q once.
         """
-        exps = exps or (0,) * self.dim
-        if self.dim != other.dim or self.bits != other.bits or len(exps) != self.dim:
+        if self.dim != other.dim or self.bits != other.bits:
             raise DimensionMismatch(f"{self!r} vs {other!r}")
+        if weights is None:
+            weights = dict.fromkeys(range(self.dim), (0,))
         get = other.entries.get
-        sums: dict[int, int] = {}
+        weigh = weights.get
+        sums: dict[tuple[int, ...], int] = {}
         for (r, c), v in self.entries.items():
-            w = get((c, r))
-            if w is not None:
-                e = exps[r]
-                sums[e] = sums.get(e, 0) + v * w
-        total = sum(t << self.bits * e for e, t in sums.items())
+            es = weigh(r)
+            if es is not None:
+                w = get((c, r))
+                if w is not None:
+                    sums[es] = sums.get(es, 0) + v * w
+        total = sum(t << self.bits * e for es, t in sums.items() for e in es)
         return unpack(total, self.bits, self.shift + other.shift)
 
     def __repr__(self):
@@ -159,14 +191,18 @@ def unpack(a: int, bits: int, shift: int) -> RingElem:
 
 
 @functools.lru_cache(maxsize=32)
-def _closure_weight(N: int, n: int, sigma: int, kappa: int) -> tuple[RingElem, tuple[int, ...]]:
+def _closure_weight(N: int, n: int, sigma: int, kappa: int) -> tuple[RingElem, dict]:
     levels = [0]  # label positions summed per row: the charge is w = level - top / 2
     for _ in range(n):
         levels = [x + p for x in levels for p in range(N)]
     top = n * (N - 1)
-    # q^(kappa w) = q^(e - |kappa| top / 2), with e >= 0 for every row
-    exps = tuple(abs(kappa) * (x if kappa > 0 else top - x) for x in levels)
-    return ring.s_power(-abs(kappa) * top, sigma ** n), exps
+    # q^(+-kappa w) = q^(e - |kappa| top / 2) with e = |kappa| level or
+    # |kappa| (top - level), both >= 0; one e on the sector w = 0
+    k = abs(kappa)
+    pair = {x: (k * x, k * (top - x)) if 2 * x > top else (k * x,)
+            for x in range(top + 1)}
+    weights = {r: pair[x] for r, x in enumerate(levels) if 2 * x >= top}
+    return ring.s_power(-k * top, sigma ** n), weights
 
 
 @dataclass(frozen=True)
@@ -181,8 +217,13 @@ class PackedImage:
     R_inv: PackedMatrix
     character: tuple[int, int]
 
-    def closure_weight(self, n: int) -> tuple[RingElem, tuple[int, ...]]:
-        """mu^(x)n on n strands as (unit, exps): row r weighs unit q^(exps[r])."""
+    def closure_weight(self, n: int) -> tuple[RingElem, dict]:
+        """mu^(x)n on n strands folded onto the charges w >= 0, as (unit, weights).
+
+        Row r of charge w > 0 weighs unit (q^e1 + q^e2), the weights of w
+        and -w, for (e1, e2) = weights[r]; a row of charge 0 weighs unit q^e
+        for (e,) = weights[r]; rows of charge w < 0 are left out.
+        """
         return _closure_weight(self.N, n, *self.character)
 
 
@@ -235,7 +276,8 @@ def closure_bits(m, word) -> int:
     With rho(M) the largest row sum of entry weights, the trace of
     R_1 ... R_L mu^(x)n weighs at most X = dim prod rho(R_i): mu^(x)n is a
     diagonal of units, each of weight 1.  So bits = bitlen(2 X) + 1 leaves
-    every coefficient below 2^(bits-2).
+    every coefficient below 2^(bits-2).  The trace over the charges w >= 0
+    is the same polynomial, so the same width holds for it.
     """
     L = _letters(m)
     n = word.strands

@@ -277,12 +277,12 @@ def contract(spec: str, *operands: dict) -> dict:
     return acc
 
 
-def trace_product(a, b, exps=None) -> RingElem:
+def trace_product(a, b, weights=None) -> RingElem:
     """tr(a @ b) without forming the product; packed operands unpack the result
-    and alone take ``exps``, giving tr(a @ b @ diag(q^exps))."""
+    and alone take row ``weights`` (:meth:`vertexlink.packed.PackedMatrix.trace_product`)."""
     if not isinstance(a, SqMatrix):
-        return a.trace_product(b, exps)
-    if exps is not None:
+        return a.trace_product(b, weights)
+    if weights is not None:
         raise DomainError("per-row powers of q apply to packed operands only")
     if a.dim != b.dim:
         raise DimensionMismatch(f"{a.dim} vs {b.dim}")
@@ -390,6 +390,29 @@ def charge_sectors(R: SqMatrix, conv: IndexConvention) -> list[list[int]]:
     for idx in range(N * N):
         groups.setdefault(charge_of_pair(conv, idx), []).append(idx)
     return list(groups.values())
+
+
+def check_flip(R: SqMatrix, conv: IndexConvention) -> None:
+    """Refuse, naming the first bad entry, an R with (C (x) C) R (C (x) C) != P R P.
+
+    C flips each label a -> -a and P swaps the two factors, so entrywise
+    R[(a,b),(c,d)] = R[(-b,-a),(-d,-c)].  With charge conservation it makes
+    the closure trace on the charge sector w equal that on -w
+    (:mod:`vertexlink.packed`).
+    """
+    N = conv.N
+    if R.dim != N * N:
+        raise DimensionMismatch("the flip needs a two-factor matrix")
+
+    def flip(idx: int) -> int:  # (a, b) -> (-b, -a)
+        return N * N - 1 - (idx % N) * N - idx // N
+
+    for r, c in sorted(R.entries):
+        if R.entries.get((flip(r), flip(c))) != R.entries[(r, c)]:
+            raise ConventionValidationFailed(
+                f"entry [{r},{c}] breaks the flip symmetry: "
+                f"R[{r},{c}] != R[{flip(r)},{flip(c)}]"
+            )
 
 
 def inverse_blockwise(R: SqMatrix, conv: IndexConvention) -> SqMatrix:

@@ -65,19 +65,29 @@ def build_rep(j, q: float) -> SpinRep:
 
 
 def _rel(delta: np.ndarray, scale: float) -> float:
-    return float(np.max(np.abs(delta))) / max(1.0, scale)
+    # a plain float: a numpy scalar would make the report's verdicts numpy
+    # bools, which the JSON output cannot encode
+    return float(np.max(np.abs(delta)) / max(1.0, scale))
+
+
+def _balance(*terms: np.ndarray) -> float:
+    """Largest entry of the sum of ``terms``, relative to the largest entry among them.
+
+    Rounding error scales with the terms compared, not with the generators:
+    at q = 1e7 the products X+ X- are about |X+-|^2.
+    """
+    return _rel(sum(terms), max(float(np.max(np.abs(t))) for t in terms))
 
 
 def rep_residuals(rep: SpinRep) -> dict[str, float]:
     """Defining relations: [H, X+-] = +-2 X+-, [X+, X-] = (q^H - q^-H)/(q - q^-1)."""
     H, Xp, Xm, q = rep.H, rep.Xp, rep.Xm, rep.q
-    scale = max(np.abs(Xp).max(), np.abs(Xm).max(), np.abs(H).max())
     qH = np.diag(np.array([q ** d for d in np.diag(H)]))
     qHinv = np.diag(np.array([q ** (-d) for d in np.diag(H)]))
     return {
-        "h_xp": _rel(H @ Xp - Xp @ H - 2.0 * Xp, scale),
-        "h_xm": _rel(H @ Xm - Xm @ H + 2.0 * Xm, scale),
-        "xp_xm": _rel(Xp @ Xm - Xm @ Xp - (qH - qHinv) / (q - 1.0 / q), scale),
+        "h_xp": _balance(H @ Xp, -(Xp @ H), -2.0 * Xp),
+        "h_xm": _balance(H @ Xm, -(Xm @ H), 2.0 * Xm),
+        "xp_xm": _balance(Xp @ Xm, -(Xm @ Xp), -(qH - qHinv) / (q - 1.0 / q)),
     }
 
 
@@ -130,11 +140,10 @@ def w_conjugation_residual(j, q: float) -> float:
     rep = build_rep(j, q)
     W = _w_numeric(j, q)
     Winv = np.linalg.inv(W)
-    scale = max(np.abs(rep.Xp).max(), np.abs(rep.Xm).max(), np.abs(rep.H).max())
     return max(
-        _rel(W @ rep.H @ Winv + rep.H, scale),
-        _rel(W @ rep.Xp @ Winv + rep.Xm / q, scale),
-        _rel(W @ rep.Xm @ Winv + q * rep.Xp, scale),
+        _balance(W @ rep.H @ Winv, rep.H),
+        _balance(W @ rep.Xp @ Winv, rep.Xm / q),
+        _balance(W @ rep.Xm @ Winv, q * rep.Xp),
     )
 
 

@@ -172,6 +172,16 @@ def test_uq_spin_three_halves_at_large_q(capsys):
     assert data["crossing_symmetry"] <= 1e-15
 
 
+@pytest.mark.parametrize("q", ["1e7", "1e8"])
+def test_uq_spin_three_halves_at_huge_q(capsys, q):
+    # the residuals are relative to the terms they compare, which grow with q
+    code, out, _ = run_cli(capsys, "uq", "--j", "3/2", "--q", q, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["passed"] is True
+    assert data["algebra"] <= 1e-15 and data["w_conjugation"] <= 1e-15
+
+
 def test_uq_integer_spin_fails_honestly(capsys):
     # the plain proportionality criterion does not hold at j = 1; the CLI
     # must say so and exit nonzero rather than report the gauged variant

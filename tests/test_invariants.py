@@ -9,7 +9,7 @@ import pytest
 from oracle.kauffman_bracket import jones_via_bracket
 from vertexlink import ring
 from vertexlink.axioms import check_axioms
-from vertexlink.braid import BraidWord
+from vertexlink.braid import BraidWord, random_word
 from vertexlink.errors import ClosedFormMismatch, DomainError
 from vertexlink.invariants import (
     ambient_invariant,
@@ -108,6 +108,24 @@ def test_jones_matches_independent_state_sum(m2):
             assert ring.eval_exact(alpha, s) == sgn * v / (q + 1 / q), (word, s)
 
 
+def test_jones_matches_state_sum_at_strand_cap(m2):
+    """The same dictionary on 6 and 7 strands, where the packed trace runs on
+    the charges w >= 0 with and without a sector w = 0.
+
+    Each state sum enumerates 2^letters smoothings, so the words stop at
+    13 letters (16 take about 5 s per sample).
+    """
+    rng = random.Random(11)
+    for n, length in ((6, 9), (6, 12), (7, 8), (7, 13)):
+        word = random_word(rng, n, length)
+        alpha = ambient_invariant(word, m2)
+        sgn = -1 if (n + word.writhe) % 2 else 1
+        for s in (Fraction(3, 2), Fraction(2)):
+            v = jones_via_bracket(n, list(word.letters), s)
+            q = s * s
+            assert ring.eval_exact(alpha, s) == sgn * v / (q + 1 / q), (word, s)
+
+
 # --------------------------------------------------------------- constants
 
 
@@ -183,6 +201,15 @@ def test_invariance_under_markov_moves(each_model):
         assert rep.ok, rep.failures
         assert rep.moves_applied > 0
         assert rep.stab_checks > 0
+
+
+def test_invariance_suite_reports_each_failure(m2):
+    # a wrong k breaks every stabilization identity and nothing else
+    bad = dataclasses.replace(m2, k=m2.k * ring.q_power(2))
+    rep = invariance_suite(TREFOIL, bad, trials=12, seed=21)
+    assert not rep.ok
+    assert rep.stab_checks > 0 and len(rep.failures) == rep.stab_checks
+    assert all("stabilization identity failed" in f for f in rep.failures)
 
 
 def test_invariance_suite_refuses_negative_trials(m2):

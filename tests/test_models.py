@@ -174,6 +174,32 @@ def test_build_refuses_charge_violation(monkeypatch):
         models._build_model.__wrapped__(3, 1)
 
 
+def _gauged_r(m, g):
+    """(D (x) D) R (D (x) D)^-1 for D = diag(q^g[a]) over the label positions a."""
+    N = m.N
+    power = [g[i // N] + g[i % N] for i in range(N * N)]
+    return SqMatrix(N * N, {(i, j): v * Q(power[i] - power[j])
+                            for (i, j), v in m.R.entries.items()})
+
+
+def test_build_refuses_a_broken_flip(m4):
+    # D = diag(q, 1, 1, 1) keeps charge conservation, the minimal polynomial,
+    # M_u, M_d, mu, the trace constants and every closure trace; only the
+    # flip (C (x) C) R (C (x) C) = P R P breaks
+    R = _gauged_r(m4, (1, 0, 0, 0))
+    with pytest.raises(ConventionValidationFailed, match=r"entry \[\d+,\d+\] breaks the flip"):
+        models._finalize(4, 1, m4.conv, m4.Z, R, m4.M_u, m4.M_d)
+
+
+def test_diagonal_gauge_keeps_the_flip_for_n3(m3):
+    # a gauge moves R[(a,b),(c,d)] and its flip image by
+    # h(a) + h(b) - h(c) - h(d), h(a) = g(a) - g(-a); h is odd, so linear on
+    # the labels -1, 0, 1, and charge conservation cancels it
+    R = _gauged_r(m3, (1, 0, 0))
+    assert R != m3.R
+    assert models._finalize(3, 1, m3.conv, m3.Z, R, m3.M_u, m3.M_d).R == R
+
+
 def test_build_refuses_table_key_typed_twice(monkeypatch):
     # (Fraction(0), 0, 0, 0) and (0, 0, 0, 0) are one dict key, so typing it
     # in place of another entry leaves 13 of the 14 entries

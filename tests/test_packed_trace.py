@@ -55,20 +55,73 @@ def test_packed_trace_matches_reference(N, sign, mirrored):
         assert invariants.regular_invariant(w, m) == reference(w, m), w
 
 
+def charge_twice(N, n, r):
+    """2 w for the row r on n strands: twice the sum of its labels."""
+    level = 0
+    for _ in range(n):
+        r, p = divmod(r, N)
+        level += p
+    return 2 * level - n * (N - 1)
+
+
 @pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirror"])
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_closure_weight_is_the_diagonal_of_mu_power(N, mirrored):
+    """Row r of charge w > 0 weighs mu^(x)n at r plus at the flipped row of charge -w."""
     m = build_model(N)
     if mirrored:
         m = mirror_model(m)
     for n in (1, 2, 3):
-        unit, exps = packed.image(m, 8).closure_weight(n)
-        want = SqMatrix(N ** n, {(r, r): unit * ring.q_power(e) for r, e in enumerate(exps)})
-        assert reference(BraidWord(n, ()), m) == want.trace()
+        dim = N ** n
+        unit, weights = packed.image(m, 8).closure_weight(n)
         mu = m.mu
         for _ in range(n - 1):
             mu = mu.kron(m.mu)
-        assert mu == want
+        for r in range(dim):
+            w2 = charge_twice(N, n, r)
+            assert (r in weights) == (w2 >= 0), r
+            if w2 < 0:
+                continue
+            got = unit * sum((ring.q_power(e) for e in weights[r]), ring.zero())
+            flipped = dim - 1 - r  # every label a -> -a: the charge -w
+            assert charge_twice(N, n, flipped) == -w2
+            want = mu.entries[(r, r)] + (mu.entries[(flipped, flipped)] if w2 else ring.zero())
+            assert got == want, r
+        half_trace = sum((unit * ring.q_power(e) for es in weights.values() for e in es),
+                         ring.zero())
+        assert reference(BraidWord(n, ()), m) == half_trace == mu.trace()
+
+
+def sector_traces(word, m):
+    """{2 w: tr(rep(word)|S_w)} on the SqMatrix reference, from the diagonal."""
+    rep = braid.represent(word, m)
+    out = {}
+    for r in range(m.N ** word.strands):
+        v = rep.entries.get((r, r))
+        if v is not None:
+            w2 = charge_twice(m.N, word.strands, r)
+            out[w2] = out.get(w2, ring.zero()) + v
+    return out
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirror"])
+@pytest.mark.parametrize("N,sign", SIGNED, ids=[f"N{N}{'+' if s > 0 else '-'}" for N, s in SIGNED])
+def test_sector_traces_of_w_and_minus_w_agree(N, sign, mirrored):
+    """t_w = t_-w, which lets the packed trace run on the charges w >= 0 only.
+
+    On 1-5 strands the sector w = 0 is there for every n when N = 3 and for
+    even n only when N = 2, 4.
+    """
+    m = build_model(N, sign)
+    if mirrored:
+        m = mirror_model(m)
+    rng = random.Random(100 * N + 10 * sign + mirrored)
+    for n in range(1, 6):
+        w = braid.random_word(rng, n, rng.randint(1, 6) if n > 1 else 0)
+        traces = sector_traces(w, m)
+        assert (0 in traces) == (n * (N - 1) % 2 == 0), w
+        for w2, v in traces.items():
+            assert traces.get(-w2, ring.zero()) == v, (w, w2)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])

@@ -1,5 +1,6 @@
 """Quantum sl2 spin representations against the vertex models."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -29,6 +30,8 @@ SPINS = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
 QS = (1.2, 1.5, 2.0)
 # where a float inverse of R^jj, or a cut relative to its largest entry, loses digits
 LARGE_QS = (30.0, 1e3, 1e5)
+# where products of generators outgrow the generators themselves by q^(2j)
+HUGE_QS = (1e7, 1e8, 1e10)
 
 
 def test_spin_validation():
@@ -49,6 +52,32 @@ def test_algebra_relations():
             assert set(res) == {"h_xp", "h_xm", "xp_xm"}
             assert max(res.values()) <= 1e-10, (j, q, res)
             assert np.allclose(rep.Xm, rep.Xp.T)
+
+
+def test_residuals_stay_at_rounding_level_for_huge_q():
+    # each residual is relative to the largest of the terms it compares
+    for j in SPINS:
+        for q in HUGE_QS:
+            assert max(rep_residuals(build_rep(j, q)).values()) <= 1e-15, (j, q)
+            assert w_conjugation_residual(j, q) <= 1e-15, (j, q)
+
+
+def test_perturbed_generator_fails_the_algebra_at_huge_q():
+    rep = build_rep(Fraction(3, 2), 1e7)
+    Xp = rep.Xp.copy()
+    Xp[1, 0] *= 1 + 1e-6
+    res = rep_residuals(dataclasses.replace(rep, Xp=Xp))
+    assert res["xp_xm"] > 1e-10  # the algebra tolerance of correspondence_report
+
+
+def test_report_holds_plain_numbers():
+    # a numpy scalar would make a failed verdict a numpy bool, which the
+    # JSON output cannot encode
+    rep = correspondence_report(Fraction(3, 2), q_samples=(1.5, 1e7))
+    for name in ("algebra", "casimir", "truncation", "wconj", "cs", "ratio_spread",
+                 "gauged_spread", "constant_dev"):
+        assert type(getattr(rep, name)) is float, name
+    assert type(rep.ok()) is bool and type(rep.ok_gauged()) is bool
 
 
 def test_casimir_both_orderings():
