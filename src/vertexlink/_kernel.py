@@ -1,14 +1,11 @@
-"""Arithmetic kernel: Laurent polynomials and ring elements as plain tuples.
+"""Arithmetic kernel: Laurent polynomials in s as plain tuples.
 
 A Laurent polynomial in the variable s is stored as a pair
 ``(offset, coeffs)`` where ``coeffs`` is a tuple of ints and the value is
 ``sum(coeffs[i] * s**(offset + i))``.  Canonical form: the zero polynomial
 is ``(0, ())``; otherwise the first and last coefficients are nonzero.
 Every result is canonical; :func:`canon` is the one routine that strips
-a coefficient buffer to that form.
-
-A ring element is a pair of polynomials ``(rat, rad)`` representing
-``rat + rad * r`` where the radical r satisfies ``r*r = s^-4 + 1 + s^4``.
+a coefficient buffer to that form.  A ring element is one such polynomial.
 
 :mod:`vertexlink.tensor` looks :func:`spgemm` up on this module at each
 call, so a wrapper installed here sees every sparse product.
@@ -18,9 +15,6 @@ from .errors import InexactDivision
 
 PZERO = (0, ())
 PONE = (0, (1,))
-
-# r*r, i.e. q^-2 + 1 + q^2 written in s
-RHO = (-4, (1, 0, 0, 0, 1, 0, 0, 0, 1))
 
 
 def kernel_name() -> str:
@@ -121,21 +115,11 @@ def pdiv_exact(a, b):
     return canon(ao - bo, quot)
 
 
-def rmul(x, y):
-    xr, xi = x
-    yr, yi = y
-    if not xi[1] and not yi[1]:
-        return (pmul(xr, yr), PZERO)
-    rat = padd(pmul(xr, yr), pmul(pmul(xi, yi), RHO))
-    rad = padd(pmul(xr, yi), pmul(xi, yr))
-    return (rat, rad)
-
-
 def spgemm(a, b):
-    """Sparse matrix product over ring-element values.
+    """Sparse matrix product over polynomial values.
 
-    Both operands map ``(row, col)`` to a ring-element pair; the result is
-    in the same format with exact zeros removed.
+    Both operands map ``(row, col)`` to a polynomial; the result is in the
+    same format with exact zeros removed.
     """
     rows_b = {}
     for rc, v in b.items():
@@ -150,20 +134,8 @@ def spgemm(a, b):
         if row is None:
             continue
         r = rc[0]
-        ur, ui = u
-        ui_nz = bool(ui[1])
         for c2, v in row:
-            vr, vi = v
-            if ui_nz or vi[1]:
-                rat = padd(pmul(ur, vr), pmul(pmul(ui, vi), RHO))
-                rad = padd(pmul(ur, vi), pmul(ui, vr))
-            else:
-                rat = pmul(ur, vr)
-                rad = PZERO
             key = (r, c2)
             acc = out.get(key)
-            if acc is None:
-                out[key] = (rat, rad)
-            else:
-                out[key] = (padd(acc[0], rat), padd(acc[1], rad))
-    return {k: v for k, v in out.items() if v[0][1] or v[1][1]}
+            out[key] = pmul(u, v) if acc is None else padd(acc, pmul(u, v))
+    return {k: v for k, v in out.items() if v[1]}

@@ -123,11 +123,10 @@ def _normalize_primitive(vec: list[RingElem]) -> list[RingElem]:
     coeffs = []
     exps = []
     for e in vec:
-        for poly in (e.rat, e.rad):
-            off, cs = poly
-            if cs:
-                exps.append(off)
-                coeffs.extend(abs(c) for c in cs if c)
+        off, cs = e.rat
+        if cs:
+            exps.append(off)
+            coeffs.extend(abs(c) for c in cs if c)
     if not coeffs:
         return vec
     g = 0
@@ -137,8 +136,7 @@ def _normalize_primitive(vec: list[RingElem]) -> list[RingElem]:
     out = [ring.exact_divide(e, divisor) for e in vec]
     for e in out:
         if e:
-            lead_poly = e.rat if e.rat[1] else e.rad
-            if lead_poly[1][-1] < 0:
+            if e.rat[1][-1] < 0:
                 out = [-x for x in out]
             break
     return out
@@ -169,7 +167,7 @@ def nullspace(rows: list[list[RingElem]], ncols: int) -> list[list[RingElem]]:
             e = work[r][col]
             if not e:
                 continue
-            score = (0 if e.is_unit() else 1, len(e.rat[1]) + len(e.rad[1]))
+            score = (0 if e.is_unit() else 1, len(e.rat[1]))
             if best is None or score < best[0]:
                 best = (score, r)
         if best is None:

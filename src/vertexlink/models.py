@@ -3,16 +3,28 @@
 Each model packages the constant R-matrix, its inverse, the crossing
 matrices M_u and M_d, the closure weight mu = M_u M_d^T and the trace
 constants.  Every N is written one way: a tensor table of R / Z keyed by
-(a, c, b, d), the form that charge conservation reads.  Construction
-checks R in this order and aborts on any failure, so a successfully built
-model is already a verified one: charge conservation and the flip
-(C (x) C) R (C (x) C) = P R P, with C the label flip a -> -a and P the
-factor swap (each error names the offending entry), annihilation by the
-minimal polynomial prod(R - lambda), the inverse taken block by block over
-the charge sectors, R R^-1 = 1 exactly, and the flip of R^-1.  M_u and M_d
-must be mutually inverse, and mu a charge character sigma diag(q^(kappa a));
-the closed forms of k, tau and taubar, pinned last, leave
-sigma = (-1)^(N-1) and kappa = -2 (+2 for mirrors).
+(a, c, b, d), the form that charge conservation reads.
+
+The N = 4 table is kept as the paper writes it: four entries carry the
+radical r = sqrt([3]_q), from the normalisation of the spin-3/2 weight
+basis (Kirby-Melvin, Invent. Math. 105, 1991), written as pairs (x, y)
+for x + y r.  The model is built in the gauge D = diag(r^g(a)) over the
+labels a, g = (1, 0, 0, -1) for N = 4 and 0 otherwise: :func:`gauge`
+conjugates the table by D (x) D using r^2 = [3]_q and refuses any entry
+that keeps r, which proves at build that r cancels.  D commutes with the
+diagonal mu^(x)n, so no closure trace moves; M_u and M_d are
+antidiagonal and g(-a) = -g(a), so they and mu are unchanged.
+
+Construction checks R in this order and aborts on any failure, so a
+successfully built model is already a verified one: charge conservation
+and the flip (C (x) C) R = P R P (C (x) C), with C the label flip a -> -a
+in the gauge and P the factor swap (each error names the offending
+entry), annihilation by the minimal polynomial prod(R - lambda), the
+inverse taken block by block over the charge sectors, R R^-1 = 1 exactly,
+and the flip of R^-1.  M_u and M_d must be mutually inverse, and mu a
+charge character sigma diag(q^(kappa a)); the closed forms of k, tau and
+taubar, pinned last, leave sigma = (-1)^(N-1) and kappa = -2 (+2 for
+mirrors).
 
 The numeric side carries the solvable-model weights R(u) for N = 2, 3
 whose u -> infinity limit reproduces the constant matrices.
@@ -51,6 +63,8 @@ from .tensor import (
 _Q = ring.q_power
 _S = ring.s_power
 _ONE = ring.one()
+_ZERO = ring.zero()
+_THREE = _Q(-2) + _ONE + _Q(2)  # [3]_q = r^2
 
 
 def _f(x) -> Fraction:
@@ -60,7 +74,8 @@ def _f(x) -> Fraction:
 # ------------------------------------------------------------------ tables
 #
 # Entry tables give R-hat = R / Z keyed by tensor indices (a, c, b, d),
-# meaning the matrix entry [flatten(a, b), flatten(c, d)].
+# meaning the matrix entry [flatten(a, b), flatten(c, d)].  An entry
+# (x, y) stands for x + y r.
 
 
 def _r2_tensor_table() -> dict:
@@ -98,7 +113,6 @@ def _r3_tensor_table() -> dict:
 def _r4_tensor_table() -> dict:
     h = Fraction(1, 2)
     t = Fraction(3, 2)
-    rad = ring.radical()
     w2 = _ONE - _Q(2)
     w4 = _ONE - _Q(4)
     w6 = _ONE - _Q(6)
@@ -120,10 +134,10 @@ def _r4_tensor_table() -> dict:
         (h, h, t, t): w6,
         (h, -t, -h, t): _Q(4) * w6,
         (-t, h, t, -h): _Q(4) * w6,
-        (-t, -h, h, -h): _Q(3) * w4 * rad,
-        (h, -h, h, t): _Q(3) * w4 * rad,
-        (-h, h, t, h): _Q(3) * w4 * rad,
-        (-h, -t, -h, h): _Q(3) * w4 * rad,
+        (-t, -h, h, -h): (_ZERO, _Q(3) * w4),
+        (h, -h, h, t): (_ZERO, _Q(3) * w4),
+        (-h, h, t, h): (_ZERO, _Q(3) * w4),
+        (-h, -t, -h, h): (_ZERO, _Q(3) * w4),
         (-t, -t, h, h): w4 * w6,
         (-h, -h, t, t): w4 * w6,
         (-h, -t, h, t): _Q(1) * w4 * w6,
@@ -135,6 +149,63 @@ def _r4_tensor_table() -> dict:
         (-h, -h, h, h): _Q(2) * w4 * (_ONE + _Q(2)),
     }
     return table
+
+
+def paper_table(N: int) -> dict:
+    """R / Z as the paper writes it, keyed (a, c, b, d); N = 4 entries may be pairs."""
+    if N not in (2, 3, 4):
+        raise UnsupportedN(f"no model tables for N = {N}")
+    make_table, size = {
+        2: (_r2_tensor_table, 5),
+        3: (_r3_tensor_table, 14),
+        4: (_r4_tensor_table, 30),
+    }[N]
+    table = make_table()
+    # a key typed twice in a dict literal silently drops an entry
+    if len(table) != size:
+        raise ConventionValidationFailed(f"N = {N} table must have {size} entries")
+    return table
+
+
+# g(a), the power of r in D = diag(r^g(a)) at each label; 0 on the others
+_R_POWER = {Fraction(-3, 2): 1, Fraction(3, 2): -1}
+
+
+def gauge_powers(conv: IndexConvention) -> tuple[int, ...]:
+    """g(a) over the labels a: every model is its table conjugated by D (x) D, D = diag(r^g(a))."""
+    return tuple(_R_POWER.get(a, 0) for a in conv.labels)
+
+
+def gauge(table: dict, conv: IndexConvention) -> dict:
+    """The table conjugated by D (x) D, exactly, using r^2 = [3]_q.
+
+    D (x) D moves the entry keyed (a, c, b, d) by r^k with
+    k = g(a) + g(b) - g(c) - g(d).  Of (x + y r) r^k, the part x r^k is
+    free of r for even k and y r^(k+1) for odd k; the other part must be
+    zero, or the entry is refused.
+    """
+    g = dict(zip(conv.labels, gauge_powers(conv)))
+    out = {}
+    for key, v in table.items():
+        a, c, b, d = key
+        x, y = v if isinstance(v, tuple) else (v, _ZERO)
+        k = g[a] + g[b] - g[c] - g[d]
+        keep, drop = (y, x) if k % 2 else (x, y)
+        if drop:
+            raise ConventionValidationFailed(f"table entry {key} keeps the radical in the gauge")
+        e = (k + 1) // 2
+        out[key] = keep * _THREE ** e if e >= 0 else ring.exact_divide(keep, _THREE ** -e)
+    return out
+
+
+def _label_flip(conv: IndexConvention) -> SqMatrix:
+    """The label flip a -> -a in the gauge, D C0 D^-1 = diag(r^(2 g(a))) C0, times r^(-2 min g).
+
+    The factor takes every entry into Z[q^+-1]; for N = 2, 3 it is C0.
+    """
+    g = gauge_powers(conv)
+    N = conv.N
+    return SqMatrix(N, {(i, N - 1 - i): _THREE ** (g[i] - min(g)) for i in range(N)})
 
 
 def _m_upper(N: int) -> SqMatrix:
@@ -245,7 +316,8 @@ def _finalize(
     mirrored: bool = False,
 ) -> VertexModel:
     charge_sectors(R, conv)
-    check_flip(R, conv)
+    flip = _label_flip(conv)
+    check_flip(R, flip, conv)
     eig = generic_eigenvalues(N, Z)
     # before the inversion, so a mis-signed R is refused as such and not by
     # a later step it happens to break (the adjugate's exact divisions, the
@@ -255,7 +327,7 @@ def _finalize(
     R_inv = inverse_blockwise(R, conv)
     if R @ R_inv != SqMatrix.identity(N * N):
         raise ClosedFormMismatch("R @ R_inv is not the identity")
-    check_flip(R_inv, conv)
+    check_flip(R_inv, flip, conv)
     ident = SqMatrix.identity(N)
     if M_d @ M_u != ident or M_u @ M_d != ident:
         raise ClosedFormMismatch("M_u and M_d are not mutually inverse")
@@ -297,18 +369,9 @@ def _normalize_sign(sign) -> int:
 def _build_model(N: int, sign: int) -> VertexModel:
     conv = IndexConvention.for_size(N)
     Z = _S(-((N - 1) ** 2), sign)
-    make_table, size = {
-        2: (_r2_tensor_table, 5),
-        3: (_r3_tensor_table, 14),
-        4: (_r4_tensor_table, 30),
-    }[N]
-    table = make_table()
-    # a key typed twice in a dict literal silently drops an entry
-    if len(table) != size:
-        raise ConventionValidationFailed(f"N = {N} table must have {size} entries")
     R = SqMatrix(N * N, {
         (conv.flatten(_f(a), _f(b)), conv.flatten(_f(c), _f(d))): Z * v
-        for (a, c, b, d), v in table.items()
+        for (a, c, b, d), v in gauge(paper_table(N), conv).items()
     })
     M_u = _m_upper(N)
     M_d = -M_u if N % 2 == 0 else M_u

@@ -4,21 +4,10 @@ The closure trace only adds and multiplies ring elements, and substituting
 a number for q is a ring homomorphism, so the chain can run on Python ints
 (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009).  Factoring
 the unit Z out of every letter (R/Z and Z R^-1) leaves entries in
-Z[q^+-1][r]: every exponent in s is even.
-
-The radical r, the square root of [3]_q = q^-2 + 1 + q^2, comes from
-normalising the spin-3/2 weight basis (Kirby-Melvin, Invent. Math. 105,
-1991), and a diagonal gauge takes it out of the letters.  With
-D = diag(g_a) = diag(r, 1, 1, r^-1) over the labels a = -3/2 .. 3/2 (D = 1
-for N = 2, 3), every N = 4 letter X becomes (D (x) D) X (D (x) D)^-1, whose
-entries lie in Z[q^+-1].  The closure trace does not change: the chain is
-conjugated by D^(x)n letter by letter, and D^(x)n commutes with the
-diagonal mu^(x)n, so tr(D^(x)n B D^(x)-n mu^(x)n) = tr(B mu^(x)n).  Nor does
-the rest of the model: an entry M[a, b] of M_u or M_d moves by
-(g_a g_b)^(+-1), these antidiagonal matrices have b = -a and g_a g_-a = 1,
-so M_u, M_d and mu = M_u M_d^t stay as they are.  A :class:`PackedMatrix`
-stores q^shift times a matrix over Z[q^+-1], shifted to nonnegative degree
-and evaluated at q = 2^bits: one int per entry.
+Z[q^+-1]: every exponent in s is even.  (The N = 4 model is built in the
+gauge that clears the radical of its table, :mod:`vertexlink.models`.)  A
+:class:`PackedMatrix` stores q^shift times a matrix over Z[q^+-1], shifted
+to nonnegative degree and evaluated at q = 2^bits: one int per entry.
 
 Only the final scalar is unpacked, as balanced base-2^bits digits.  That is
 exact when every coefficient of the result has absolute value below
@@ -35,20 +24,21 @@ The trace runs over the charges w >= 0 only.  Write t_w = tr(rep(b)|S_w)
 for the block of the braid b on the charge sector S_w; R conserves charge,
 so rep(b) is block diagonal and tr(rep(b) mu^(x)n) = sum_w mu(w) t_w with
 mu(w) = sigma^n q^(kappa w).  Every model passes the flip
-(C (x) C) R (C (x) C) = P R P at build (:func:`vertexlink.tensor.check_flip`),
-C the label flip a -> -a and P the swap of two factors.  Then t_w = t_-w:
+(C (x) C) R = P R P (C (x) C) at build (:func:`vertexlink.tensor.check_flip`),
+P the swap of two factors and C a label flip: antidiagonal, taking the
+label a to -a with a nonzero factor (the gauged flip of
+:mod:`vertexlink.models`).  Then t_w = t_-w, over the field of fractions:
 
-* Let W be C^(x)n composed with the reversal of the n factors.  Reversal
+* Let W be the reversal of the n factors followed by C^(x)n.  Reversal
   takes b_i to P R P on the factors n-i, n-i+1, and C (x) C commutes with
-  P, so by the flip W b_i W^-1 = b_(n-i).  Each label changes sign, so W
-  maps S_w onto S_-w.
+  P, so (C (x) C) P R P (C (x) C)^-1 = P (C (x) C) R (C (x) C)^-1 P = R by
+  the flip: W b_i W^-1 = b_(n-i).  Each label changes sign, so W maps S_w
+  onto S_-w.
 * b_i -> b_(n-i) is conjugation by the Garside half-twist Delta, so
   W^-1 rep(b) W = rep(Delta b Delta^-1) = rep(Delta) rep(b) rep(Delta)^-1,
   and rep(Delta), a product of letters, preserves every sector.  Hence
   t_-w = tr(W^-1 rep(b) W | S_w) = tr(rep(b)|S_w) = t_w.
-* The letters here are R/Z and Z R^-1 gauged by D (x) D: the chain is
-  Z^-writhe rep(b) conjugated by the diagonal D^(x)n, which preserves each
-  sector and so each t_w.
+* The letters here are R/Z and Z R^-1: the chain is Z^-writhe rep(b).
 
 So the trace is sum over w >= 0 of sigma^n (q^(kappa w) + q^(-kappa w)) t_w,
 with q^0 once for w = 0.  The product is row-local and conserves charge,
@@ -62,7 +52,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import _kernel as K
 from . import ring
@@ -155,11 +144,7 @@ def _q_terms(poly, lift: int):
 
 
 def pack_matrix(M, bits: int) -> PackedMatrix:
-    """M (a SqMatrix over Z[q^+-1]) at q = 2^bits, shifted to nonnegative degree.
-
-    A radical entry is refused: the letters are gauged free of r first."""
-    if any(v.rad[1] for v in M.entries.values()):
-        raise DomainError("radical entry: only Z[q^+-1] packs as an int")
+    """M (a SqMatrix over Z[q^+-1]) at q = 2^bits, shifted to nonnegative degree."""
     shift = -min((min(e for e, _ in _q_terms(v.rat, 0)) for v in M.entries.values()), default=0)
     entries = {key: sum(c << bits * e for e, c in _q_terms(v.rat, shift))
                for key, v in M.entries.items()}
@@ -229,15 +214,15 @@ class PackedImage:
 
 @dataclass(frozen=True)
 class _Letters:
-    R_hat: object  # R / Z, gauged
-    R_bar: object  # Z R^-1, gauged
+    R_hat: object  # R / Z
+    R_bar: object  # Z R^-1
     rho_pos: int  # largest row sums of entry weights
     rho_neg: int
 
 
 def weight(v: RingElem) -> int:
     """l1 norm of the coefficients: it bounds each, and is submultiplicative on Z[q^+-1]."""
-    return sum(abs(x) for part in (v.rat, v.rad) for x in part[1])
+    return sum(abs(x) for x in v.rat[1])
 
 
 def _row_weight(M) -> int:
@@ -248,25 +233,10 @@ def _row_weight(M) -> int:
     return max(rows.values(), default=0)
 
 
-# the power of r in D = diag(r, 1, 1, r^-1) at each label; D = 1 for N = 2, 3
-_GAUGE = {Fraction(-3, 2): 1, Fraction(3, 2): -1}
-
-
-def _gauged(M, conv):
-    """(D (x) D) M (D (x) D)^-1, entry by entry and exact."""
-    power = [sum(_GAUGE.get(a, 0) for a in conv.unflatten(i)) for i in range(M.dim)]
-    r = ring.radical()
-    entries = {}
-    for (i, j), v in M.entries.items():
-        k = power[i] - power[j]
-        entries[(i, j)] = v * r ** k if k >= 0 else ring.exact_divide(v, r ** -k)
-    return M.like(M.dim, entries)
-
-
 @functools.lru_cache(maxsize=32)
 def _letters(m) -> _Letters:
-    R_hat = _gauged(m.R * ring.invert_unit(m.Z), m.conv)
-    R_bar = _gauged(m.R_inv * m.Z, m.conv)
+    R_hat = m.R * ring.invert_unit(m.Z)
+    R_bar = m.R_inv * m.Z
     return _Letters(R_hat, R_bar, _row_weight(R_hat), _row_weight(R_bar))
 
 

@@ -1,11 +1,10 @@
-"""Exact coefficient ring.
+"""Exact coefficient ring Z[s, s^-1].
 
-Elements live in Z[s, s^-1] extended by one radical r with
-r^2 = s^-4 + 1 + s^4, i.e. r^2 = q^-2 + 1 + q^2 under q = s^2.  Every
-element is ``rational_part + radical_part * r`` with both parts Laurent
-polynomials in s over arbitrary-precision integers.  All arithmetic is
-exact; division either succeeds exactly or raises
-:class:`~vertexlink.errors.InexactDivision`.
+Every element is one Laurent polynomial in s over arbitrary-precision
+integers.  All arithmetic is exact; division either succeeds exactly or
+raises :class:`~vertexlink.errors.InexactDivision`.  The N = 4 table's
+radical sqrt([3]_q) never enters the ring: :mod:`vertexlink.models`
+gauges it out while building the model.
 
 The convention q = s^2 (and t = q^2 = s^4) is used by the renderer and
 parser; s is the base variable everywhere else.
@@ -22,77 +21,19 @@ from . import _kernel as K
 from .errors import DomainError
 
 
-class LaurentPoly:
-    """One Laurent polynomial in s with integer coefficients."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data=K.PZERO):
-        self.data = data
-
-    @classmethod
-    def from_terms(cls, terms: dict[int, int]) -> "LaurentPoly":
-        acc = K.PZERO
-        for exp, coeff in terms.items():
-            if coeff:
-                acc = K.padd(acc, (exp, (coeff,)))
-        return cls(acc)
-
-    @property
-    def terms(self) -> dict[int, int]:
-        off, coeffs = self.data
-        return {off + i: c for i, c in enumerate(coeffs) if c}
-
-    def is_zero(self) -> bool:
-        return not self.data[1]
-
-    def min_exp(self) -> int:
-        if self.is_zero():
-            raise DomainError("zero polynomial has no degree")
-        return self.data[0]
-
-    def max_exp(self) -> int:
-        if self.is_zero():
-            raise DomainError("zero polynomial has no degree")
-        return self.data[0] + len(self.data[1]) - 1
-
-    def __add__(self, other):
-        return LaurentPoly(K.padd(self.data, other.data))
-
-    def __sub__(self, other):
-        return LaurentPoly(K.psub(self.data, other.data))
-
-    def __neg__(self):
-        return LaurentPoly(K.pneg(self.data))
-
-    def __mul__(self, other):
-        return LaurentPoly(K.pmul(self.data, other.data))
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.data == other.data
-
-    def __hash__(self):
-        return hash(self.data)
-
-    def __repr__(self):
-        return f"LaurentPoly({_format_poly(self.data, 's', 1)})"
-
-
 class RingElem:
     """Element of the coefficient ring; immutable by convention.
 
-    ``rat`` and ``rad`` hold the kernel representation of the two
-    components.  Use :attr:`rational_part` / :attr:`radical_part` for the
-    wrapped view.
+    ``rat`` holds the kernel polynomial ``(offset, coeffs)``.
     """
 
-    __slots__ = ("rat", "rad")
+    __slots__ = ("rat",)
 
-    def __init__(self, rat=K.PZERO, rad=K.PZERO):
+    # always zero: bench/tracing.py reads ``out.rad`` beside ``out.rat``
+    rad = K.PZERO
+
+    def __init__(self, rat=K.PZERO):
         self.rat = rat
-        self.rad = rad
 
     # -- constructors ------------------------------------------------
 
@@ -103,30 +44,38 @@ class RingElem:
         return cls((0, (n,)))
 
     @classmethod
-    def from_parts(cls, rat_terms: dict[int, int], rad_terms: dict[int, int] | None = None) -> "RingElem":
-        return cls(
-            LaurentPoly.from_terms(rat_terms).data,
-            LaurentPoly.from_terms(rad_terms or {}).data,
-        )
+    def from_terms(cls, terms: dict[int, int]) -> "RingElem":
+        acc = K.PZERO
+        for exp, coeff in terms.items():
+            if coeff:
+                acc = K.padd(acc, (exp, (coeff,)))
+        return cls(acc)
 
     # -- views -------------------------------------------------------
 
     @property
-    def rational_part(self) -> LaurentPoly:
-        return LaurentPoly(self.rat)
+    def terms(self) -> dict[int, int]:
+        off, coeffs = self.rat
+        return {off + i: c for i, c in enumerate(coeffs) if c}
 
-    @property
-    def radical_part(self) -> LaurentPoly:
-        return LaurentPoly(self.rad)
+    def min_exp(self) -> int:
+        if self.is_zero():
+            raise DomainError("zero polynomial has no degree")
+        return self.rat[0]
+
+    def max_exp(self) -> int:
+        if self.is_zero():
+            raise DomainError("zero polynomial has no degree")
+        return self.rat[0] + len(self.rat[1]) - 1
 
     # -- predicates --------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.rat[1] and not self.rad[1]
+        return not self.rat[1]
 
     def is_unit(self) -> bool:
-        """Units are exactly +-s^k with zero radical part."""
-        return not self.rad[1] and len(self.rat[1]) == 1 and self.rat[1][0] in (1, -1)
+        """Units are exactly +-s^k."""
+        return len(self.rat[1]) == 1 and self.rat[1][0] in (1, -1)
 
     def as_unit(self) -> tuple[int, int]:
         """Return (sign, exponent) for a unit, raising otherwise."""
@@ -148,7 +97,7 @@ class RingElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RingElem(K.padd(self.rat, o.rat), K.padd(self.rad, o.rad))
+        return RingElem(K.padd(self.rat, o.rat))
 
     __radd__ = __add__
 
@@ -156,7 +105,7 @@ class RingElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RingElem(K.psub(self.rat, o.rat), K.psub(self.rad, o.rad))
+        return RingElem(K.psub(self.rat, o.rat))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -165,14 +114,13 @@ class RingElem:
         return o - self
 
     def __neg__(self):
-        return RingElem(K.pneg(self.rat), K.pneg(self.rad))
+        return RingElem(K.pneg(self.rat))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        rat, rad = K.rmul((self.rat, self.rad), (o.rat, o.rad))
-        return RingElem(rat, rad)
+        return RingElem(K.pmul(self.rat, o.rat))
 
     __rmul__ = __mul__
 
@@ -194,10 +142,10 @@ class RingElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.rat == o.rat and self.rad == o.rad
+        return self.rat == o.rat
 
     def __hash__(self):
-        return hash((self.rat, self.rad))
+        return hash(self.rat)
 
     def __bool__(self):
         return not self.is_zero()
@@ -232,10 +180,6 @@ def t_power(k: int, coeff: int = 1) -> RingElem:
     return s_power(4 * k, coeff)
 
 
-def radical() -> RingElem:
-    return RingElem(K.PZERO, K.PONE)
-
-
 # ---------------------------------------------------------------- division
 
 
@@ -243,13 +187,7 @@ def exact_divide(a: RingElem, b: RingElem) -> RingElem:
     """Exact quotient a/b in the ring; raises InexactDivision otherwise."""
     if b.is_zero():
         raise ZeroDivisionError("ring division by zero")
-    if not b.rad[1]:
-        return RingElem(K.pdiv_exact(a.rat, b.rat), K.pdiv_exact(a.rad, b.rat))
-    # clear the radical: a/b = a*conj(b) / (b*conj(b)), the norm is rational
-    conj = RingElem(b.rat, K.pneg(b.rad))
-    num = a * conj
-    norm = K.psub(K.pmul(b.rat, b.rat), K.pmul(K.pmul(b.rad, b.rad), K.RHO))
-    return RingElem(K.pdiv_exact(num.rat, norm), K.pdiv_exact(num.rad, norm))
+    return RingElem(K.pdiv_exact(a.rat, b.rat))
 
 
 def invert_unit(a: RingElem) -> RingElem:
@@ -271,32 +209,27 @@ def _peval(poly, s):
 
 
 def eval_numeric(a: RingElem, q_value):
-    """Evaluate at a numeric q under s = sqrt(q), r = sqrt(q^2 + 1 + q^-2).
+    """Evaluate at a numeric q under s = sqrt(q).
 
-    Real q < 0 uses the principal square root (s imaginary); the radical is
-    always real positive for real q.  Returns a float when the imaginary
-    part is negligible, else a complex number.  q = 0 is outside the
-    domain.
+    Real q < 0 uses the principal square root (s imaginary).  Returns a
+    float when the imaginary part is negligible, else a complex number.
+    q = 0 is outside the domain.
     """
     if q_value == 0:
         raise DomainError("q = 0 is outside the Laurent domain")
     if isinstance(q_value, complex):
         s = cmath.sqrt(q_value)
-        rad = cmath.sqrt(q_value * q_value + 1 + 1 / (q_value * q_value))
     else:
         qf = float(q_value)
         s = math.sqrt(qf) if qf > 0 else 1j * math.sqrt(-qf)
-        rad = math.sqrt(qf * qf + 1 + 1 / (qf * qf))
-    val = _peval(a.rat, s) + _peval(a.rad, s) * rad
+    val = _peval(a.rat, s)
     if isinstance(val, complex) and abs(val.imag) <= 1e-12 * (1.0 + abs(val.real)):
         return val.real
     return val
 
 
 def eval_exact(a: RingElem, s_value: Fraction) -> Fraction:
-    """Evaluate exactly at a rational value of s (radical-free elements)."""
-    if a.rad[1]:
-        raise DomainError("radical part present; no exact rational value")
+    """Evaluate exactly at a rational value of s."""
     if s_value == 0:
         raise DomainError("s = 0 is outside the Laurent domain")
     s = Fraction(s_value)
@@ -346,23 +279,21 @@ def render(a: RingElem, variable: str = "s") -> str:
     if variable not in ("s", "q", "t"):
         raise DomainError(f"unknown variable {variable!r}")
     divisor = {"s": 1, "q": 2, "t": 4}[variable]
-    if divisor > 1 and not (_divisible(a.rat, divisor) and _divisible(a.rad, divisor)):
+    if divisor > 1 and not _divisible(a.rat, divisor):
         warnings.warn(
             f"exponents not divisible by {divisor}; rendering in s instead of {variable}",
             UserWarning,
             stacklevel=2,
         )
         variable, divisor = "s", 1
-    rat_s = _format_poly(a.rat, variable, divisor)
-    if not a.rad[1]:
-        return rat_s
-    rad_s = f"({_format_poly(a.rad, variable, divisor)})*rad"
-    if not a.rat[1]:
-        return rad_s
-    return f"{rat_s} + {rad_s}"
+    return _format_poly(a.rat, variable, divisor)
 
 
 # ---------------------------------------------------------------- parsing
+
+
+# ASCII only: str.isdigit also accepts digits such as "²" that int() refuses
+_DIGITS = frozenset("0123456789")
 
 
 class _Tokens:
@@ -374,9 +305,9 @@ class _Tokens:
             ch = text[i]
             if ch.isspace():
                 i += 1
-            elif ch.isdigit():
+            elif ch in _DIGITS:
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
                 self.toks.append(("int", int(text[i:j])))
                 i = j
@@ -385,7 +316,7 @@ class _Tokens:
                 while j < n and text[j].isalpha():
                     j += 1
                 name = text[i:j]
-                if name not in ("s", "q", "t", "rad"):
+                if name not in ("s", "q", "t"):
                     raise DomainError(f"unknown symbol {name!r}")
                 self.toks.append(("name", name))
                 i = j
@@ -470,7 +401,6 @@ def _parse_atom(toks: _Tokens) -> RingElem:
             "s": s_power(1),
             "q": q_power(1),
             "t": t_power(1),
-            "rad": radical(),
         }[value]
     if kind == "(":
         val = _parse_expr(toks)

@@ -91,11 +91,11 @@ class SqMatrix:
     def __matmul__(self, other: "SqMatrix") -> "SqMatrix":
         if self.dim != other.dim:
             raise DimensionMismatch(f"{self.dim} @ {other.dim}")
-        a = {k: (v.rat, v.rad) for k, v in self.entries.items()}
-        b = {k: (v.rat, v.rad) for k, v in other.entries.items()}
+        a = {k: v.rat for k, v in self.entries.items()}
+        b = {k: v.rat for k, v in other.entries.items()}
         out = K.spgemm(a, b)
         res = SqMatrix(self.dim)
-        res.entries = {k: RingElem(*v) for k, v in out.items()}
+        res.entries = {k: RingElem(v) for k, v in out.items()}
         return res
 
     def __add__(self, other: "SqMatrix") -> "SqMatrix":
@@ -392,26 +392,34 @@ def charge_sectors(R: SqMatrix, conv: IndexConvention) -> list[list[int]]:
     return list(groups.values())
 
 
-def check_flip(R: SqMatrix, conv: IndexConvention) -> None:
-    """Refuse, naming the first bad entry, an R with (C (x) C) R (C (x) C) != P R P.
+def check_flip(R: SqMatrix, C: SqMatrix, conv: IndexConvention) -> None:
+    """Refuse, naming the first bad entry, an R with (C (x) C) R != P R P (C (x) C).
 
-    C flips each label a -> -a and P swaps the two factors, so entrywise
+    C is a label flip: antidiagonal, C[-a, a] = c_a != 0 over the labels a,
+    and P swaps the two factors.  Entrywise, with u(a, b) = c_a c_b,
+    u(a,b) R[(a,b),(c,d)] = u(c,d) R[(-b,-a),(-d,-c)]: both sides are
+    products, so nothing is divided.  For c_a = 1 it reads
     R[(a,b),(c,d)] = R[(-b,-a),(-d,-c)].  With charge conservation it makes
     the closure trace on the charge sector w equal that on -w
     (:mod:`vertexlink.packed`).
     """
     N = conv.N
-    if R.dim != N * N:
-        raise DimensionMismatch("the flip needs a two-factor matrix")
+    if R.dim != N * N or C.dim != N:
+        raise DimensionMismatch("the flip needs a two-factor matrix and a one-factor flip")
+    col = [C.entries[(N - 1 - i, i)] for i in range(N)]
+    u = [col[idx // N] * col[idx % N] for idx in range(N * N)]
 
     def flip(idx: int) -> int:  # (a, b) -> (-b, -a)
         return N * N - 1 - (idx % N) * N - idx // N
 
+    # flip is an involution and u has no zero, so an entry whose image is
+    # missing fails from whichever side is present
+    zero = ring.zero()
     for r, c in sorted(R.entries):
-        if R.entries.get((flip(r), flip(c))) != R.entries[(r, c)]:
+        fr, fc = flip(r), flip(c)
+        if u[r] * R.entries[(r, c)] != u[c] * R.entries.get((fr, fc), zero):
             raise ConventionValidationFailed(
-                f"entry [{r},{c}] breaks the flip symmetry: "
-                f"R[{r},{c}] != R[{flip(r)},{flip(c)}]"
+                f"entry [{r},{c}] breaks the flip symmetry against [{fr},{fc}]"
             )
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import ring
 from .axioms import twist1_sides, twist2_sides
 from .errors import DimensionMismatch, DomainError, UnsupportedN
-from .models import VertexModel, build_model
+from .models import VertexModel, build_model, gauge_powers
 from .tensor import SqMatrix, small_inverse
 
 
@@ -251,12 +251,15 @@ def _ratio_spread(target: np.ndarray, cand: np.ndarray) -> tuple[float, float]:
 def model_ratio_residual(m: VertexModel, rep: SpinRep, gauge: bool = False) -> tuple[float, float]:
     """Spread of the entrywise ratio between R/Z and P R^(jj).
 
-    With gauge=False the comparison is the plain proportionality claim;
-    with gauge=True the candidate is first conjugated by the sign pair
-    from exchange_sign_gauge, which is the form that actually holds for
-    integer spin.  Returns (spread, fitted constant); the constant is
-    q^(2 j^2), i.e. exactly 1/Z, so the gauged identification needs no
-    scalar at all.
+    The model is built in the gauge D = diag(r^g(a)), r = sqrt([3]_q)
+    (:func:`vertexlink.models.gauge_powers`; D = 1 for j = 1/2, 1), and
+    R^(jj) lives in the normalised weight basis, so the candidate is
+    conjugated by D (x) D first.  With gauge=False the comparison is then
+    the plain proportionality claim; with gauge=True the candidate is also
+    conjugated by the sign pair from exchange_sign_gauge, which is the
+    form that actually holds for integer spin.  Returns (spread, fitted
+    constant); the constant is q^(2 j^2), i.e. exactly 1/Z, so the gauged
+    identification needs no scalar at all.
     """
     N = m.N
     if rep.dim != N:
@@ -271,7 +274,9 @@ def model_ratio_residual(m: VertexModel, rep: SpinRep, gauge: bool = False) -> t
     for a in range(N):
         for b in range(N):
             P[a * N + b, b * N + a] = 1.0
-    cand = P @ Rjj
+    d = math.sqrt(q * q + 1.0 + 1.0 / (q * q)) ** np.array(gauge_powers(m.conv), dtype=float)
+    dd = np.kron(d, d)
+    cand = dd[:, None] * (P @ Rjj) / dd[None, :]
     if gauge:
         d1, d2 = exchange_sign_gauge(rep.j)
         E = np.diag(np.kron(d1, d2))

@@ -1,6 +1,11 @@
+import functools
+from fractions import Fraction
+
 import pytest
 
-from vertexlink.models import build_model
+from oracle.quadratic_closure import closure_trace, field, flatten_table, inverse, laurent_at
+from vertexlink import ring
+from vertexlink.models import build_model, paper_table
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +33,35 @@ def each_model(request):
 def each_signed_model(request):
     N, sign = request.param
     return build_model(N, sign)
+
+
+@pytest.fixture(scope="session")
+def ungauged_closure():
+    """(<L>, alpha) of a braid closure at rational s, from the paper's N = 4 table in Q(sqrt([3]_q)).
+
+    The table is taken as the paper writes it, an entry (x, y) standing for
+    x + y r with r = sqrt([3]_q), and traced by the oracle, which shares no
+    code with the package.  alpha = (-1)^((N-1) n) s^((N^2-1) e + 2 (N-1))
+    <L> / D with D = 1 + q^2 + q^4 + q^6.
+    """
+    @functools.lru_cache(maxsize=None)
+    def letters(m, s: Fraction):
+        F = field(s ** -4 + 1 + s ** 4)
+
+        def at(v):
+            x, y = v if isinstance(v, tuple) else (v, ring.zero())
+            return F(laurent_at(x.terms, s), laurent_at(y.terms, s))
+
+        Z = at(m.Z)
+        R = {key: Z * at(v) for key, v in flatten_table(paper_table(4), 4).items()}
+        return F, R, inverse(R, 16), [at(m.mu.entries[(i, i)]) for i in range(4)]
+
+    def run(word, m, s):
+        s = Fraction(s)
+        F, R, R_inv, mu = letters(m, s)
+        bracket = closure_trace(R, R_inv, mu, word.strands, word.letters)
+        q = s * s
+        unit = (-1) ** (3 * word.strands) * s ** (15 * word.writhe + 6) / (1 + q ** 2 + q ** 4 + q ** 6)
+        return bracket, bracket * F(unit)
+
+    return run

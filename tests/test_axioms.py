@@ -22,7 +22,7 @@ from vertexlink.axioms import (
     solve_twist,
 )
 from vertexlink.errors import NoSolution, VertexLinkError
-from vertexlink.models import build_model, mirror_model
+from vertexlink.models import build_model, gauge_powers, mirror_model
 from vertexlink.tensor import IndexConvention, SqMatrix, inverse_blockwise
 
 
@@ -259,8 +259,14 @@ def test_mu_basis_solves_twist2(case):
     # sum_c R^-1[(a,b),(c,d)] M_u[p,c] = sum_f R[(p,a),(d,f)] M_u[f,b]
     m = build_model(int(case[1]))
     R = _conjugated_n3(m.R) if case == "N3-conjugated" else m.R
-    # the models are symmetric, where both twist systems coincide
-    assert (R == R.transpose()) == (case != "N3-conjugated")
+    # the models are symmetric up to their gauge D = diag(r^g(a)), r^2 = [3]_q,
+    # where both twist systems coincide: (D^2 (x) D^2) R^t = R (D^2 (x) D^2),
+    # cross-multiplied to E = [3]_q^(-min g) D^2 = diag([3]_q^(g(a) - min g))
+    g = gauge_powers(m.conv)
+    three = ring.q_power(-2) + 1 + ring.q_power(2)
+    E = SqMatrix(m.N, {(i, i): three ** (x - min(g)) for i, x in enumerate(g)})
+    EE = E.kron(E)
+    assert (EE @ R.transpose() == R @ EE) == (case != "N3-conjugated")
     sol = solve_twist(R * ring.invert_unit(m.Z), z=m.Z)
     assert len(sol.mu_basis) == 1
     R_inv = inverse_blockwise(R, m.conv)

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON contract, determinism."""
 
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -56,6 +57,44 @@ def test_invariant_sign_branch(capsys):
     data = json.loads(out)
     want = ambient_invariant(parse_braid("1 1 1"), build_model(2, -1))
     assert ring.parse(data["value"]["s"]) == want
+
+
+# sha256 of the stdout of each command, for both signs.  The radical left
+# the ring with outputs unchanged, and these pins hold any later change to
+# the same bytes: a pin moves only when an output is meant to.
+_GOLDEN = {
+    ("verify", "--model", "4", "--all", "--json"): (
+        "4deeb85c88ed4942fdf7bc153869dd52788b241eb806d2c74bbb4261e0d7ea20",
+        "31ec9dfcb76c33bf4261fb3bc45421eb66f3f04075997bc3724841f04ddef59f"),
+    ("solve-m", "--model", "4", "--discover", "--json"): (
+        "cc09dd7ac3eb817e07f1542c2311fb5577554f9882bf1fd49aed95eccfb34619",
+        "08ebeaa67c0c1f53894492c8e8767e35324e1aa48e843fe92dadf3326c26a947"),
+    ("tl", "--model", "4", "--json"): (
+        "bc8dce19b0770f95d3b9e079be0f009b9269f8f89d6b1b0e5d4c2a6ea84bd8d4",
+        "f867bb0dc2a0bcd709661989d2f2b9a40dd1d40758bb8291e96c3c15b8217d80"),
+    ("skein", "--model", "4", "--trials", "10", "--seed", "3", "--json"): (
+        "c19b44873322df7badf7fb80ece315186bc06bb9e6672fa242f2e800d15480f3",
+        "aa13624b68615371ed0a428a0e10518f05f7e7bc05a43497dec51f66f7b2c3b8"),
+    # one word at each model's strand cap: 7, 6, 5 strands for N = 2, 3, 4
+    ("invariant", "--model", "2", "--braid", "1 -2 3 -4 5 -6 1 2", "--json"): (
+        "47bf691f5e150befd3df490450bc34ea285683c3280835dd2fb9da49c63482da",
+        "77b729bf240a6aa3d3929d2977efdb6c73afb0ddca5ba6bcc4ee1fb02e8f45ea"),
+    ("invariant", "--model", "3", "--braid", "1 -2 3 -4 5 2 -1", "--json"): (
+        "4df09d054e733a737fa57d9b46097ca2a19f57b3988611b2be4445dbf20233dd",
+        "81317b2335f3dd1d75b2df501d3a41aefe2593ece98de4e6d7e01d73c064b848"),
+    ("invariant", "--model", "4", "--braid", "1 -2 3 -4 2 1 -3", "--json"): (
+        "629dda43983982a426cbff8082db7fee1087c169f049c084c362bb593ee27aa0",
+        "3f30e440f079b435f5e2b0d778f059f16617acc49a6b557c6c43f1dffaa115db"),
+}
+
+
+@pytest.mark.parametrize("sign", ["plus", "minus"])
+@pytest.mark.parametrize("argv", list(_GOLDEN), ids=" ".join)
+def test_golden_stdout(capsys, argv, sign):
+    code, out, _ = run_cli(capsys, *argv, "--sign", sign)
+    assert code == 0
+    want = _GOLDEN[argv][sign == "minus"]
+    assert hashlib.sha256(out.encode()).hexdigest() == want, out
 
 
 def test_model_choice_rejected():

@@ -24,7 +24,7 @@ from vertexlink.models import (
     rho,
     spectral_checks,
 )
-from vertexlink.tensor import SqMatrix, charge_of_pair
+from vertexlink.tensor import SqMatrix, charge_of_pair, check_flip
 
 Q = ring.q_power
 S = ring.s_power
@@ -191,6 +191,17 @@ def test_build_refuses_a_broken_flip(m4):
         models._finalize(4, 1, m4.conv, m4.Z, R, m4.M_u, m4.M_d)
 
 
+def test_gauged_r_needs_the_gauged_flip(m4):
+    # D moves an entry and its flip image by different powers of r, so the
+    # plain label flip C0 refuses the N = 4 model, and C = r^2 D C0 D^-1 passes it
+    C0 = SqMatrix(4, {(i, 3 - i): ring.one() for i in range(4)})
+    with pytest.raises(ConventionValidationFailed,
+                       match=r"entry \[2,5\] breaks the flip symmetry against \[7,10\]"):
+        check_flip(m4.R, C0, m4.conv)
+    for X in (m4.R, m4.R_inv):
+        check_flip(X, models._label_flip(m4.conv), m4.conv)
+
+
 def test_diagonal_gauge_keeps_the_flip_for_n3(m3):
     # a gauge moves R[(a,b),(c,d)] and its flip image by
     # h(a) + h(b) - h(c) - h(d), h(a) = g(a) - g(-a); h is odd, so linear on
@@ -267,12 +278,54 @@ def test_mirror_model(each_model):
     assert mir.k == m.k
 
 
+def _models_and_mirrors():
+    out = []
+    for N in (2, 3, 4):
+        for sign in (1, -1):
+            m = build_model(N, sign)
+            out += [m, mirror_model(m)]
+    return out
+
+
 def test_radical_appears_only_in_n4():
-    for N in (2, 3):
-        m = build_model(N)
-        assert all(v.radical_part.is_zero() for v in m.R.entries.values())
-    m4 = build_model(4)
-    assert any(not v.radical_part.is_zero() for v in m4.R.entries.values())
+    # the paper writes r into 4 of the 30 N = 4 entries and nowhere else
+    for N, count in ((2, 0), (3, 0), (4, 4)):
+        assert sum(isinstance(v, tuple) for v in models.paper_table(N).values()) == count
+    # the models hold none: R and R^-1 lie in Z[s^+-1], and in Z[q^+-1]
+    # once the unit Z is factored out
+    for m in _models_and_mirrors():
+        for X, unit in ((m.R, ring.invert_unit(m.Z)), (m.R_inv, m.Z)):
+            for v in X.entries.values():
+                off, coeffs = v.rat
+                assert isinstance(off, int) and all(isinstance(c, int) for c in coeffs)
+                assert all(e % 2 == 0 for e in (v * unit).terms)
+
+
+def test_gauge_refuses_an_entry_that_keeps_the_radical(m4):
+    table = models.paper_table(4)
+    assert models.gauge(table, m4.conv)  # the paper's table clears
+    h, t = Fraction(1, 2), Fraction(3, 2)
+    # D (x) D moves this entry by r^1: its rational part would keep r
+    key = (-t, -h, h, -h)
+    table[key] = (Q(1), table[key][1])
+    with pytest.raises(ConventionValidationFailed, match="keeps the radical"):
+        models.gauge(table, m4.conv)
+    # this one does not move: a radical part stays
+    table = models.paper_table(4)
+    table[(t, t, t, t)] = (ring.one(), ring.one())
+    with pytest.raises(ConventionValidationFailed, match="keeps the radical"):
+        models.gauge(table, m4.conv)
+
+
+def test_gauge_leaves_m_u_m_d_and_mu_unchanged():
+    # D M D moves M[a, b] by r^(g(a) + g(b)), and D mu D^-1 moves mu[a, b]
+    # by r^(g(a) - g(b)): every entry stays where it is
+    for m in _models_and_mirrors():
+        g = models.gauge_powers(m.conv)
+        for M in (m.M_u, m.M_d):
+            assert all(g[a] + g[b] == 0 for a, b in M.entries)
+        assert all(g[a] == g[b] for a, b in m.mu.entries)
+    assert models.gauge_powers(build_model(4).conv) == (1, 0, 0, -1)
 
 
 # ---------------------------------------------------------------- numerics

@@ -24,14 +24,14 @@ from vertexlink.tensor import (
 )
 
 
-def random_matrix(rng, dim, density=0.5, radical=False):
+def random_matrix(rng, dim, density=0.5, sums=False):
     entries = {}
     for r in range(dim):
         for c in range(dim):
             if rng.random() < density:
                 e = ring.s_power(rng.randint(-3, 3), rng.choice([1, -1, 2]))
-                if radical and rng.random() < 0.3:
-                    e = e + ring.radical() * ring.integer(rng.randint(-2, 2))
+                if sums and rng.random() < 0.3:
+                    e = e + ring.s_power(rng.randint(-3, 3), rng.randint(-2, 2))
                 entries[(r, c)] = e
     return SqMatrix(dim, entries)
 
@@ -62,7 +62,7 @@ def test_kron_product_law(seed, d1, d2):
 @given(st.integers(0, 2 ** 32 - 1), dims)
 def test_trace_product_matches_full_product(seed, dim):
     rng = random.Random(seed)
-    a, b = random_matrix(rng, dim, radical=True), random_matrix(rng, dim, radical=True)
+    a, b = random_matrix(rng, dim, sums=True), random_matrix(rng, dim, sums=True)
     assert trace_product(a, b) == (a @ b).trace()
 
 
@@ -115,7 +115,7 @@ def test_matmul_dim_mismatch():
 
 def test_json_round_trip():
     rng = random.Random(5)
-    m = random_matrix(rng, 3, radical=True)
+    m = random_matrix(rng, 3, sums=True)
     assert SqMatrix.from_json(m.to_json()) == m
 
 
@@ -168,7 +168,7 @@ def test_partial_close_is_scalar(each_model):
 @settings(max_examples=25)
 def test_scalar_multiplication(seed):
     rng = random.Random(seed)
-    a = random_matrix(rng, 3, radical=True)
+    a = random_matrix(rng, 3, sums=True)
     c = ring.s_power(rng.randint(-2, 2)) + ring.integer(rng.randint(-1, 1))
     assert (c * a) == (a * c)
     assert (c * a) + (-c * a) == SqMatrix(3)
@@ -243,7 +243,7 @@ def test_contract_refuses_malformed_spec(spec, operands):
 def test_legs_key_order(seed, N):
     # legs(M)[a, c, b, d] = M[(a,b),(c,d)]: transposing legs 1 and 2 back
     # and flattening gives the matrix again, as models.boltzmann_matrix does
-    M = random_matrix(random.Random(seed), N * N, radical=True)
+    M = random_matrix(random.Random(seed), N * N, sums=True)
     T = np.zeros((N,) * 4, dtype=object)
     T[...] = ring.zero()
     for key, v in legs(M, N).items():
