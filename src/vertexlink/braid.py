@@ -91,29 +91,36 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
-def embed_two_site(op, N: int, n: int, i: int):
+def embed_two_site(op, N: int, n: int, i: int, rows=None):
     """1 (x) ... (x) op (x) ... (x) 1 on n factors of size N, op on factors i, i+1.
 
     ``op`` is a ``SqMatrix`` or a ``PackedMatrix``; the result is of the
-    same kind.
+    same kind.  With ``rows``, only those rows are built.  Row r spells
+    (x, p, y) with p the two-site row of op and x, y the untouched factors
+    left and right of it; its entries are op's row p with x and y put back.
     """
     if not 1 <= i < n:
         raise BadLetter(f"generator {i} on {n} strands")
-    left = N ** (i - 1)
     right = N ** (n - i - 1)
-    entries = {}
-    for (rp, cp), v in op.entries.items():
-        for x in range(left):
-            base_r = (x * N * N + rp) * right
-            base_c = (x * N * N + cp) * right
-            for y in range(right):
-                entries[(base_r + y, base_c + y)] = v
-    return op.like(N ** n, entries)
+    block = N * N * right
+    op_rows = op.rows
+    out = {}
+    for r in range(N ** n) if rows is None else rows:
+        x, rest = divmod(r, block)
+        p, y = divmod(rest, right)
+        row = op_rows.get(p)
+        if row:
+            base = x * block + y
+            out[r] = {base + c * right: v for c, v in row.items()}
+    return op.like(N ** n, out)
 
 
-def letter_matrix(model, n: int, letter: int):
-    """Sparse matrix of one generator on n strands, over the ring of ``model.R``."""
-    return embed_two_site(model.R if letter > 0 else model.R_inv, model.N, n, abs(letter))
+def letter_matrix(model, n: int, letter: int, rows=None):
+    """Sparse matrix of one generator on n strands, over the ring of ``model.R``.
+
+    With ``rows``, only those rows are built (:func:`embed_two_site`).
+    """
+    return embed_two_site(model.R if letter > 0 else model.R_inv, model.N, n, abs(letter), rows)
 
 
 def random_word(rng: random.Random, strands: int, length: int) -> BraidWord:
@@ -122,35 +129,29 @@ def random_word(rng: random.Random, strands: int, length: int) -> BraidWord:
     return BraidWord(strands, tuple(rng.choice(alphabet) for _ in range(length)))
 
 
-def _keep_rows(M, rows):
-    """M with only the rows in ``rows``; all of M when ``rows`` is None."""
-    if rows is None:
-        return M
-    return M.like(M.dim, {key: v for key, v in M.entries.items() if key[0] in rows})
-
-
 def represent(word: BraidWord, model, *, cache: dict | None = None, rows=None):
     """Product of generator matrices; the identity for the empty word.
 
     ``model`` needs ``N``, ``R`` and ``R_inv``: a vertex model, or its
     packed image (:mod:`vertexlink.packed`), whose matrices the product
     stays over.  ``cache`` maps letters to their matrices; pass one dict
-    to words on the same strands and model to build each letter once.
-    ``rows`` keeps only those rows of the first factor, and so of the
-    product, which is row-local: row r of A B is row r of A times B.
+    to words on the same strands, model and ``rows`` to build each letter
+    once.  ``rows`` builds every letter, and so the product, on those rows
+    only.  That is the product's restriction when the rows are a union of
+    charge sectors: row r of A B is row r of A times B, and a row of A in
+    a sector reaches only columns, and so rows of B, in that sector.
     """
     n = word.strands
-    dim = model.N ** n
     acc = None
     if cache is None:
         cache = {}
     for letter in word.letters:
         g = cache.get(letter)
         if g is None:
-            g = letter_matrix(model, n, letter)
+            g = letter_matrix(model, n, letter, rows=rows)
             cache[letter] = g
-        acc = _keep_rows(g, rows) if acc is None else acc @ g
-    return _keep_rows(model.R.identity(dim), rows) if acc is None else acc
+        acc = g if acc is None else acc @ g
+    return model.R.identity(model.N ** n, rows) if acc is None else acc
 
 
 def markov_move(word: BraidWord, move: str, g: int | None = None) -> BraidWord:

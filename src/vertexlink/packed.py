@@ -42,10 +42,15 @@ label a to -a with a nonzero factor (the gauged flip of
 
 So the trace is sum over w >= 0 of sigma^n (q^(kappa w) + q^(-kappa w)) t_w,
 with q^0 once for w = 0.  The product is row-local and conserves charge,
-so keeping the rows of charge w >= 0 in the first factor of each half-word
-keeps them, with their columns, in the whole product: each half-word runs
-on about half the rows.  The value is the same polynomial as the full
-trace, so the same width unpacks it.
+and the rows of charge w >= 0 form whole sectors: a row there reaches only
+columns there, and so only rows there of the next factor.  So every letter
+of both half-words is built on those rows only, and the chain runs on about
+half the rows.  The value is the same polynomial as the full trace, so the
+same width unpacks it.
+
+A :class:`PackedMatrix` is keyed by row, {r: {c: int}}: a product walks
+the right factor's rows as stored, and the closure trace looks up
+B[c][r] for each entry A[r][c] of a row of weight.
 """
 
 from __future__ import annotations
@@ -64,45 +69,47 @@ class PackedMatrix:
     """Square sparse matrix over the image of Z[q^+-1] at q = 2^bits.
 
     It stands for q^-shift times the matrix whose entries unpack from the
-    ints in ``entries``.
+    ints in ``rows``, keyed by row and then column: {r: {c: int}}.  A row
+    with no entry is left out.
     """
 
-    __slots__ = ("dim", "entries", "bits", "shift")
+    __slots__ = ("dim", "rows", "bits", "shift")
 
-    def __init__(self, dim: int, entries: dict, bits: int, shift: int):
+    def __init__(self, dim: int, rows: dict[int, dict[int, int]], bits: int, shift: int):
         self.dim = dim
-        self.entries = entries
+        self.rows = rows
         self.bits = bits
         self.shift = shift
 
-    def like(self, dim: int, entries: dict) -> "PackedMatrix":
+    def like(self, dim: int, rows: dict[int, dict[int, int]]) -> "PackedMatrix":
         """A matrix over the same image with the same shift, entries taken as given."""
-        return PackedMatrix(dim, entries, self.bits, self.shift)
+        return PackedMatrix(dim, rows, self.bits, self.shift)
 
-    def identity(self, dim: int) -> "PackedMatrix":
-        return PackedMatrix(dim, {(i, i): 1 for i in range(dim)}, self.bits, 0)
+    def identity(self, dim: int, rows=None) -> "PackedMatrix":
+        """The identity, or only its rows in ``rows``."""
+        return PackedMatrix(dim, {i: {i: 1} for i in (range(dim) if rows is None else rows)},
+                            self.bits, 0)
 
     def __matmul__(self, other: "PackedMatrix") -> "PackedMatrix":
         if self.dim != other.dim or self.bits != other.bits:
             raise DimensionMismatch(f"{self!r} @ {other!r}")
-        rows_b: dict[int, list] = {}
-        for (r, c), v in other.entries.items():
-            row = rows_b.get(r)
-            if row is None:
-                rows_b[r] = [(c, v)]
-            else:
-                row.append((c, v))
-        out: dict = {}
-        get = out.get
-        for (r, k), u in self.entries.items():
-            row = rows_b.get(k)
-            if row is None:
-                continue
-            for c, v in row:
-                key = (r, c)
-                out[key] = get(key, 0) + u * v
-        entries = {k: v for k, v in out.items() if v}
-        return PackedMatrix(self.dim, entries, self.bits, self.shift + other.shift)
+        get = other.rows.get
+        out = {}
+        for r, row in self.rows.items():
+            acc: dict[int, int] = {}
+            for k, u in row.items():
+                b = get(k)
+                if b is not None:
+                    for c, v in b.items():
+                        if c in acc:
+                            acc[c] += u * v
+                        else:
+                            acc[c] = u * v
+            if 0 in acc.values():  # drop the sums that cancel
+                acc = {c: v for c, v in acc.items() if v}
+            if acc:
+                out[r] = acc
+        return PackedMatrix(self.dim, out, self.bits, self.shift + other.shift)
 
     def trace_product(self, other: "PackedMatrix", weights=None) -> RingElem:
         """tr(self @ other @ W), unpacked, without forming the product.
@@ -117,20 +124,24 @@ class PackedMatrix:
             raise DimensionMismatch(f"{self!r} vs {other!r}")
         if weights is None:
             weights = dict.fromkeys(range(self.dim), (0,))
-        get = other.entries.get
+        get = other.rows.get
         weigh = weights.get
         sums: dict[tuple[int, ...], int] = {}
-        for (r, c), v in self.entries.items():
+        for r, row in self.rows.items():
             es = weigh(r)
             if es is not None:
-                w = get((c, r))
-                if w is not None:
-                    sums[es] = sums.get(es, 0) + v * w
+                t = 0
+                for c, v in row.items():
+                    b = get(c)
+                    if b is not None and r in b:
+                        t += v * b[r]
+                sums[es] = sums.get(es, 0) + t
         total = sum(t << self.bits * e for es, t in sums.items() for e in es)
         return unpack(total, self.bits, self.shift + other.shift)
 
     def __repr__(self):
-        return f"PackedMatrix(dim={self.dim}, nnz={len(self.entries)}, bits={self.bits})"
+        nnz = sum(len(row) for row in self.rows.values())
+        return f"PackedMatrix(dim={self.dim}, nnz={nnz}, bits={self.bits})"
 
 
 def _q_terms(poly, lift: int):
@@ -146,9 +157,9 @@ def _q_terms(poly, lift: int):
 def pack_matrix(M, bits: int) -> PackedMatrix:
     """M (a SqMatrix over Z[q^+-1]) at q = 2^bits, shifted to nonnegative degree."""
     shift = -min((min(e for e, _ in _q_terms(v.rat, 0)) for v in M.entries.values()), default=0)
-    entries = {key: sum(c << bits * e for e, c in _q_terms(v.rat, shift))
-               for key, v in M.entries.items()}
-    return PackedMatrix(M.dim, entries, bits, shift)
+    rows = {r: {c: sum(x << bits * e for e, x in _q_terms(v.rat, shift)) for c, v in row.items()}
+            for r, row in M.rows.items()}
+    return PackedMatrix(M.dim, rows, bits, shift)
 
 
 def _digits(x: int, bits: int) -> list[int]:
@@ -227,10 +238,7 @@ def weight(v: RingElem) -> int:
 
 def _row_weight(M) -> int:
     """Largest row sum of entry weights."""
-    rows: dict[int, int] = {}
-    for (r, _), v in M.entries.items():
-        rows[r] = rows.get(r, 0) + weight(v)
-    return max(rows.values(), default=0)
+    return max((sum(map(weight, row.values())) for row in M.rows.values()), default=0)
 
 
 @functools.lru_cache(maxsize=32)

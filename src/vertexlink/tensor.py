@@ -71,16 +71,25 @@ class SqMatrix:
                     clean[(r, c)] = v
         self.entries = clean
 
-    def like(self, dim: int, entries: dict[tuple[int, int], RingElem]) -> "SqMatrix":
-        """A matrix over the same ring, entries taken as given (no zero check)."""
+    @property
+    def rows(self) -> dict[int, dict[int, RingElem]]:
+        """The entries grouped by row, {r: {c: v}}, built on each call."""
+        out: dict[int, dict[int, RingElem]] = {}
+        for (r, c), v in self.entries.items():
+            out.setdefault(r, {})[c] = v
+        return out
+
+    def like(self, dim: int, rows: dict[int, dict[int, RingElem]]) -> "SqMatrix":
+        """A matrix over the same ring from entries {r: {c: v}}, taken as given (no zero check)."""
         res = SqMatrix(dim)
-        res.entries = entries
+        res.entries = {(r, c): v for r, row in rows.items() for c, v in row.items()}
         return res
 
     @classmethod
-    def identity(cls, dim: int) -> "SqMatrix":
+    def identity(cls, dim: int, rows=None) -> "SqMatrix":
+        """The identity, or only its rows in ``rows``."""
         e = ring.one()
-        return cls(dim, {(i, i): e for i in range(dim)})
+        return cls(dim, {(i, i): e for i in (range(dim) if rows is None else rows)})
 
     @classmethod
     def permutation(cls, N: int) -> "SqMatrix":

@@ -6,6 +6,7 @@ the reference runs it on ``SqMatrix`` through the kernel's ``spgemm``.
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -161,7 +162,7 @@ def test_packed_product_entries_with_radicals(m4):
     want = A @ A
     bits = packed.closure_bits(m4, BraidWord(2, (1, 1)))  # also bounds each entry of A A
     got = packed.pack_matrix(A, bits) @ packed.pack_matrix(A, bits)
-    assert set(got.entries) == set(want.entries)
+    assert {(r, c) for r, row in got.rows.items() for c in row} == set(want.entries)
     for (r, c), v in want.entries.items():
         probe = packed.pack_matrix(SqMatrix(A.dim, {(c, r): ring.one()}), bits)
         assert tensor.trace_product(got, probe) == v
@@ -213,13 +214,95 @@ def test_packed_matrices_stay_packed_through_represent(m4):
     assert isinstance(braid.represent(BraidWord(2, ()), img), packed.PackedMatrix)
 
 
+def signed_model(N, sign, mirrored):
+    m = build_model(N, sign)
+    return mirror_model(m) if mirrored else m
+
+
+def exact_twin(m):
+    """The unit-free letters the packed image holds, over the exact ring, as a model for represent."""
+    L = packed._letters(m)
+    return SimpleNamespace(N=m.N, R=L.R_hat, R_inv=L.R_bar)
+
+
+def unfolded(M):
+    """A PackedMatrix read back entry by entry, as {(r, c): RingElem}."""
+    return {(r, c): packed.unpack(v, M.bits, M.shift)
+            for r, row in M.rows.items() for c, v in row.items()}
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirror"])
+@pytest.mark.parametrize("N,sign", SIGNED, ids=[f"N{N}{'+' if s > 0 else '-'}" for N, s in SIGNED])
+def test_letter_on_rows_is_the_letter_restricted(N, sign, mirrored):
+    """letter_matrix(..., rows=S) builds the rows in S of the full letter, exact and packed."""
+    m = signed_model(N, sign, mirrored)
+    img = packed.image(m, 40)
+    n = 4
+    rng = random.Random(10 * N + sign)
+    halves = set(img.closure_weight(n)[1])  # the charges w >= 0
+    scattered = set(rng.sample(range(N ** n), N ** n // 3))
+    for letter in (1, -1, 2, -2, 3, -3):
+        for model in (m, img):
+            full = braid.letter_matrix(model, n, letter)
+            for S in (halves, scattered):
+                part = braid.letter_matrix(model, n, letter, rows=S)
+                assert part.rows == {r: row for r, row in full.rows.items() if r in S}
+        assert unfolded(braid.letter_matrix(img, n, letter)) == \
+            braid.letter_matrix(exact_twin(m), n, letter).entries
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirror"])
+@pytest.mark.parametrize("N,sign", SIGNED, ids=[f"N{N}{'+' if s > 0 else '-'}" for N, s in SIGNED])
+def test_packed_product_matches_the_exact_product(N, sign, mirrored):
+    """Every packed product reads back as the SqMatrix product, and keeps no zero entry.
+
+    A letter next to its inverse cancels most sums, which must then be
+    dropped, as SqMatrix drops them.
+    """
+    m = signed_model(N, sign, mirrored)
+    twin = exact_twin(m)
+    rng = random.Random(20 * N + sign)
+    for n in (2, 3, 4):
+        word = braid.random_word(rng, n, 5)
+        word = BraidWord(n, word.letters + (1, -1) + word.letters[:2])
+        img = packed.image(m, packed.closure_bits(m, word))  # bounds every entry too
+        acc, want = None, None
+        for letter in word.letters:
+            g = braid.letter_matrix(img, n, letter)
+            e = braid.letter_matrix(twin, n, letter)
+            acc, want = (g, e) if acc is None else (acc @ g, want @ e)
+            assert all(0 not in row.values() for row in acc.rows.values())
+            assert unfolded(acc) == want.entries
+    ident = braid.letter_matrix(img, 2, 1) @ braid.letter_matrix(img, 2, -1)
+    assert unfolded(ident) == SqMatrix.identity(N * N).entries
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_represent_on_rows_builds_letters_on_those_rows(N):
+    """Every letter represent(..., rows=) builds holds only rows in ``rows``, and so does the product."""
+    m = build_model(N)
+    n = invariants.STRAND_CAP[N] - 1
+    word = braid.random_word(random.Random(N), n, 8)
+    img = packed.image(m, packed.closure_bits(m, word))
+    rows = img.closure_weight(n)[1].keys()
+    letters: dict = {}
+    part = braid.represent(word, img, cache=letters, rows=rows)
+    assert sorted(letters) == sorted(set(word.letters))
+    for g in letters.values():
+        assert set(g.rows) <= rows
+    full = braid.represent(word, img)
+    assert part.rows == {r: row for r, row in full.rows.items() if r in rows}
+    empty = braid.represent(BraidWord(n, ()), img, rows=rows)
+    assert empty.rows == {r: {r: 1} for r in rows}
+
+
 def test_closure_trace_builds_each_letter_once(m3, monkeypatch):
     built = []
     letter_matrix = braid.letter_matrix
 
-    def counting(model, n, letter):
+    def counting(model, n, letter, rows=None):
         built.append(letter)
-        return letter_matrix(model, n, letter)
+        return letter_matrix(model, n, letter, rows=rows)
 
     monkeypatch.setattr(braid, "letter_matrix", counting)
     w = BraidWord(4, (1, -2, 3, 1, -2, 3))  # every letter sits in both halves
