@@ -26,7 +26,7 @@ from .models import (
     mirror_model,
 )
 from .ring import RingElem
-from .tensor import annihilates, partial_close_second, trace_product
+from .tensor import partial_close_second, trace_product
 
 
 def _closure_trace(word: BraidWord, m: VertexModel, bits: int) -> RingElem:
@@ -107,13 +107,15 @@ def compute_constants(m: VertexModel) -> ModelConstants:
 
 
 def minpoly_check(m: VertexModel, eigenvalues=None) -> bool:
-    """Annihilation by prod(R - lam), minimality, and the closed form."""
+    """Annihilation by prod(R - lam), minimality, and the closed form.
+
+    Minimal: no product leaving one factor out is zero
+    (:func:`vertexlink.packed.annihilates`).
+    """
     eig = tuple(eigenvalues) if eigenvalues is not None else m.eigenvalues
     if eigenvalues is None and eig != generic_eigenvalues(m.N, m.Z):
         return False
-    if not annihilates(m.R, eig):
-        return False
-    return not any(annihilates(m.R, eig[:i] + eig[i + 1:]) for i in range(len(eig)))
+    return packed.annihilates(m.R, eig, minimal=True)
 
 
 def skein_coefficients(m: VertexModel) -> list[tuple[int, RingElem]]:

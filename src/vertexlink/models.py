@@ -46,14 +46,15 @@ from .errors import (
     MinPolyViolated,
     UnsupportedN,
 )
+from .packed import annihilates
 from .ring import RingElem
 from .tensor import (
     YANG_BAXTER,
     IndexConvention,
     SqMatrix,
-    annihilates,
     charge_sectors,
     check_flip,
+    closure_character,
     det,
     inverse_blockwise,
     trace_product,
@@ -288,23 +289,6 @@ def check_trace_constants(N: int, Z: RingElem, k: RingElem, D: RingElem,
         raise ClosedFormMismatch("tau disagrees with Z / D")
     if taubar_trace * D != Z * _Q(N * N - 1) * k * k:
         raise ClosedFormMismatch("taubar disagrees with Z q^(N^2-1) / D")
-
-
-def closure_character(mu: SqMatrix, conv: IndexConvention) -> tuple[int, int]:
-    """(sigma, kappa) with mu = sigma diag(q^(kappa a)) over the labels a, exactly.
-
-    Turaev's enhancement (Invent. Math. 92, 1988): mu^(x)n is then the unit
-    sigma^n q^(kappa w) on each charge sector w.  Anything else is refused.
-    """
-    first = mu.entries.get((0, 0))
-    if first is None or not first.is_unit():
-        raise ConventionValidationFailed("closure weight mu[0,0] is not a unit")
-    sigma, lo = first.as_unit()
-    kappa = -lo // (conv.N - 1)  # lo = 2 kappa a for the lowest label a = -(N - 1) / 2
-    if mu != SqMatrix(conv.N, {(i, i): _S(int(2 * kappa * a), sigma)
-                               for i, a in enumerate(conv.labels)}):
-        raise ConventionValidationFailed("closure weight mu is not sigma diag(q^(kappa a))")
-    return sigma, kappa
 
 
 def _finalize(

@@ -1,4 +1,4 @@
-"""Kronecker-packed closure traces: the braid chain on plain ints.
+"""Kronecker-packed matrices: closure traces and exact identity checks on plain ints.
 
 The closure trace only adds and multiplies ring elements, and substituting
 a number for q is a ring homomorphism, so the chain can run on Python ints
@@ -6,8 +6,10 @@ a number for q is a ring homomorphism, so the chain can run on Python ints
 the unit Z out of every letter (R/Z and Z R^-1) leaves entries in
 Z[q^+-1]: every exponent in s is even.  (The N = 4 model is built in the
 gauge that clears the radical of its table, :mod:`vertexlink.models`.)  A
-:class:`PackedMatrix` stores q^shift times a matrix over Z[q^+-1], shifted
-to nonnegative degree and evaluated at q = 2^bits: one int per entry.
+:class:`PackedMatrix` stores x^shift times a matrix over Z[x^+-1], shifted
+to nonnegative degree and evaluated at x = 2^bits: one int per entry.  The
+variable x is q = s^2 for the closure letters; a check whose operands hold
+odd powers of s (R, M_u and M_d for N = 2 and 4) packs at x = s.
 
 Only the final scalar is unpacked, as balanced base-2^bits digits.  That is
 exact when every coefficient of the result has absolute value below
@@ -16,7 +18,7 @@ coefficients.  It bounds every coefficient and ||xy|| <= ||x|| ||y||, so
 the largest row sum rho of entry weights obeys rho(AB) <= rho(A) rho(B),
 and a trace weighs at most dim times a row sum.  The closure weight
 mu^(x)n adds no factor: it is the unit sigma^n q^(kappa w) on each charge
-sector w (:func:`vertexlink.models.closure_character`), of weight 1, so
+sector w (:func:`vertexlink.tensor.closure_character`), of weight 1, so
 the trace shifts each sector's sum by its power of q once and never forms
 mu^(x)n as a matrix.  No value is ever rounded.
 
@@ -51,6 +53,29 @@ same width unpacks it.
 A :class:`PackedMatrix` is keyed by row, {r: {c: int}}: a product walks
 the right factor's rows as stored, and the closure trace looks up
 B[c][r] for each entry A[r][c] of a row of weight.
+
+Exact identity checks compare two sides on the image instead of reading a
+scalar back.  Each operand is packed once, the sides are formed on ints,
+and x^-s1 a equals x^-s2 b exactly when a << bits (s2 - s1) == b for
+s2 >= s1 (:func:`first_difference`, ``PackedMatrix.__eq__``).  Equal
+images mean equal polynomials once every coefficient of both sides lies
+below 2^(bits-1) in absolute value: balanced base-2^bits digits are
+unique, and the image of a polynomial with such coefficients spells them.
+Only a failing check unpacks, to name its witness.  The widths come from
+the same two facts as :func:`closure_bits`, every coefficient at most the
+weight and the weight submultiplicative, with bits = bitlen(2 X) + 1
+(:func:`width`) for a bound X on the weight of every entry of both sides:
+
+* A matrix chain A_1 ... A_L weighs at most prod rho(A_i) in each entry:
+  entry (r, c) is a sum over paths, and summing the first factor's row
+  first gives rho(A_1) times the largest entry weight of the rest.
+  :func:`annihilates` bounds R - lam 1 by rho(R) + ||lam||, and the
+  Temperley-Lieb products bound E E' E by rho(e)^3, since an embedding
+  1 (x) e (x) 1 keeps the rows of e.
+* A contraction (:func:`vertexlink.tensor.contract`) sums, in each output
+  entry, at most size^k products of one entry per operand, k the number of
+  summed letters and size the range of each index, so it weighs at most
+  size^k prod max ||T_i|| (:func:`contraction_bound`).
 """
 
 from __future__ import annotations
@@ -61,38 +86,43 @@ from dataclasses import dataclass
 from . import _kernel as K
 from . import ring
 from .errors import DimensionMismatch, DomainError
-from .models import closure_character
 from .ring import RingElem
+from .tensor import closure_character
 
 
 class PackedMatrix:
-    """Square sparse matrix over the image of Z[q^+-1] at q = 2^bits.
+    """Square sparse matrix over the image of Z[x^+-1] at x = 2^bits, x = s^step.
 
-    It stands for q^-shift times the matrix whose entries unpack from the
+    It stands for x^-shift times the matrix whose entries unpack from the
     ints in ``rows``, keyed by row and then column: {r: {c: int}}.  A row
-    with no entry is left out.
+    with no entry is left out.  The closure letters pack at x = q (step 2).
     """
 
-    __slots__ = ("dim", "rows", "bits", "shift")
+    __slots__ = ("dim", "rows", "bits", "shift", "step")
 
-    def __init__(self, dim: int, rows: dict[int, dict[int, int]], bits: int, shift: int):
+    def __init__(self, dim: int, rows: dict[int, dict[int, int]], bits: int, shift: int,
+                 step: int = 2):
         self.dim = dim
         self.rows = rows
         self.bits = bits
         self.shift = shift
+        self.step = step
 
     def like(self, dim: int, rows: dict[int, dict[int, int]]) -> "PackedMatrix":
         """A matrix over the same image with the same shift, entries taken as given."""
-        return PackedMatrix(dim, rows, self.bits, self.shift)
+        return PackedMatrix(dim, rows, self.bits, self.shift, self.step)
 
     def identity(self, dim: int, rows=None) -> "PackedMatrix":
         """The identity, or only its rows in ``rows``."""
         return PackedMatrix(dim, {i: {i: 1} for i in (range(dim) if rows is None else rows)},
-                            self.bits, 0)
+                            self.bits, 0, self.step)
+
+    def _check(self, other: "PackedMatrix"):
+        if self.dim != other.dim or self.bits != other.bits or self.step != other.step:
+            raise DimensionMismatch(f"{self!r} vs {other!r}")
 
     def __matmul__(self, other: "PackedMatrix") -> "PackedMatrix":
-        if self.dim != other.dim or self.bits != other.bits:
-            raise DimensionMismatch(f"{self!r} @ {other!r}")
+        self._check(other)
         get = other.rows.get
         out = {}
         for r, row in self.rows.items():
@@ -109,19 +139,38 @@ class PackedMatrix:
                 acc = {c: v for c, v in acc.items() if v}
             if acc:
                 out[r] = acc
-        return PackedMatrix(self.dim, out, self.bits, self.shift + other.shift)
+        return PackedMatrix(self.dim, out, self.bits, self.shift + other.shift, self.step)
+
+    def __eq__(self, other) -> bool:
+        """Whether both stand for the same matrix, their shifts aligned.
+
+        Exact when every coefficient of both lies below 2^(bits-1) in
+        absolute value (see the module docstring).
+        """
+        if not isinstance(other, PackedMatrix):
+            return NotImplemented
+        self._check(other)
+        a, b = _aligned(self.rows, self.shift, other.rows, other.shift, self.bits)
+        return a == b
+
+    def scaled(self, c: RingElem) -> "PackedMatrix":
+        """c times this matrix; c is packed at the same width and variable."""
+        shift = -low_degree([c], self.step)
+        v = pack_value(c, self.bits, self.step, shift)
+        return PackedMatrix(self.dim, {r: {k: x * v for k, x in row.items()}
+                                       for r, row in self.rows.items()},
+                            self.bits, self.shift + shift, self.step)
 
     def trace_product(self, other: "PackedMatrix", weights=None) -> RingElem:
         """tr(self @ other @ W), unpacked, without forming the product.
 
-        W is diagonal: row r weighs the sum of q^e over the exponents e in
+        W is diagonal: row r weighs the sum of x^e over the exponents e in
         ``weights[r]``, and a row ``weights`` leaves out weighs 0; without
         ``weights``, W = 1.  The diagonal terms are summed per row weight
         (per charge sector, for a closure weight), and each sum is shifted
-        by its powers of q once.
+        by its powers of x once.
         """
-        if self.dim != other.dim or self.bits != other.bits:
-            raise DimensionMismatch(f"{self!r} vs {other!r}")
+        self._check(other)
         if weights is None:
             weights = dict.fromkeys(range(self.dim), (0,))
         get = other.rows.get
@@ -137,29 +186,59 @@ class PackedMatrix:
                         t += v * b[r]
                 sums[es] = sums.get(es, 0) + t
         total = sum(t << self.bits * e for es, t in sums.items() for e in es)
-        return unpack(total, self.bits, self.shift + other.shift)
+        return unpack(total, self.bits, self.shift + other.shift, self.step)
 
     def __repr__(self):
         nnz = sum(len(row) for row in self.rows.values())
         return f"PackedMatrix(dim={self.dim}, nnz={nnz}, bits={self.bits})"
 
 
-def _q_terms(poly, lift: int):
-    """(q-exponent, coeff) of a kernel polynomial in s, times q^lift; exponents must be even."""
-    off, coeffs = poly
+# ------------------------------------------------------- packing and reading
+
+
+def variable_step(values) -> int:
+    """2 (pack at x = q) when every exponent of s in ``values`` is even, else 1 (x = s)."""
+    for v in values:
+        off, coeffs = v.rat
+        if any((off + i) % 2 for i, c in enumerate(coeffs) if c):
+            return 1
+    return 2
+
+
+def low_degree(values, step: int = 2) -> int:
+    """The lowest exponent of x = s^step over the nonzero ``values`` (0 if none)."""
+    return min((v.rat[0] // step for v in values if v), default=0)
+
+
+def pack_value(v: RingElem, bits: int, step: int = 2, shift: int = 0) -> int:
+    """x^shift v at x = 2^bits, x = s^step; x^shift v must be a polynomial in x."""
+    off, coeffs = v.rat
+    acc = 0
     for i, c in enumerate(coeffs):
         if c:
-            if (off + i) % 2:
-                raise DomainError("odd power of s: the entry is not in Z[q^+-1]")
-            yield (off + i) // 2 + lift, c
+            e, odd = divmod(off + i, step)
+            if odd:
+                raise DomainError(f"s^{off + i} is no power of x = s^{step}")
+            if e + shift < 0:
+                raise DomainError(f"x^{e + shift} is a negative power: shift too small")
+            acc += c << bits * (e + shift)
+    return acc
 
 
-def pack_matrix(M, bits: int) -> PackedMatrix:
-    """M (a SqMatrix over Z[q^+-1]) at q = 2^bits, shifted to nonnegative degree."""
-    shift = -min((min(e for e, _ in _q_terms(v.rat, 0)) for v in M.entries.values()), default=0)
-    rows = {r: {c: sum(x << bits * e for e, x in _q_terms(v.rat, shift)) for c, v in row.items()}
+def pack(values: dict, bits: int, step: int = 2) -> tuple[dict, int]:
+    """{key: RingElem} at x = 2^bits as ({key: int}, shift), each value times
+    x^shift, the lowest degree lifted to 0."""
+    shift = -low_degree(values.values(), step)
+    return {k: pack_value(v, bits, step, shift) for k, v in values.items()}, shift
+
+
+def pack_matrix(M, bits: int, step: int = 2, shift: int | None = None) -> PackedMatrix:
+    """M (a SqMatrix) at x = 2^bits, shifted to nonnegative degree unless ``shift`` is given."""
+    if shift is None:
+        shift = -low_degree(M.entries.values(), step)
+    rows = {r: {c: pack_value(v, bits, step, shift) for c, v in row.items()}
             for r, row in M.rows.items()}
-    return PackedMatrix(M.dim, rows, bits, shift)
+    return PackedMatrix(M.dim, rows, bits, shift, step)
 
 
 def _digits(x: int, bits: int) -> list[int]:
@@ -178,12 +257,149 @@ def _digits(x: int, bits: int) -> list[int]:
     return out
 
 
-def unpack(a: int, bits: int, shift: int) -> RingElem:
-    """q^-shift a read back at q = 2^bits, as a ring element in s."""
+def unpack(a: int, bits: int, shift: int, step: int = 2) -> RingElem:
+    """x^-shift a read back at x = 2^bits, x = s^step, as a ring element in s."""
     digits = _digits(a, bits)
-    buf = [0] * (2 * len(digits) - 1)  # digit i is the coefficient of s^(2 (i - shift))
-    buf[::2] = digits
-    return RingElem(K.canon(-2 * shift, buf))
+    buf = [0] * (step * len(digits) - step + 1 if digits else 0)
+    buf[::step] = digits  # digit i is the coefficient of s^(step (i - shift))
+    return RingElem(K.canon(-step * shift, buf))
+
+
+def _shifted(values: dict, d: int) -> dict:
+    """``values`` with every int, in nested maps too, shifted left by d bits."""
+    return {k: _shifted(v, d) if isinstance(v, dict) else v << d for k, v in values.items()}
+
+
+def _aligned(a: dict, sa: int, b: dict, sb: int, bits: int) -> tuple[dict, dict]:
+    """x^-sa a and x^-sb b as int maps over the one shift max(sa, sb)."""
+    if sa < sb:
+        a = _shifted(a, bits * (sb - sa))
+    elif sb < sa:
+        b = _shifted(b, bits * (sa - sb))
+    return a, b
+
+
+def first_difference(lhs: tuple[dict, int], rhs: tuple[dict, int], bits: int, step: int = 2):
+    """The first key, in sorted order, where two packed maps differ, with both values
+    unpacked, as (key, lhs value, rhs value); None when they stand for the same map.
+
+    Each side is ({key: int}, shift) as :func:`pack` returns it; a missing
+    key stands for 0.  Exact under the width condition of the module
+    docstring.
+    """
+    (a, sa), (b, sb) = lhs, rhs
+    a, b = _aligned(a, sa, b, sb, bits)
+    if a == b:
+        return None
+    for key in sorted(a.keys() | b.keys()):
+        x, y = a.get(key, 0), b.get(key, 0)
+        if x != y:
+            shift = max(sa, sb)
+            return key, unpack(x, bits, shift, step), unpack(y, bits, shift, step)
+
+
+# ------------------------------------------------------------------- widths
+
+
+def weight(v: RingElem) -> int:
+    """l1 norm of the coefficients: it bounds each, and is submultiplicative on Z[q^+-1]."""
+    return sum(abs(x) for x in v.rat[1])
+
+
+def row_weight(M) -> int:
+    """Largest row sum of entry weights."""
+    return max((sum(map(weight, row.values())) for row in M.rows.values()), default=0)
+
+
+def width(bound: int) -> int:
+    """Packing width that reads back every coefficient of weight at most ``bound``.
+
+    bits = bitlen(2 bound) + 1 leaves every such coefficient below 2^(bits-2).
+    """
+    return (2 * bound).bit_length() + 1
+
+
+def contraction_bound(spec: str, size: int, norms) -> int:
+    """Weight bound on every entry of ``tensor.contract(spec, *operands)``.
+
+    ``norms`` holds the largest entry weight of each operand.  Each output
+    entry sums at most size^k products of one entry per operand, k the
+    number of letters summed out, each index ranging over ``size`` values.
+    """
+    inputs, _, out = spec.partition("->")
+    bound = size ** len(set(inputs.replace(",", "")) - set(out))
+    for x in norms:
+        bound *= x
+    return bound
+
+
+# -------------------------------------------------------- minimal polynomial
+
+
+def annihilator_bits(R, eigenvalues) -> int:
+    """Width that reads every product of the factors R - lam 1, or of some of them.
+
+    rho(R - lam 1) <= rho(R) + ||lam||, and a product of some factors weighs
+    at most the product of all of them, since each is at least 1.
+    """
+    rho = row_weight(R)
+    bound = 1
+    for lam in eigenvalues:
+        bound *= max(1, rho + weight(lam))
+    return width(bound)
+
+
+def annihilates(R, eigenvalues, minimal: bool = False) -> bool:
+    """Whether prod (R - lam 1) over ``eigenvalues`` is the zero matrix; with
+    ``minimal``, also that no product leaving one factor out is.
+
+    R (a SqMatrix) and every lam are packed once with one shift, at
+    :func:`annihilator_bits`, so each factor subtracts ints on the
+    diagonal.  The factors are polynomials in R, so they commute: the
+    product leaving out factor i is the prefix product before i times the
+    suffix product after it, about 3k packed products for k factors in
+    place of k^2.
+    """
+    eig = tuple(eigenvalues)
+    return _annihilates(R, eig, minimal, annihilator_bits(R, eig))
+
+
+def _annihilates(R, eig: tuple, minimal: bool, bits: int) -> bool:
+    values = [*R.entries.values(), *eig]
+    step = variable_step(values)
+    base = pack_matrix(R, bits, step, -low_degree(values, step))
+
+    def factor(lam):
+        c = pack_value(lam, bits, step, base.shift)
+        rows = {r: dict(row) for r, row in base.rows.items()}
+        for i in range(R.dim):
+            row = rows.setdefault(i, {})
+            v = row.get(i, 0) - c
+            if v:
+                row[i] = v
+            else:
+                row.pop(i, None)
+        return base.like(R.dim, {r: row for r, row in rows.items() if row})
+
+    F = [factor(lam) for lam in eig]
+    if not F:
+        return not R.dim  # the empty product is the identity
+    prefix = [F[0]]  # prefix[i] = F_0 ... F_i
+    for f in F[1:]:
+        prefix.append(prefix[-1] @ f)
+    if prefix[-1].rows:
+        return False
+    if not minimal or len(F) == 1:
+        return True  # leaving out the only factor leaves the identity
+    suffix = {len(F) - 1: F[-1]}  # suffix[i] = F_i ... F_(k-1)
+    for i in range(len(F) - 2, 0, -1):
+        suffix[i] = F[i] @ suffix[i + 1]
+    if not suffix[1].rows or not prefix[-2].rows:
+        return False
+    return all((prefix[i - 1] @ suffix[i + 1]).rows for i in range(1, len(F) - 1))
+
+
+# ------------------------------------------------------------ closure trace
 
 
 @functools.lru_cache(maxsize=32)
@@ -231,21 +447,11 @@ class _Letters:
     rho_neg: int
 
 
-def weight(v: RingElem) -> int:
-    """l1 norm of the coefficients: it bounds each, and is submultiplicative on Z[q^+-1]."""
-    return sum(abs(x) for x in v.rat[1])
-
-
-def _row_weight(M) -> int:
-    """Largest row sum of entry weights."""
-    return max((sum(map(weight, row.values())) for row in M.rows.values()), default=0)
-
-
 @functools.lru_cache(maxsize=32)
 def _letters(m) -> _Letters:
     R_hat = m.R * ring.invert_unit(m.Z)
     R_bar = m.R_inv * m.Z
-    return _Letters(R_hat, R_bar, _row_weight(R_hat), _row_weight(R_bar))
+    return _Letters(R_hat, R_bar, row_weight(R_hat), row_weight(R_bar))
 
 
 def closure_bits(m, word) -> int:
@@ -260,8 +466,7 @@ def closure_bits(m, word) -> int:
     L = _letters(m)
     n = word.strands
     pos = sum(1 for x in word.letters if x > 0)
-    bound = (m.N ** n) * L.rho_pos ** pos * L.rho_neg ** (len(word.letters) - pos)
-    return (2 * bound).bit_length() + 1
+    return width((m.N ** n) * L.rho_pos ** pos * L.rho_neg ** (len(word.letters) - pos))
 
 
 @functools.lru_cache(maxsize=64)

@@ -316,15 +316,6 @@ def partial_close_second(R: SqMatrix, mu: SqMatrix, conv: IndexConvention) -> Sq
     return SqMatrix(N, contract("abce,ec->ab", legs(R, N), mu.entries))
 
 
-def annihilates(R: SqMatrix, eigenvalues) -> bool:
-    """Whether prod (R - lam * 1) over ``eigenvalues`` is the zero matrix."""
-    ident = SqMatrix.identity(R.dim)
-    prod = ident
-    for lam in eigenvalues:
-        prod = prod @ (R - lam * ident)
-    return prod.is_zero()
-
-
 def _dense(M: SqMatrix) -> list[list[RingElem]]:
     z = ring.zero()
     return [[M.entries.get((r, c), z) for c in range(M.dim)] for r in range(M.dim)]
@@ -430,6 +421,23 @@ def check_flip(R: SqMatrix, C: SqMatrix, conv: IndexConvention) -> None:
             raise ConventionValidationFailed(
                 f"entry [{r},{c}] breaks the flip symmetry against [{fr},{fc}]"
             )
+
+
+def closure_character(mu: SqMatrix, conv: IndexConvention) -> tuple[int, int]:
+    """(sigma, kappa) with mu = sigma diag(q^(kappa a)) over the labels a, exactly.
+
+    Turaev's enhancement (Invent. Math. 92, 1988): mu^(x)n is then the unit
+    sigma^n q^(kappa w) on each charge sector w.  Anything else is refused.
+    """
+    first = mu.entries.get((0, 0))
+    if first is None or not first.is_unit():
+        raise ConventionValidationFailed("closure weight mu[0,0] is not a unit")
+    sigma, lo = first.as_unit()
+    kappa = -lo // (conv.N - 1)  # lo = 2 kappa a for the lowest label a = -(N - 1) / 2
+    if mu != SqMatrix(conv.N, {(i, i): ring.s_power(int(2 * kappa * a), sigma)
+                               for i, a in enumerate(conv.labels)}):
+        raise ConventionValidationFailed("closure weight mu is not sigma diag(q^(kappa a))")
+    return sigma, kappa
 
 
 def inverse_blockwise(R: SqMatrix, conv: IndexConvention) -> SqMatrix:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import ring
+from . import packed, ring
 from .axioms import CheckReport, nullspace
 from .braid import embed_two_site
 from .errors import (
@@ -51,20 +51,40 @@ def build_tl(m: VertexModel) -> TLData:
     return TLData(e=e, f=P @ e @ P, k=m.k)
 
 
+def tl_bits(tl: TLData) -> int:
+    """Packing width that decides every relation of :func:`tl_relations_check` exactly.
+
+    An embedding 1 (x) e (x) 1 keeps the rows of e, so with rho the largest
+    row weight of e or f, E E' E weighs at most rho^3 in each entry and k E
+    at most ||k|| rho (:mod:`vertexlink.packed`).
+    """
+    rho = max(packed.row_weight(tl.e), packed.row_weight(tl.f))
+    return packed.width(max(rho ** 3, packed.weight(tl.k) * rho))
+
+
 def tl_relations_check(m: VertexModel, max_strands: int = 4) -> CheckReport:
     """E_i^2 = k E_i, E_i E_(i+-1) E_i = E_i, far commutation, for e and f,
-    on 2 up to the model's strand cap (``invariants.STRAND_CAP``)."""
+    on 2 up to the model's strand cap (``invariants.STRAND_CAP``).
+
+    e and f are packed once at :func:`tl_bits` and every product runs on
+    the packed image.
+    """
     cap = STRAND_CAP[m.N]
     if not 2 <= max_strands <= cap:
         raise DomainError(f"max_strands must be between 2 and {cap}, got {max_strands}")
-    rep = CheckReport()
     tl = build_tl(m)
-    N = m.N
+    return _tl_relations(tl, m.N, max_strands, tl_bits(tl))
+
+
+def _tl_relations(tl: TLData, N: int, max_strands: int, bits: int) -> CheckReport:
+    rep = CheckReport()
+    step = packed.variable_step([*tl.e.entries.values(), *tl.f.entries.values(), tl.k])
     for name, gen in (("e", tl.e), ("f", tl.f)):
+        g = packed.pack_matrix(gen, bits, step)
         for n in range(2, max_strands + 1):
-            E = [None] + [embed_two_site(gen, N, n, i) for i in range(1, n)]
+            E = [None] + [embed_two_site(g, N, n, i) for i in range(1, n)]
             for i in range(1, n):
-                ok = E[i] @ E[i] == m.k * E[i]
+                ok = E[i] @ E[i] == E[i].scaled(tl.k)
                 rep.record(f"{name}:square:n{n}:i{i}", ok, "E^2 != k E")
             for i in range(1, n - 1):
                 ok = E[i] @ E[i + 1] @ E[i] == E[i]

@@ -1,0 +1,321 @@
+"""The exact identity checks on the Kronecker-packed image equal their SqMatrix references.
+
+``packed.annihilates``, the braid and twist equations of
+``axioms.check_axioms`` and ``tlbracket.tl_relations_check`` compare both
+sides as ints at a proven width.  Each is checked here against the same
+computation over the exact ring: the width bounds every coefficient of
+both sides, a width below the coefficients gives a wrong verdict, and the
+verdicts and witnesses agree with the reference.
+"""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vertexlink import axioms, braid, packed, ring, tlbracket
+from vertexlink.axioms import (
+    CheckReport,
+    braid_equation_sides,
+    check_axioms,
+    twist1_sides,
+    twist2_sides,
+)
+from vertexlink.invariants import STRAND_CAP
+from vertexlink.models import build_model, mirror_model
+from vertexlink.tensor import SqMatrix
+
+MODELS = [(N, sign, mirrored) for N in (2, 3, 4) for sign in (1, -1) for mirrored in (False, True)]
+IDS = [f"N{N}{'+' if s > 0 else '-'}{'m' if mir else ''}" for N, s, mir in MODELS]
+
+
+def signed_model(N, sign, mirrored):
+    m = build_model(N, sign)
+    return mirror_model(m) if mirrored else m
+
+
+def coeff_max(values):
+    """The largest absolute coefficient over ring elements."""
+    return max((abs(c) for v in values for c in v.rat[1]), default=0)
+
+
+def vanishing(bits, step, j):
+    """2^bits x^j - x^(j+1), x = s^step: a nonzero polynomial whose image at x = 2^bits is 0."""
+    return ring.s_power(step * j, 2 ** bits) - ring.s_power(step * (j + 1))
+
+
+def operands(m):
+    """The operands of ``axioms.EQUATIONS`` for the model ``m``, by name."""
+    return axioms._operands(m.R, m.R_inv, m.M_u, m.M_d, m.N)
+
+
+def bumped(M, key, delta):
+    """M with delta added to the entry at ``key``."""
+    entries = dict(M.entries)
+    entries[key] = entries.get(key, ring.zero()) + delta
+    return SqMatrix(M.dim, entries)
+
+
+@pytest.mark.parametrize("N,sign,mirrored", MODELS, ids=IDS)
+def test_widths_are_the_proven_bounds(N, sign, mirrored):
+    """bits = bitlen(2 X) + 1 for the bound X of each check, pinned per N.
+
+    N = 2: the largest R entry weighs 2, so the braid sides weigh at most
+    2^3 (summed i, j, k) times 2^3 = 64 and take 9 bits; rho(R) = 3 and
+    each eigenvalue is a unit, so prod (rho(R) + 1) = 16 takes 7; rho(e) = 2,
+    so rho^3 = 8 takes 6.  N = 3, 4 follow with entry weights 4, 6 and
+    rho(R) = 7, 13.
+    """
+    m = signed_model(N, sign, mirrored)
+    widths = (axioms.equation_bits(operands(m), m.N),
+              packed.annihilator_bits(m.R, m.eigenvalues),
+              tlbracket.tl_bits(tlbracket.build_tl(m)))
+    assert widths == {2: (9, 7, 6), 3: (13, 12, 7), 4: (16, 18, 9)}[N]
+
+
+# -------------------------------------------------------- minimal polynomial
+
+
+def exact_product(R, eigenvalues):
+    ident = SqMatrix.identity(R.dim)
+    prod = ident
+    for lam in eigenvalues:
+        prod = prod @ (R - lam * ident)
+    return prod
+
+
+def leave_one_out(eig):
+    return [eig[:i] + eig[i + 1:] for i in range(len(eig))]
+
+
+@pytest.mark.parametrize("N,sign,mirrored", MODELS, ids=IDS)
+def test_annihilates_matches_the_exact_products(N, sign, mirrored):
+    m = signed_model(N, sign, mirrored)
+    eig = m.eigenvalues
+    wrong = (eig[0],) * N
+    for lams in [eig, wrong, eig + (eig[0],), ()] + leave_one_out(eig):
+        assert packed.annihilates(m.R, lams) == exact_product(m.R, lams).is_zero(), lams
+    assert packed.annihilates(m.R, eig, minimal=True)
+    assert not packed.annihilates(m.R, eig + (eig[-1],), minimal=True)  # annihilates, not minimal
+    assert not packed.annihilates(m.R, wrong, minimal=True)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_minimality_checks_every_leave_one_out_product(N):
+    """A repeated eigenvalue at any place makes the list annihilate without being minimal."""
+    m = build_model(N)
+    eig = m.eigenvalues
+    for i in range(N + 1):
+        for lam in eig:
+            padded = eig[:i] + (lam,) + eig[i:]
+            assert packed.annihilates(m.R, padded)
+            assert not packed.annihilates(m.R, padded, minimal=True), (i, lam)
+
+
+@pytest.mark.parametrize("N,sign,mirrored", MODELS, ids=IDS)
+def test_annihilator_width_bounds_every_product(N, sign, mirrored):
+    m = signed_model(N, sign, mirrored)
+    eig = m.eigenvalues
+    bits = packed.annihilator_bits(m.R, eig)
+    for lams in [eig[:i] for i in range(1, N + 1)] + leave_one_out(eig):
+        assert coeff_max(exact_product(m.R, lams).entries.values()) < 2 ** (bits - 2), lams
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_annihilator_too_narrow_width_reads_wrong(N):
+    m = build_model(N)
+    step = packed.variable_step([*m.R.entries.values(), *m.eigenvalues])
+    bits = 3
+    off = (m.eigenvalues[0] + vanishing(bits, step, 1),) + m.eigenvalues[1:]
+    assert not exact_product(m.R, off).is_zero()
+    assert not packed.annihilates(m.R, off)
+    # at x = 2^3 the wrong eigenvalue has the right image: the narrow width accepts it
+    assert packed._annihilates(m.R, off, False, bits)
+
+
+# --------------------------------------------------------- braid and twists
+
+
+def exact_diff(lhs, rhs):
+    """The witness of the exact reference: the first differing entry, rendered."""
+    z = ring.zero()
+    for key in sorted(set(lhs) | set(rhs)):
+        a, b = lhs.get(key, z), rhs.get(key, z)
+        if a != b:
+            return f"at {key}: {ring.render(a)} != {ring.render(b)}"
+    return ""
+
+
+def reference_axioms(m):
+    """check_axioms over the exact ring, through tensor.contract on RingElem values."""
+    rep = CheckReport()
+    ident_n, ident = SqMatrix.identity(m.N), SqMatrix.identity(m.N * m.N)
+    rep.record("m", m.M_d @ m.M_u == ident_n and m.M_u @ m.M_d == ident_n,
+               "M_u, M_d not mutually inverse")
+    rep.record("r", m.R @ m.R_inv == ident and m.R_inv @ m.R == ident, "R R^-1 != 1")
+    for name, (lhs, rhs) in exact_sides(m).items():
+        rep.record(name, lhs == rhs, exact_diff(lhs, rhs))
+    return rep
+
+
+def exact_sides(m):
+    args = (m.R, m.R_inv, m.M_u, m.M_d, m.N)
+    return {"braid": braid_equation_sides(m.R, m.N),
+            "twist1": twist1_sides(*args), "twist2": twist2_sides(*args)}
+
+
+@pytest.mark.parametrize("N,sign,mirrored", MODELS, ids=IDS)
+def test_equation_width_bounds_both_sides(N, sign, mirrored):
+    m = signed_model(N, sign, mirrored)
+    bits = axioms.equation_bits(operands(m), m.N)
+    for name, sides in exact_sides(m).items():
+        for side in sides:
+            assert coeff_max(side.values()) < 2 ** (bits - 2), name
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_equations_too_narrow_width_read_wrong(N):
+    m = build_model(N)
+    ops = [*m.R.entries.values(), *m.R_inv.entries.values(),
+           *m.M_u.entries.values(), *m.M_d.entries.values()]
+    step = packed.variable_step(ops)
+    bits = 3
+    bad = dataclasses.replace(m, R=bumped(m.R, (0, 0), vanishing(bits, step, 1)))
+    assert not reference_axioms(bad).results["braid"]
+    assert not check_axioms(bad).results["braid"]
+    # at x = 2^3 the bumped R has the image of R: every equation reads as holding
+    assert axioms._equation_witnesses(operands(bad), bits) == dict.fromkeys(axioms.EQUATIONS, "")
+
+
+@given(model=st.sampled_from(MODELS), row=st.integers(0, 15), col=st.integers(0, 15),
+       sign=st.sampled_from([1, -1]), k=st.integers(-12, 12))
+@settings(max_examples=40, deadline=None)
+def test_perturbed_r_agrees_with_the_exact_reference(model, row, col, sign, k):
+    m = signed_model(*model)
+    dim = m.N * m.N
+    bad = dataclasses.replace(m, R=bumped(m.R, (row % dim, col % dim), ring.s_power(k, sign)))
+    got, want = check_axioms(bad), reference_axioms(bad)
+    assert got.results == want.results
+    assert got.witnesses == want.witnesses
+
+
+# ------------------------------------------------------------ Temperley-Lieb
+
+
+def reference_relations(tl, N, max_strands, site=lambda n, i: i):
+    """tl_relations_check over the exact ring: SqMatrix products of the embedded e and f.
+
+    ``site(n, i)`` names the sites E_i is embedded on, i and i + 1 when right.
+    """
+    rep = CheckReport()
+    for name, gen in (("e", tl.e), ("f", tl.f)):
+        for n in range(2, max_strands + 1):
+            E = [None] + [braid.embed_two_site(gen, N, n, site(n, i)) for i in range(1, n)]
+            for i in range(1, n):
+                rep.record(f"{name}:square:n{n}:i{i}", E[i] @ E[i] == tl.k * E[i], "E^2 != k E")
+            for i in range(1, n - 1):
+                rep.record(f"{name}:hook:n{n}:i{i}", E[i] @ E[i + 1] @ E[i] == E[i],
+                           "E E' E != E")
+                rep.record(f"{name}:hook_rev:n{n}:i{i}", E[i + 1] @ E[i] @ E[i + 1] == E[i + 1],
+                           "E' E E' != E'")
+            for i in range(1, n - 1):
+                for j in range(i + 2, n):
+                    rep.record(f"{name}:far:n{n}:{i},{j}", E[i] @ E[j] == E[j] @ E[i],
+                               "far generators do not commute")
+    return rep
+
+
+def relation_products(tl, N, n):
+    """Every product both sides of the relations form on n strands, over the exact ring."""
+    out = []
+    for gen in (tl.e, tl.f):
+        E = [None] + [braid.embed_two_site(gen, N, n, i) for i in range(1, n)]
+        for i in range(1, n):
+            out += [E[i] @ E[i], tl.k * E[i]]
+        for i in range(1, n - 1):
+            out += [E[i] @ E[i + 1] @ E[i], E[i + 1] @ E[i] @ E[i + 1]]
+            out += [E[i] @ E[j] for j in range(i + 2, n)] + [E[j] @ E[i] for j in range(i + 2, n)]
+    return out
+
+
+@pytest.mark.parametrize("N,sign,mirrored", MODELS, ids=IDS)
+def test_tl_width_bounds_every_product(N, sign, mirrored):
+    m = signed_model(N, sign, mirrored)
+    tl = tlbracket.build_tl(m)
+    bits = tlbracket.tl_bits(tl)
+    for M in relation_products(tl, N, 4):
+        assert coeff_max(M.entries.values()) < 2 ** (bits - 2)
+
+
+def assert_agrees(got, want, broken):
+    assert got.results == want.results
+    assert got.witnesses == want.witnesses
+    failed = {name.split(":")[1] for name, ok in got.results.items() if not ok}
+    assert broken in failed, failed
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_tl_wrong_loop_value_breaks_square(N, monkeypatch):
+    m = build_model(N)
+    tl = tlbracket.build_tl(m)
+    bad = dataclasses.replace(tl, k=tl.k + ring.one())
+    monkeypatch.setattr(tlbracket, "build_tl", lambda _: bad)
+    got = tlbracket.tl_relations_check(m, max_strands=4)
+    assert_agrees(got, reference_relations(bad, N, 4), "square")
+    assert {name.split(":")[1] for name, ok in got.results.items() if not ok} == {"square"}
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_tl_perturbed_generator_breaks_hook(N, monkeypatch):
+    """c e with loop value c k keeps E^2 = k E and far commutation; E E' E = c^2 E breaks."""
+    m = build_model(N)
+    tl = tlbracket.build_tl(m)
+    c = ring.s_power(2, -1)
+    bad = tlbracket.TLData(e=tl.e * c, f=tl.f * c, k=tl.k * c)
+    monkeypatch.setattr(tlbracket, "build_tl", lambda _: bad)
+    got = tlbracket.tl_relations_check(m, max_strands=4)
+    assert_agrees(got, reference_relations(bad, N, 4), "hook")
+    assert {name.split(":")[1] for name, ok in got.results.items() if not ok} == {
+        "hook", "hook_rev"}
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_tl_generator_on_the_wrong_sites_breaks_far(N, monkeypatch):
+    """E_i for i >= 3 embedded one site left: E_1 and E_3 then overlap."""
+    m = build_model(N)
+    tl = tlbracket.build_tl(m)
+
+    def wrong(n, i):
+        return i - 1 if i >= 3 else i
+
+    def embed(op, N, n, i, rows=None):
+        return braid.embed_two_site(op, N, n, wrong(n, i), rows)
+
+    monkeypatch.setattr(tlbracket, "embed_two_site", embed)
+    got = tlbracket.tl_relations_check(m, max_strands=4)
+    assert_agrees(got, reference_relations(tl, N, 4, site=wrong), "far")
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_tl_too_narrow_width_reads_wrong(N):
+    m = build_model(N)
+    tl = tlbracket.build_tl(m)
+    step = packed.variable_step([*tl.e.entries.values(), *tl.f.entries.values(), tl.k])
+    bits = 3
+    e = bumped(tl.e, next(iter(tl.e.entries)), vanishing(bits, step, 1))
+    P = SqMatrix.permutation(N)
+    bad = tlbracket.TLData(e=e, f=P @ e @ P, k=tl.k)
+    want = reference_relations(bad, N, 3)
+    assert not want.passed
+    assert tlbracket._tl_relations(bad, N, 3, tlbracket.tl_bits(bad)).results == want.results
+    # at x = 2^3 the bumped e has the image of e: every relation reads as holding
+    assert tlbracket._tl_relations(bad, N, 3, bits).passed
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_tl_relations_at_the_strand_cap(N):
+    cap = STRAND_CAP[N]
+    rep = tlbracket.tl_relations_check(build_model(N), max_strands=cap)
+    assert rep.passed
+    assert f"e:far:n{cap}:1,3" in rep.results and f"f:hook_rev:n{cap}:i{cap - 2}" in rep.results
