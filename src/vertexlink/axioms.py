@@ -301,9 +301,8 @@ def _vec_to_matrix(vec: list[RingElem], N: int) -> SqMatrix:
     return SqMatrix(N, {(i, j): vec[i * N + j] for i in range(N) for j in range(N)})
 
 
-def _solve_exact(R: SqMatrix, conv: IndexConvention) -> TwistSolution:
+def _solve_exact(R: SqMatrix, R_inv: SqMatrix, conv: IndexConvention) -> TwistSolution:
     N = conv.N
-    R_inv = inverse_blockwise(R, conv)
     md_rows = _assemble_md_system(R, R_inv, N)
     md_basis = [_vec_to_matrix(v, N) for v in nullspace(md_rows, N * N)]
     if not md_basis:
@@ -323,7 +322,7 @@ def _solve_exact(R: SqMatrix, conv: IndexConvention) -> TwistSolution:
     return sol
 
 
-def _discover_z(R_hat: SqMatrix, conv: IndexConvention) -> int:
+def _discover_z(R_hat: SqMatrix, R_hat_inv: SqMatrix, conv: IndexConvention) -> int:
     """The exponent m of zeta = Z^2 = q^m, from two exact partial traces.
 
     Closing twist 1 with d = a cancels the crossing matrices through
@@ -333,7 +332,7 @@ def _discover_z(R_hat: SqMatrix, conv: IndexConvention) -> int:
     (b, c) gives zeta as one exact ratio; all must agree on +q^m.
     """
     N = conv.N
-    inv_side = contract("acba->bc", legs(inverse_blockwise(R_hat, conv), N))
+    inv_side = contract("acba->bc", legs(R_hat_inv, N))
     r_side = contract("beec->bc", legs(R_hat, N))
     if not r_side or set(inv_side) != set(r_side):
         raise NoSolution("partial traces of R^-1 and R have different supports")
@@ -368,11 +367,14 @@ def solve_twist(R_hat: SqMatrix, z: RingElem | None = None,
             raise DomainError("R must act on a two-factor space")
         conv = IndexConvention.for_size(N)
     if z is not None:
-        return _solve_exact(R_hat * z, conv)
+        R = R_hat * z
+        return _solve_exact(R, inverse_blockwise(R, conv), conv)
 
-    m = _discover_z(R_hat, conv)
+    # R_hat is inverted once: (s^m R_hat)^-1 = s^-m R_hat^-1
+    R_hat_inv = inverse_blockwise(R_hat, conv)
+    m = _discover_z(R_hat, R_hat_inv, conv)
     try:
-        sol = _solve_exact(R_hat * ring.s_power(m), conv)
+        sol = _solve_exact(R_hat * ring.s_power(m), R_hat_inv * ring.s_power(-m), conv)
     except (NoSolution, InexactDivision, DomainError):
         sol = None
     if sol is None or sol.uniqueness != 1:

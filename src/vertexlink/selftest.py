@@ -285,16 +285,16 @@ def _check_uq(seed: int) -> CheckResult:
         if not rep.ok_gauged():
             return CheckResult("uq-correspondence", False, f"j={j}: gauged checks failed")
         if not rep.ok():
-            plain_bad.append((j, rep.ratio_spread, rep.gauged_spread))
+            plain_bad.append(rep)
     if plain_bad:
-        j, spread, gauged = plain_bad[0]
+        rep = plain_bad[0]
         return CheckResult(
             "uq-correspondence",
             False,
-            f"plain ratio spread {spread:.1e} at j={j} "
-            f"(identification holds only up to a sign gauge there: {gauged:.1e})",
+            f"plain identification fails at j={rep.j}, entry {list(rep.plain_witness)} "
+            f"(ratio spread {rep.ratio_spread:g}; it holds only up to a sign gauge there)",
         )
-    return CheckResult("uq-correspondence", True, "j=1/2,1,3/2 across q samples")
+    return CheckResult("uq-correspondence", True, "j=1/2,1,3/2 exact over Z[s^+-1]")
 
 
 # report rows are ordered by check name, never by completion order

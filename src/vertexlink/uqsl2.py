@@ -1,129 +1,124 @@
 """Quantum sl2 spin-j representations and their match with the models.
 
-Numeric (float) construction of the spin-j generators, Casimir, the
-universal R-matrix truncated on a finite representation, and the w
-matrix implementing the inversion automorphism.  The exact claims (w is
-proportional to M_d, and substituting it into the twist equations keeps
-them exact) run over the symbolic ring; everything else is float with
-pinned tolerances.
+Every clause is an exact identity over Z[s^+-1] (q = s^2), checked in the
+integral weight basis of Kirby and Melvin (Invent. Math. 105, 1991): in
+the ascending-m basis v_0, ..., v_2j (v_k of weight m_k = k - j)
+
+    X+ v_k = [j - m_k] v_(k+1),   X- v_k = [j + m_k] v_(k-1),   H = diag(2m),
+
+with E = q^(-H/2) X+ and F = q^(H/2) X-.  The divided powers E^n/[n]! are
+integral (``ring.exact_divide`` takes them), so the truncated R^jj, its
+inverse and each relation below are matrices over the ring, and every
+relation is cross-multiplied so that nothing else is divided.  An
+identity that holds in the ring holds at every q.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from . import ring
 from .axioms import twist1_sides, twist2_sides
-from .errors import DimensionMismatch, DomainError, UnsupportedN
-from .models import VertexModel, build_model, gauge_powers
+from .errors import DimensionMismatch, UnsupportedN
+from .models import VertexModel, build_model
+from .ring import RingElem
 from .tensor import SqMatrix, small_inverse
-
-if TYPE_CHECKING:  # numpy loads in the float checks only, not with the exact pipeline
-    import numpy as np
 
 
 def _as_spin(j) -> Fraction:
-    jf = Fraction(j)
+    try:
+        jf = Fraction(j)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise UnsupportedN(f"not a spin: {j!r}") from None
     if jf <= 0 or (2 * jf).denominator != 1:
         raise UnsupportedN(f"not a spin: {j}")
     return jf
 
 
-def _qint(x: float, q: float) -> float:
-    return (q ** x - q ** (-x)) / (q - 1.0 / q)
+def qint(n: int) -> RingElem:
+    """The quantum integer [n]_q = q^(n-1) + q^(n-3) + ... + q^(1-n), n >= 0."""
+    return RingElem.from_terms({2 * (n - 1 - 2 * k): 1 for k in range(n)})
+
+
+def qbinomial(n: int, k: int) -> RingElem:
+    """[n choose k]_q = [n]! / ([k]! [n-k]!), exactly."""
+    num = den = ring.one()
+    for i in range(k):
+        num = num * qint(n - i)
+        den = den * qint(i + 1)
+    return ring.exact_divide(num, den)
+
+
+def _diag(values) -> SqMatrix:
+    return SqMatrix(len(values), {(k, k): v for k, v in enumerate(values)})
 
 
 @dataclass(eq=False)
 class SpinRep:
-    """Spin-j generators in the ascending-m weight basis."""
+    """Spin-j generators in the ascending-m integral weight basis."""
 
     j: Fraction
-    q: float
     dim: int
-    H: np.ndarray
-    Xp: np.ndarray
-    Xm: np.ndarray
-    ms: list[Fraction] = field(repr=False, default_factory=list)
+    H: SqMatrix
+    Xp: SqMatrix
+    Xm: SqMatrix
+    ms: tuple[Fraction, ...]
+
+    def q_power_h(self, sign: int) -> SqMatrix:
+        """q^(sign H / 2) = diag(s^(2 sign m))."""
+        return _diag([ring.s_power(int(2 * sign * m)) for m in self.ms])
 
 
-def build_rep(j, q: float) -> SpinRep:
-    import numpy as np
+def build_rep(j) -> SpinRep:
     jf = _as_spin(j)
-    if not 0 < q < math.inf or q == 1.0:
-        raise DomainError(f"q must be positive, finite and != 1, got {q}")
     dim = int(2 * jf) + 1
-    ms = [-jf + k for k in range(dim)]
-    H = np.diag([float(2 * m) for m in ms])
-    Xp = np.zeros((dim, dim))
-    Xm = np.zeros((dim, dim))
-    for k, m in enumerate(ms):
-        if k + 1 < dim:
-            Xp[k + 1, k] = np.sqrt(_qint(float(jf - m), q) * _qint(float(jf + m + 1), q))
-        if k - 1 >= 0:
-            Xm[k - 1, k] = np.sqrt(_qint(float(jf + m), q) * _qint(float(jf - m + 1), q))
-    return SpinRep(j=jf, q=q, dim=dim, H=H, Xp=Xp, Xm=Xm, ms=ms)
+    ms = tuple(-jf + k for k in range(dim))
+    H = _diag([ring.integer(int(2 * m)) for m in ms])
+    Xp = SqMatrix(dim, {(k + 1, k): qint(int(jf - m)) for k, m in enumerate(ms[:-1])})
+    Xm = SqMatrix(dim, {(k - 1, k): qint(int(jf + m)) for k, m in enumerate(ms) if k})
+    return SpinRep(j=jf, dim=dim, H=H, Xp=Xp, Xm=Xm, ms=ms)
 
 
-def _rel(delta: np.ndarray, scale: float) -> float:
-    # a plain float: a numpy scalar would make the report's verdicts numpy
-    # bools, which the JSON output cannot encode
-    return float(abs(delta).max() / max(1.0, scale))
+_Q_MINUS_QINV = ring.q_power(1) - ring.q_power(-1)
 
 
-def _balance(*terms: np.ndarray) -> float:
-    """Largest entry of the sum of ``terms``, relative to the largest entry among them.
-
-    Rounding error scales with the terms compared, not with the generators:
-    at q = 1e7 the products X+ X- are about |X+-|^2.
-    """
-    return _rel(sum(terms), max(float(abs(t).max()) for t in terms))
-
-
-def rep_residuals(rep: SpinRep) -> dict[str, float]:
-    """Defining relations: [H, X+-] = +-2 X+-, [X+, X-] = (q^H - q^-H)/(q - q^-1)."""
-    import numpy as np
-    H, Xp, Xm, q = rep.H, rep.Xp, rep.Xm, rep.q
-    qH = np.diag(np.array([q ** d for d in np.diag(H)]))
-    qHinv = np.diag(np.array([q ** (-d) for d in np.diag(H)]))
+def rep_relations(rep: SpinRep) -> dict[str, bool]:
+    """[H, X+-] = +-2 X+-, and (q - q^-1) [X+, X-] = q^H - q^-H."""
+    H, Xp, Xm = rep.H, rep.Xp, rep.Xm
+    q_h = rep.q_power_h(1)
+    q_mh = rep.q_power_h(-1)
     return {
-        "h_xp": _balance(H @ Xp, -(Xp @ H), -2.0 * Xp),
-        "h_xm": _balance(H @ Xm, -(Xm @ H), 2.0 * Xm),
-        "xp_xm": _balance(Xp @ Xm, -(Xm @ Xp), -(qH - qHinv) / (q - 1.0 / q)),
+        "h_xp": H @ Xp - Xp @ H == 2 * Xp,
+        "h_xm": H @ Xm - Xm @ H == -2 * Xm,
+        "xp_xm": (Xp @ Xm - Xm @ Xp) * _Q_MINUS_QINV == q_h @ q_h - q_mh @ q_mh,
     }
 
 
-def casimir_scalar(rep: SpinRep) -> tuple[float, float]:
-    """Casimir value and its worst relative deviation from a scalar matrix.
+def casimir_scalar(rep: SpinRep) -> RingElem | None:
+    """(q - q^-1)^2 times the Casimir, when both orderings give one scalar.
 
-    Both orderings are checked: shifting H by +1 against Xm Xp and by -1
-    against Xp Xm must give the same multiple of the identity.
+    diag((s^(2m+1) - s^-(2m+1))^2) + (q - q^-1)^2 X- X+ and
+    diag((s^(2m-1) - s^-(2m-1))^2) + (q - q^-1)^2 X+ X- must be the same
+    multiple of the identity, (s^(2j+1) - s^-(2j+1))^2; None otherwise.
     """
-    import numpy as np
-    H, Xp, Xm, q = rep.H, rep.Xp, rep.Xm, rep.q
-    d = np.diag(H)
+    sq = _Q_MINUS_QINV * _Q_MINUS_QINV
 
-    def half(shift: float) -> np.ndarray:
-        vals = np.array([_qint((x + shift) / 2.0, q) for x in d])
-        return np.diag(vals * vals)
+    def half(shift: int) -> SqMatrix:
+        return _diag([(ring.s_power(int(2 * m) + shift) - ring.s_power(-int(2 * m) - shift)) ** 2
+                      for m in rep.ms])
 
-    c_up = half(1.0) + Xm @ Xp
-    c_dn = half(-1.0) + Xp @ Xm
-    value = float(c_up[0, 0])
-    dev = max(
-        _rel(c_up - value * np.eye(rep.dim), abs(value)),
-        _rel(c_dn - value * np.eye(rep.dim), abs(value)),
-    )
-    return value, dev
+    c_up = (half(1) + rep.Xm @ rep.Xp * sq).scalar_value()
+    c_dn = (half(-1) + rep.Xp @ rep.Xm * sq).scalar_value()
+    return c_up if c_up is not None and c_up == c_dn else None
 
 
 def build_w(j) -> SqMatrix:
     """Exact inversion-automorphism matrix: w[m, -m] = (-1)^(j+m) q^(j+m)."""
     jf = _as_spin(j)
     dim = int(2 * jf) + 1
-    entries: dict[tuple[int, int], ring.RingElem] = {}
+    entries: dict[tuple[int, int], RingElem] = {}
     for k in range(dim):
         m = -jf + k
         p = int(jf + m)
@@ -131,27 +126,14 @@ def build_w(j) -> SqMatrix:
     return SqMatrix(dim, entries)
 
 
-def _w_numeric(j, q: float) -> np.ndarray:
-    import numpy as np
+def w_conjugation(j) -> bool:
+    """w H = -H w, w X+ = -q^-1 X- w and w X- = -q X+ w."""
+    rep = build_rep(j)
     W = build_w(j)
-    dim = W.dim
-    out = np.zeros((dim, dim))
-    for (r, c), v in W.entries.items():
-        out[r, c] = ring.eval_numeric(v, q)
-    return out
-
-
-def w_conjugation_residual(j, q: float) -> float:
-    """w H w^-1 = -H and w X+- w^-1 = -q^(-+1) X-+, as float residuals."""
-    import numpy as np
-    rep = build_rep(j, q)
-    W = _w_numeric(j, q)
-    Winv = np.linalg.inv(W)
-    return max(
-        _balance(W @ rep.H @ Winv, rep.H),
-        _balance(W @ rep.Xp @ Winv, rep.Xm / q),
-        _balance(W @ rep.Xm @ Winv, q * rep.Xp),
-    )
+    q, q_inv = ring.q_power(1), ring.q_power(-1)
+    return (W @ rep.H == -(rep.H @ W)
+            and W @ rep.Xp == rep.Xm @ W * -q_inv
+            and W @ rep.Xm == rep.Xp @ W * -q)
 
 
 def exact_w_matches_md(j) -> bool:
@@ -174,223 +156,200 @@ def exact_twist_substitution(j) -> bool:
     return l1 == r1 and l2 == r2
 
 
-def _r_series(rep: SpinRep, sign: float) -> tuple[np.ndarray, float]:
-    """Truncated R^jj (sign = 1) or its inverse (sign = -1), and the largest
-    entry of the first discarded term.
+def _r_series(rep: SpinRep, sign: int) -> tuple[SqMatrix, SqMatrix]:
+    """Truncated R^jj (sign = 1) or its inverse (sign = -1), and the first
+    discarded term, n = 2j + 1.
 
-    With E = q^(-H/2) X+ and F = q^(H/2) X-, R = q^(-H (x) H / 2) sum_n c_n
-    E^n (x) F^n, c_n = (1 - q^2)^n q^(-n(n-1)/2) / [n]!, and R^-1 =
-    sum_n (-1)^n (1 - q^2)^n q^(+n(n-1)/2) / [n]! E^n (x) F^n q^(+H (x) H / 2).
+    R = q^(-H (x) H / 2) sum_n (1 - q^2)^n q^(-n(n-1)/2) E^n/[n]! (x) F^n,
+    and R^-1 = sum_n (-1)^n (1 - q^2)^n q^(n(n-1)/2) E^n/[n]! (x) F^n q^(H (x) H / 2).
     """
-    import numpy as np
-    q, dim = rep.q, rep.dim
-    d = np.diag(rep.H)
-    cartan = np.zeros((dim * dim, dim * dim))
-    for a in range(dim):
-        for b in range(dim):
-            i = a * dim + b
-            cartan[i, i] = q ** (-sign * d[a] * d[b] / 2.0)
-    qmh = np.diag(np.array([q ** (-x / 2.0) for x in d]))
-    qph = np.diag(np.array([q ** (+x / 2.0) for x in d]))
-    up = qmh @ rep.Xp
-    dn = qph @ rep.Xm
-    total = np.zeros((dim * dim, dim * dim))
-    up_n = np.eye(dim)
-    dn_n = np.eye(dim)
-    fact = 1.0
-    nmax = int(2 * rep.j)
-    tail = 0.0
-    for n in range(nmax + 2):
-        if n > 0:
-            fact *= _qint(float(n), q)
-            up_n = up_n @ up
-            dn_n = dn_n @ dn
-        coeff = ((sign * (1.0 - q * q)) ** n / fact) * q ** (-sign * n * (n - 1) / 2.0)
-        term = coeff * np.kron(up_n, dn_n)
-        if n <= nmax:
-            total += term
-        else:
-            tail = float(np.max(np.abs(term)))
-    return (cartan @ total if sign > 0 else total @ cartan), tail
+    dim = rep.dim
+    E = rep.q_power_h(-1) @ rep.Xp
+    F = rep.q_power_h(1) @ rep.Xm
+    cartan = _diag([ring.s_power(-sign * int(4 * a * b)) for a in rep.ms for b in rep.ms])
+    step = (ring.one() - ring.q_power(2)) * sign
+    total = SqMatrix(dim * dim)
+    e_n = f_n = SqMatrix.identity(dim)
+    fact = ring.one()
+    for n in range(dim + 1):
+        if n:
+            e_n, f_n, fact = e_n @ E, f_n @ F, fact * qint(n)
+        divided = SqMatrix(dim, {k: ring.exact_divide(v, fact) for k, v in e_n.entries.items()})
+        coeff = step ** n * ring.s_power(-sign * n * (n - 1))
+        term = divided.kron(f_n) * coeff
+        if n < dim:
+            total = total + term
+    return (cartan @ total if sign > 0 else total @ cartan), term
 
 
-def universal_r(rep: SpinRep) -> tuple[np.ndarray, float]:
-    """Truncated universal R on the spin-j square, and the norm of the
-    first discarded term (must vanish: X+^(2j+1) = 0)."""
-    return _r_series(rep, 1.0)
+def universal_r(rep: SpinRep) -> tuple[SqMatrix, SqMatrix]:
+    """Truncated universal R on the spin-j square, and the first discarded
+    term (exactly zero: E^(2j+1) = 0)."""
+    return _r_series(rep, 1)
 
 
-def universal_r_inverse(rep: SpinRep) -> np.ndarray:
-    """(R^jj)^-1 from its own series: no float inversion to lose digits as q grows."""
-    return _r_series(rep, -1.0)[0]
+def universal_r_inverse(rep: SpinRep) -> SqMatrix:
+    """(R^jj)^-1 from its own series."""
+    return _r_series(rep, -1)[0]
 
 
-def exchange_sign_gauge(j) -> tuple[np.ndarray, np.ndarray]:
-    """Sign pair (D1, D2) conjugating P R^(jj) onto the vertex matrix.
+def _transpose_factor(X: SqMatrix, dim: int, first: bool) -> SqMatrix:
+    """X^t1[(a,b),(c,d)] = X[(c,b),(a,d)] (first) or X^t2[(a,b),(c,d)] = X[(a,d),(c,b)]."""
+    out = {}
+    for (r, col), v in X.entries.items():
+        a, b = divmod(r, dim)
+        c, d = divmod(col, dim)
+        out[(c * dim + b, a * dim + d) if first else (a * dim + d, c * dim + b)] = v
+    return SqMatrix(X.dim, out)
 
-    For half-integer spin both factors are the identity: the truncated
-    universal R reproduces the vertex R-matrix entry for entry.  For
-    integer spin the two matrices agree only up to conjugation by
-    D1 x D2 with D1[p] = (-1)^floor(p/2), D2[p] = (-1)^ceil(p/2): the
-    exchange entries of the vertex matrix carry extra signs that no
-    choice of weight-basis phases (which would force D1 = D2) absorbs.
+
+def crossing_w(j) -> SqMatrix:
+    """w' [m, -m] = w[m, -m] L / [2j choose j+m]_q, L the product of those binomials.
+
+    The plain w conjugates the normalised weight basis; in the integral
+    basis the crossing forms need it rescaled by the basis change."""
+    W = build_w(j)
+    n = W.dim - 1
+    binom = [qbinomial(n, k) for k in range(W.dim)]
+    L = math.prod(binom, start=ring.one())
+    return SqMatrix(W.dim, {(k, c): v * ring.exact_divide(L, binom[k])
+                            for (k, c), v in W.entries.items()})
+
+
+def crossing_symmetry(rep: SpinRep, R: SqMatrix, R_inv: SqMatrix) -> dict[str, bool]:
+    """Crossing-symmetry forms of R = R^jj on the spin-j square.
+
+    cs1: (R^-1)^t1 (w' x 1) = (w' x 1) R
+    cs2: R^t2 (1 x w') = (1 x w') R^-1
     """
-    import numpy as np
+    dim = rep.dim
+    W = crossing_w(rep.j)
+    eye = SqMatrix.identity(dim)
+    w1, w2 = W.kron(eye), eye.kron(W)
+    return {
+        "cs1": _transpose_factor(R_inv, dim, True) @ w1 == w1 @ R,
+        "cs2": _transpose_factor(R, dim, False) @ w2 == w2 @ R_inv,
+    }
+
+
+def exchange_sign_gauge(j) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Sign pair (d1, d2) conjugating P R^(jj) onto the vertex matrix.
+
+    For half-integer spin both are all ones: the truncated universal R
+    reproduces the vertex R-matrix entry for entry.  For integer spin the
+    two matrices agree only up to conjugation by diag(d1) x diag(d2) with
+    d1[p] = (-1)^floor(p/2), d2[p] = (-1)^ceil(p/2): the exchange entries
+    of the vertex matrix carry extra signs that no choice of weight-basis
+    phases (which would force d1 = d2) absorbs.
+    """
     jf = _as_spin(j)
     dim = int(2 * jf) + 1
-    if (2 * jf) % 2 == 1:
-        return np.ones(dim), np.ones(dim)
-    d1 = np.array([(-1.0) ** (p // 2) for p in range(dim)])
-    d2 = np.array([(-1.0) ** ((p + 1) // 2) for p in range(dim)])
-    return d1, d2
+    if jf.denominator == 2:
+        return (1,) * dim, (1,) * dim
+    return (tuple((-1) ** (p // 2) for p in range(dim)),
+            tuple((-1) ** ((p + 1) // 2) for p in range(dim)))
 
 
-def _ratio_spread(target: np.ndarray, cand: np.ndarray) -> tuple[float, float]:
-    """Fit the constant from the first nonzero entry, return (spread, constant).
+def identification_signs(m: VertexModel, rep: SpinRep, R: SqMatrix,
+                         gauge: bool = False) -> dict[tuple[int, int], int]:
+    """Entry by entry, how R/Z compares with P R^jj:
 
-    Every entry of the model's support counts, however small at large q."""
-    import numpy as np
-    mask = target != 0.0
-    if not np.allclose(cand[~mask], 0.0, atol=1e-9 * max(1.0, np.abs(cand).max())):
-        return float("inf"), 0.0
-    ratios = target[mask] / cand[mask]
-    c = float(ratios.flat[0])
-    return float(np.max(np.abs(ratios - c))) / abs(c), c
+        (R/Z)[(a,b),(c,d)] G(c) G(d)  against  q^(2j^2) e(a,b) e(c,d) (P R^jj)[(a,b),(c,d)] G(a) G(b).
 
-
-def model_ratio_residual(m: VertexModel, rep: SpinRep, gauge: bool = False) -> tuple[float, float]:
-    """Spread of the entrywise ratio between R/Z and P R^(jj).
-
-    The model is built in the gauge D = diag(r^g(a)), r = sqrt([3]_q)
-    (:func:`vertexlink.models.gauge_powers`; D = 1 for j = 1/2, 1), and
-    R^(jj) lives in the normalised weight basis, so the candidate is
-    conjugated by D (x) D first.  With gauge=False the comparison is then
-    the plain proportionality claim; with gauge=True the candidate is also
-    conjugated by the sign pair from exchange_sign_gauge, which is the
-    form that actually holds for integer spin.  Returns (spread, fitted
-    constant); the constant is q^(2 j^2), i.e. exactly 1/Z, so the gauged
-    identification needs no scalar at all.
+    G = diag([2j]_q, 1, ..., 1) is the model gauge diag(r^g(a))
+    (:func:`vertexlink.models.gauge_powers`) times the basis change
+    diag([2j choose j+m]_q^(-1/2)) from the integral to the normalised
+    weight basis, times the charge character and scalar that make it
+    integral; both drop out of the comparison by charge conservation.
+    e(a, b) = d1[a] d2[b] from exchange_sign_gauge with ``gauge``, else 1.
+    Over the union of both supports, each entry maps to +1 where the two
+    sides are equal, -1 where they are opposite and 0 otherwise.
     """
-    import numpy as np
     N = m.N
     if rep.dim != N:
         raise DimensionMismatch(f"rep dim {rep.dim} != N {N}")
-    Rjj, _ = universal_r(rep)
-    q = rep.q
-    target = np.zeros((N * N, N * N))
-    zinv = ring.invert_unit(m.Z)
-    for (r, c), v in m.R.entries.items():
-        target[r, c] = ring.eval_numeric(v * zinv, q)
-    P = np.zeros((N * N, N * N))
-    for a in range(N):
-        for b in range(N):
-            P[a * N + b, b * N + a] = 1.0
-    d = math.sqrt(q * q + 1.0 + 1.0 / (q * q)) ** np.array(gauge_powers(m.conv), dtype=float)
-    dd = np.kron(d, d)
-    cand = dd[:, None] * (P @ Rjj) / dd[None, :]
-    if gauge:
-        d1, d2 = exchange_sign_gauge(rep.j)
-        E = np.diag(np.kron(d1, d2))
-        cand = E @ cand @ E
-    return _ratio_spread(target, cand)
+    G = [qint(N - 1)] + [ring.one()] * (N - 1)
+    d1, d2 = exchange_sign_gauge(rep.j) if gauge else ((1,) * N, (1,) * N)
+    z_inv = ring.invert_unit(m.Z)
+    const = ring.s_power(int(4 * rep.j * rep.j))
+    cand = SqMatrix.permutation(N) @ R
+    signs = {}
+    for key in sorted(m.R.entries.keys() | cand.entries.keys()):
+        (a, b), (c, d) = (divmod(i, N) for i in key)
+        lhs = m.R.entries.get(key, ring.zero()) * z_inv * G[c] * G[d]
+        rhs = cand.entries.get(key, ring.zero()) * const * G[a] * G[b] * (d1[a] * d2[b] * d1[c] * d2[d])
+        signs[key] = 1 if lhs == rhs else -1 if lhs == -rhs else 0
+    return signs
 
 
-def cs_residuals(j, q: float) -> dict[str, float]:
-    """Crossing-symmetry forms of the truncated R on the spin-j square.
+def ratio_spread(signs: dict[tuple[int, int], int]) -> float:
+    """Spread of the entrywise ratios about the first, relative to it:
+    0 when all agree, 2 when both +1 and -1 occur, inf when one is not +-1."""
+    values = set(signs.values())
+    if 0 in values:
+        return math.inf
+    return 2.0 if len(values) > 1 else 0.0
 
-    cs1: ((R^jj)^-1)^t1 = (w x 1) R^jj (w^-1 x 1)
-    cs2: (R^jj)^t2 = (1 x w) (R^jj)^-1 (1 x w^-1)
-    """
-    import numpy as np
-    rep = build_rep(j, q)
-    dim = rep.dim
-    Rjj, _ = universal_r(rep)
-    Rinv = universal_r_inverse(rep)
-    W = _w_numeric(j, q)
-    Winv = np.linalg.inv(W)
-    eye = np.eye(dim)
 
-    def t1(X: np.ndarray) -> np.ndarray:
-        return X.reshape(dim, dim, dim, dim).transpose(2, 1, 0, 3).reshape(dim * dim, dim * dim)
-
-    def t2(X: np.ndarray) -> np.ndarray:
-        return X.reshape(dim, dim, dim, dim).transpose(0, 3, 2, 1).reshape(dim * dim, dim * dim)
-
-    scale = float(np.abs(Rjj).max())
-    lhs1 = t1(Rinv)
-    rhs1 = np.kron(W, eye) @ Rjj @ np.kron(Winv, eye)
-    lhs2 = t2(Rjj)
-    rhs2 = np.kron(eye, W) @ Rinv @ np.kron(eye, Winv)
-    return {
-        "cs1": _rel(lhs1 - rhs1, scale),
-        "cs2": _rel(lhs2 - rhs2, scale),
-    }
+def first_mismatch(signs: dict[tuple[int, int], int]) -> tuple[int, int] | None:
+    """The first entry in row-major order where the two sides differ."""
+    return next((key for key, v in signs.items() if v != 1), None)
 
 
 @dataclass(eq=False)
 class CorrespondenceReport:
+    """Every clause for one spin, each an exact identity over the ring."""
+
     j: Fraction
-    q_samples: tuple[float, ...]
-    algebra: float = 0.0
-    casimir: float = 0.0
-    truncation: float = 0.0
-    wconj: float = 0.0
-    cs: float = 0.0
-    ratio_spread: float = 0.0
-    gauged_spread: float = 0.0
-    constant_dev: float = 0.0
-    md_exact: bool = False
-    twist_exact: bool = False
+    algebra: bool
+    casimir: bool
+    series: bool
+    wconj: bool
+    cs: bool
+    md_exact: bool
+    twist_exact: bool
+    plain_witness: tuple[int, int] | None
+    gauged_witness: tuple[int, int] | None
+    ratio_spread: float
 
     def _shared_ok(self) -> bool:
-        """Every check both forms of the R identification rely on."""
-        return (self.algebra <= 1e-10 and self.casimir <= 1e-10 and self.truncation <= 1e-10
-                and self.wconj <= 1e-9 and self.cs <= 1e-9 and self.md_exact and self.twist_exact)
+        """Every clause both forms of the R identification rely on."""
+        return all((self.algebra, self.casimir, self.series, self.wconj, self.cs,
+                    self.md_exact, self.twist_exact))
 
     def ok(self) -> bool:
-        """The plain claim: P R^(jj) proportional to R/Z entry for entry.
+        """The plain claim: R/Z = q^(2j^2) P R^jj in the gauge G, entry for entry.
 
-        This is false for integer spin (ratio_spread is about 2 there,
-        not a rounding artifact); ok_gauged() is the version that holds.
+        This is false for integer spin (ratio_spread is 2 there: the
+        entries split into two sign classes); ok_gauged() is the version
+        that holds.
         """
-        return self._shared_ok() and self.ratio_spread <= 1e-8
+        return self._shared_ok() and self.plain_witness is None
 
     def ok_gauged(self) -> bool:
         """Same, with the sign-gauge form of the R identification."""
-        return self._shared_ok() and self.gauged_spread <= 1e-8 and self.constant_dev <= 1e-8
+        return self._shared_ok() and self.gauged_witness is None
 
 
-def correspondence_report(j, q_samples: tuple[float, ...] = (1.2, 1.5, 2.0)) -> CorrespondenceReport:
-    """Run every check for one spin across the sample q values.
-
-    A spin without a vertex model raises UnsupportedN, and a sample q at
-    which the float arithmetic overflows raises DomainError naming it.
-    """
-    import numpy as np
+def correspondence_report(j) -> CorrespondenceReport:
+    """Run every clause for one spin; a spin without a vertex model raises UnsupportedN."""
     jf = _as_spin(j)
-    out = CorrespondenceReport(j=jf, q_samples=tuple(q_samples))
     m = build_model(int(2 * jf) + 1)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for q in q_samples:
-                rep = build_rep(jf, q)
-                out.algebra = max(out.algebra, max(rep_residuals(rep).values()))
-                out.casimir = max(out.casimir, casimir_scalar(rep)[1])
-                _, tail = universal_r(rep)
-                out.truncation = max(out.truncation, tail)
-                out.wconj = max(out.wconj, w_conjugation_residual(jf, q))
-                out.cs = max(out.cs, max(cs_residuals(jf, q).values()))
-                spread, _ = model_ratio_residual(m, rep)
-                gspread, c = model_ratio_residual(m, rep, gauge=True)
-                out.ratio_spread = max(out.ratio_spread, spread)
-                out.gauged_spread = max(out.gauged_spread, gspread)
-                # the fitted constant must be q^(2 j^2) = 1/Z: the gauged
-                # identification is an equality of matrices, not just a ray
-                expect = q ** float(2 * jf * jf)
-                out.constant_dev = max(out.constant_dev, abs(c - expect) / expect)
-    except (OverflowError, FloatingPointError) as exc:
-        raise DomainError(f"q = {q} overflows the spin-{jf} arithmetic") from exc
-    out.md_exact = exact_w_matches_md(jf)
-    out.twist_exact = exact_twist_substitution(jf)
-    return out
-
+    rep = build_rep(jf)
+    R, tail = universal_r(rep)
+    R_inv = universal_r_inverse(rep)
+    plain = identification_signs(m, rep, R)
+    sq = ring.s_power(int(2 * jf) + 1) - ring.s_power(-int(2 * jf) - 1)
+    return CorrespondenceReport(
+        j=jf,
+        algebra=all(rep_relations(rep).values()),
+        casimir=casimir_scalar(rep) == sq * sq,
+        series=tail.is_zero() and R @ R_inv == SqMatrix.identity(rep.dim ** 2),
+        wconj=w_conjugation(jf),
+        cs=all(crossing_symmetry(rep, R, R_inv).values()),
+        md_exact=exact_w_matches_md(jf),
+        twist_exact=exact_twist_substitution(jf),
+        plain_witness=first_mismatch(plain),
+        gauged_witness=first_mismatch(identification_signs(m, rep, R, gauge=True)),
+        ratio_spread=ratio_spread(plain),
+    )

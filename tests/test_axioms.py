@@ -185,9 +185,9 @@ def test_solver_discovery_solves_once(m4, monkeypatch):
     calls = []
     real = axioms._solve_exact
 
-    def counted(R, conv):
+    def counted(R, R_inv, conv):
         calls.append(R)
-        return real(R, conv)
+        return real(R, R_inv, conv)
 
     monkeypatch.setattr(axioms, "_solve_exact", counted)
     sol = solve_twist(m4.R * ring.invert_unit(m4.Z))
@@ -195,14 +195,31 @@ def test_solver_discovery_solves_once(m4, monkeypatch):
     assert sol.z_candidates == [ring.s_power(-9), ring.s_power(-9, -1)]
 
 
+@pytest.mark.parametrize("with_z", [False, True], ids=["discover", "given-z"])
+def test_solver_inverts_r_once(m3, monkeypatch, with_z):
+    # discovery reads Z^2 off R_hat^-1 and solves with the same inverse, scaled by s^-m
+    calls = []
+    real = axioms.inverse_blockwise
+
+    def counted(R, conv):
+        calls.append(R)
+        return real(R, conv)
+
+    monkeypatch.setattr(axioms, "inverse_blockwise", counted)
+    r_hat = m3.R * ring.invert_unit(m3.Z)
+    sol = solve_twist(r_hat, z=m3.Z) if with_z else solve_twist(r_hat)
+    assert len(calls) == 1
+    assert sol.uniqueness == 1
+
+
 def test_selftest_solver_check_solves_once_per_model(monkeypatch):
     # the discovery solve at +s^m is the solve at Z of build_model(N)
     calls = []
     real = axioms._solve_exact
 
-    def counted(R, conv):
+    def counted(R, R_inv, conv):
         calls.append(R)
-        return real(R, conv)
+        return real(R, R_inv, conv)
 
     monkeypatch.setattr(axioms, "_solve_exact", counted)
     out = io.StringIO()

@@ -198,62 +198,66 @@ def test_tl_refuses_short_max_strands(capsys, bound):
 
 
 def test_uq_half_spin(capsys):
-    code, out, _ = run_cli(capsys, "uq", "--j", "1/2", "--q", "1.5")
+    code, out, _ = run_cli(capsys, "uq", "--j", "1/2")
     assert code == 0
     assert "correspondence holds" in out
 
 
-def test_uq_spin_three_halves_at_large_q(capsys):
-    code, out, _ = run_cli(capsys, "uq", "--j", "3/2", "--q", "30", "--json")
+def test_uq_spin_three_halves(capsys):
+    code, out, _ = run_cli(capsys, "uq", "--j", "3/2", "--json")
     assert code == 0
     data = json.loads(out)
     assert data["passed"] is True
-    assert data["crossing_symmetry"] <= 1e-15
-
-
-@pytest.mark.parametrize("q", ["1e7", "1e8"])
-def test_uq_spin_three_halves_at_huge_q(capsys, q):
-    # the residuals are relative to the terms they compare, which grow with q
-    code, out, _ = run_cli(capsys, "uq", "--j", "3/2", "--q", q, "--json")
-    assert code == 0
-    data = json.loads(out)
-    assert data["passed"] is True
-    assert data["algebra"] <= 1e-15 and data["w_conjugation"] <= 1e-15
+    assert data["crossing_symmetry"] is True and data["plain_witness"] is None
 
 
 def test_uq_integer_spin_fails_honestly(capsys):
-    # the plain proportionality criterion does not hold at j = 1; the CLI
-    # must say so and exit nonzero rather than report the gauged variant
+    # the plain identification does not hold at j = 1; the CLI must say
+    # so, name the first entry where it fails and exit nonzero rather than
+    # report the gauged variant
     code, out, _ = run_cli(capsys, "uq", "--j", "1", "--json")
     assert code == 1
     data = json.loads(out)
     assert data["passed"] is False
     assert data["passed_gauged"] is True
-    assert data["ratio_spread"] > 1.0
+    assert data["plain_witness"] == [1, 3] and data["gauged_witness"] is None
+    assert data["ratio_spread"] == 2.0
+    code, out, _ = run_cli(capsys, "uq", "--j", "1")
+    assert code == 1
+    assert "FAILS at entry [1, 3]" in out
+    assert "sign-gauged form   holds" in out
 
 
 def test_uq_bad_spin(capsys):
     code, _, err = run_cli(capsys, "uq", "--j", "x")
     assert code == 2
+    assert "not a spin" in err
     code, _, err = run_cli(capsys, "uq", "--j=-1/2")
     assert code == 2
     assert "not a spin" in err
 
 
 @pytest.mark.parametrize("argv", [
-    ("--j", "1/2", "--q", "inf"),
-    ("--j", "1/2", "--q", "1e300"),
-    ("--j", "1/2", "--q", "1e-300"),
-    ("--j", "3/2", "--q", "1e80"),
+    ("--j", "inf"),
+    ("--j", "1e300"),
+    ("--j", "1e-300"),
     ("--j", "2"),
     ("--j", "5/2"),
-], ids=["inf", "huge", "tiny", "j3/2-huge", "j2", "j5/2"])
+], ids=["inf", "huge", "tiny", "j2", "j5/2"])
 def test_uq_refuses_what_it_cannot_check(capsys, argv):
-    # no vertex model to compare with, or q beyond the float arithmetic
+    # not a spin, or no vertex model to compare with
     code, out, err = run_cli(capsys, "uq", *argv)
     assert code == 2
     assert out == ""
     assert "error:" in err
+
+
+def test_uq_has_no_q_option(capsys):
+    # every clause is exact in q, so there is no sample to choose
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["uq", "--j", "3/2", "--q", "1e80"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --q" in capsys.readouterr().err
 
 
 def test_selftest_only(capsys):

@@ -1,4 +1,5 @@
-"""The exact pipeline runs without loading numpy; only the float checks need it."""
+"""The exact pipeline and the quantum-group checks run without loading numpy;
+only the spectral checks need it."""
 
 import os
 import subprocess
@@ -18,12 +19,29 @@ for N in (2, 3, 4):
 print("numpy" in sys.modules)
 """
 
+UQ_CHILD = """
+import sys
+from fractions import Fraction
+from vertexlink.uqsl2 import correspondence_report
+for j in (Fraction(1, 2), Fraction(1), Fraction(3, 2)):
+    correspondence_report(j)
+print("numpy" in sys.modules)
+"""
 
-def test_invariants_and_cli_import_no_numpy():
+
+def _numpy_loaded(code: str) -> str:
     path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     child = subprocess.run(
-        [sys.executable, "-c", CHILD],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout.strip() == "False"
+    return child.stdout.strip()
+
+
+def test_invariants_and_cli_import_no_numpy():
+    assert _numpy_loaded(CHILD) == "False"
+
+
+def test_correspondence_report_loads_no_numpy():
+    assert _numpy_loaded(UQ_CHILD) == "False"
