@@ -22,6 +22,15 @@ crossing matrix M_d (and M_u) as the nullspace of an exact linear system,
 and can additionally discover the normalization Z from one exact ratio of
 two partial traces (Turaev's enhancement condition) before confirming it
 symbolically.  No step uses floats or tolerances.
+
+The twist system is solved as a relation graph, not by elimination.  Row
+(a', b, c, d) of twist 1 multiplied by M_d holds R^-1[(a,b),(c,d)] M_d[a',a]
+over a and R[(b,f),(a',c)] M_d[f,d] over f.  R conserves charge, and so
+does R^-1, so the first term needs a = c + d - b and the second
+f = a' + c - b: each row has at most two unknowns.  A row with one forces
+that entry to zero, a row with two fixes the ratio of its entries, and
+each connected component of these relations is solved by one walk
+(:func:`_relation_nullspace`).
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import packed, ring
-from .errors import DomainError, InexactDivision, NoSolution
+from .errors import ConventionValidationFailed, DomainError, InexactDivision, NoSolution
 from .ring import RingElem
 from .tensor import YANG_BAXTER, IndexConvention, SqMatrix, contract, inverse_blockwise, legs
 
@@ -271,30 +280,108 @@ class TwistSolution:
     twin_consistent: bool | None = None
 
 
-def _assemble_md_system(R: SqMatrix, R_inv: SqMatrix, N: int) -> list[list[RingElem]]:
-    """Twist 1 multiplied by M_d, as dense rows over the unknown M_d.
+def _twist_rows(R: SqMatrix, R_inv: SqMatrix, N: int) -> list[dict[int, RingElem]]:
+    """Twist 1 multiplied by M_d, as sparse rows {column: coefficient} over M_d.
 
     Row (a', b, c, d) reads sum_a R^-1[(a,b),(c,d)] M_d[a',a]
     - sum_f R[(b,f),(a',c)] M_d[f,d] = 0, with column a'N + a or fN + d of
-    the unknown.  Rows come in order of first appearance, R^-1 entries
-    before R entries.  Given the transposes (R^T, R^-1^T) the same rows are
-    twist 2 multiplied by M_u, with M_u as the unknown.
+    the unknown.  Terms in one column are merged and zero coefficients
+    dropped, so rows whose terms all cancel are left out.  Given the
+    transposes (R^T, R^-1^T) the same rows are twist 2 multiplied by M_u,
+    with M_u as the unknown.  For a charge-conserving R each row has at most
+    two unknowns (:func:`_relation_nullspace`).
     """
-    zero = ring.zero()
-    rows: dict[tuple, list[RingElem]] = {}
+    rows: dict[tuple, dict[int, RingElem]] = {}
     for (rp, cp), v in R_inv.entries.items():
         a, b = divmod(rp, N)
         c, d = divmod(cp, N)
         for ap in range(N):
-            row = rows.setdefault((ap, b, c, d), [zero] * (N * N))
-            row[ap * N + a] = row[ap * N + a] + v
+            row = rows.setdefault((ap, b, c, d), {})
+            col = ap * N + a
+            row[col] = row[col] + v if col in row else v
     for (rp, cp), v in R.entries.items():
         b, f = divmod(rp, N)
         ap, c = divmod(cp, N)
+        v = -v
         for d in range(N):
-            row = rows.setdefault((ap, b, c, d), [zero] * (N * N))
-            row[f * N + d] = row[f * N + d] - v
-    return list(rows.values())
+            row = rows.setdefault((ap, b, c, d), {})
+            col = f * N + d
+            row[col] = row[col] + v if col in row else v
+    out = []
+    for row in rows.values():
+        row = {col: v for col, v in row.items() if v}
+        if row:
+            out.append(row)
+    return out
+
+
+def _relation_nullspace(rows: list[dict[int, RingElem]], ncols: int) -> list[list[RingElem]]:
+    """Exact nullspace basis of sparse rows with at most two unknowns each.
+
+    Rows are {column: nonzero coefficient}.  A row a x_i = 0 forces
+    x_i = 0, and a row a x_i + b x_j = 0 fixes the ratio of x_i and x_j, so
+    the columns form a graph with those rows as edges, and each connected
+    component has a nullspace of dimension 0 or 1.
+    Zeros spread from the forced columns along the edges.  Every other
+    component is walked from its smallest column, set to 1, with
+    x_j = -a x_i / b by exact division; when b does not divide, the whole
+    component is scaled by b, as in :func:`nullspace`.  A row that closes a
+    cycle is checked exactly, and a component whose cycle fails contributes
+    nothing.  A column in no row is a component of its own.  The vectors
+    are primitive and come in the order :func:`nullspace` gives them, by the
+    largest column of their component (that column is the one elimination
+    leaves free).  A row with three or more unknowns raises.
+    """
+    zero = ring.zero()
+    edges: dict[int, list[tuple[int, RingElem, RingElem, int]]] = {}
+    visited: set[int] = set()
+    for k, row in enumerate(rows):
+        if len(row) > 2:
+            raise ConventionValidationFailed(
+                f"a twist row has {len(row)} unknowns, columns {sorted(row)}: R violates "
+                "charge conservation, under which each row has at most two")
+        if len(row) == 1:
+            visited.update(row)
+        elif row:
+            (i, a), (j, b) = row.items()
+            edges.setdefault(i, []).append((j, a, b, k))
+            edges.setdefault(j, []).append((i, b, a, k))
+
+    stack = list(visited)
+    while stack:
+        for j, _, _, _ in edges.get(stack.pop(), ()):
+            if j not in visited:
+                visited.add(j)
+                stack.append(j)
+
+    found = []
+    for start in range(ncols):
+        if start in visited:
+            continue
+        x = {start: ring.one()}
+        order = [start]
+        used: set[int] = set()
+        consistent = True
+        for i in order:  # grows while walked
+            for j, a, b, k in edges.get(i, ()):
+                if k in used:
+                    continue
+                used.add(k)
+                num = a * x[i]
+                if j not in x:
+                    try:
+                        x[j] = -ring.exact_divide(num, b)
+                    except InexactDivision:
+                        x = {col: v * b for col, v in x.items()}
+                        x[j] = -num
+                    order.append(j)
+                elif num + b * x[j]:
+                    consistent = False
+        visited.update(order)
+        if consistent:
+            found.append((max(order), _normalize_primitive([x.get(c, zero) for c in range(ncols)])))
+    found.sort(key=lambda item: item[0])
+    return [vec for _, vec in found]
 
 
 def _vec_to_matrix(vec: list[RingElem], N: int) -> SqMatrix:
@@ -303,12 +390,12 @@ def _vec_to_matrix(vec: list[RingElem], N: int) -> SqMatrix:
 
 def _solve_exact(R: SqMatrix, R_inv: SqMatrix, conv: IndexConvention) -> TwistSolution:
     N = conv.N
-    md_rows = _assemble_md_system(R, R_inv, N)
-    md_basis = [_vec_to_matrix(v, N) for v in nullspace(md_rows, N * N)]
+    md_rows = _twist_rows(R, R_inv, N)
+    md_basis = [_vec_to_matrix(v, N) for v in _relation_nullspace(md_rows, N * N)]
     if not md_basis:
         raise NoSolution("twist system for M_d has trivial nullspace")
-    mu_rows = _assemble_md_system(R.transpose(), R_inv.transpose(), N)
-    mu_basis = [_vec_to_matrix(v, N) for v in nullspace(mu_rows, N * N)]
+    mu_rows = _twist_rows(R.transpose(), R_inv.transpose(), N)
+    mu_basis = [_vec_to_matrix(v, N) for v in _relation_nullspace(mu_rows, N * N)]
     sol = TwistSolution(
         md_basis=md_basis,
         mu_basis=mu_basis,

@@ -153,6 +153,178 @@ def test_nullspace_primitive_vectors(m2):
     assert g == 1
 
 
+# ------------------------------------------------ two-term relation solver
+
+
+def _dense_twist_rows(R: SqMatrix, R_inv: SqMatrix, N: int) -> list[list[ring.RingElem]]:
+    """The reference rows: twist 1 multiplied by M_d, dense over the unknown M_d.
+
+    Row (a', b, c, d) reads sum_a R^-1[(a,b),(c,d)] M_d[a',a]
+    - sum_f R[(b,f),(a',c)] M_d[f,d] = 0, with column a'N + a or fN + d,
+    rows in order of first appearance, R^-1 entries before R entries.
+    """
+    zero = ring.zero()
+    rows: dict[tuple, list[ring.RingElem]] = {}
+    for (rp, cp), v in R_inv.entries.items():
+        a, b = divmod(rp, N)
+        c, d = divmod(cp, N)
+        for ap in range(N):
+            row = rows.setdefault((ap, b, c, d), [zero] * (N * N))
+            row[ap * N + a] = row[ap * N + a] + v
+    for (rp, cp), v in R.entries.items():
+        b, f = divmod(rp, N)
+        ap, c = divmod(cp, N)
+        for d in range(N):
+            row = rows.setdefault((ap, b, c, d), [zero] * (N * N))
+            row[f * N + d] = row[f * N + d] - v
+    return list(rows.values())
+
+
+def _dense(row: dict, ncols: int) -> list[ring.RingElem]:
+    return [row.get(c, ring.zero()) for c in range(ncols)]
+
+
+def _same_line(u, v) -> bool:
+    # u and v span one line over Q(s): every 2x2 minor vanishes
+    return any(u) and any(v) and all(
+        u[i] * v[j] == u[j] * v[i] for i in range(len(u)) for j in range(i + 1, len(u)))
+
+
+def _twist_systems(R: SqMatrix, R_inv: SqMatrix):
+    # M_d from (R, R^-1), M_u from the transposes
+    yield R, R_inv
+    yield R.transpose(), R_inv.transpose()
+
+
+_SOLVER_CASES = [f"N{N}{sign}{mirror}" for N in (2, 3, 4) for sign in "+-" for mirror in ("", "m")]
+
+
+def _solver_case(case: str) -> tuple[SqMatrix, IndexConvention, int]:
+    """(R, convention, nullity of each twist system) for a case id."""
+    if case == "flip":
+        return SqMatrix.permutation(2), IndexConvention.for_size(2), 4
+    if case == "N3-conjugated":
+        m = build_model(3)
+        return _conjugated_n3(m.R), m.conv, 1
+    m = build_model(int(case[1]), 1 if case[2] == "+" else -1)
+    return (mirror_model(m) if case.endswith("m") else m).R, m.conv, 1
+
+
+@pytest.mark.parametrize("case", _SOLVER_CASES + ["N3-conjugated", "flip"])
+def test_relation_solver_matches_dense_nullspace(case):
+    R, conv, nullity = _solver_case(case)
+    N = conv.N
+    R_inv = inverse_blockwise(R, conv)
+    for X, X_inv in _twist_systems(R, R_inv):
+        sparse = axioms._twist_rows(X, X_inv, N)
+        dense = _dense_twist_rows(X, X_inv, N)
+        # the same rows, less those whose terms all cancel
+        assert [_dense(row, N * N) for row in sparse] == [row for row in dense if any(row)]
+        assert all(len(row) <= 2 for row in sparse)
+        basis = axioms._relation_nullspace(sparse, N * N)
+        assert basis == nullspace(dense, N * N)
+        assert len(basis) == nullity
+
+
+def _poly(rng: random.Random, unit: bool) -> ring.RingElem:
+    # a unit +-s^k, or a non-unit such as 2 s^k or s^k (1 + s^2)
+    e = ring.s_power(rng.randint(-2, 2), rng.choice((1, -1)))
+    if unit:
+        return e
+    return e * rng.choice((ring.integer(2), ring.s_power(2) + 1, ring.s_power(1) - 3))
+
+
+def _random_two_term_system(rng: random.Random, ncols: int, nrows: int) -> list[dict]:
+    # rows planted on a hidden vector close consistent cycles; free-drawn
+    # rows usually close inconsistent ones; one-term rows force zeros
+    hidden = [_poly(rng, rng.random() < 0.5) for _ in range(ncols)]
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append({rng.randrange(ncols): _poly(rng, rng.random() < 0.5)})
+            continue
+        if ncols < 2:
+            continue
+        i, j = rng.sample(range(ncols), 2)
+        if kind < 0.75:
+            c = _poly(rng, rng.random() < 0.5)
+            rows.append({i: c * hidden[j], j: -c * hidden[i]})
+        else:
+            rows.append({i: _poly(rng, rng.random() < 0.5), j: _poly(rng, rng.random() < 0.5)})
+    return rows
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.integers(0, 10))
+@settings(max_examples=60)
+def test_relation_solver_random_two_term_systems(seed, ncols, nrows):
+    rng = random.Random(seed)
+    rows = _random_two_term_system(rng, ncols, nrows)
+    basis = axioms._relation_nullspace(rows, ncols)
+    ref = nullspace([_dense(row, ncols) for row in rows], ncols)
+    assert len(basis) == len(ref)
+    for vec, want in zip(basis, ref):
+        assert len(vec) == ncols
+        assert _same_line(vec, want)
+        for row in rows:
+            acc = ring.zero()
+            for c, a in row.items():
+                acc = acc + a * vec[c]
+            assert acc.is_zero()
+
+
+def test_relation_solver_inconsistent_cycle_zeroes_its_component_only():
+    one, s = ring.one(), ring.s_power(1)
+    rows = [
+        {0: one, 1: -one}, {1: one, 2: -one}, {2: one, 0: -ring.integer(2)},  # x0 = x1 = x2 = 2 x0
+        {3: one, 4: -s},                                                       # x3 = s x4
+    ]
+    basis = axioms._relation_nullspace(rows, 6)
+    assert basis == nullspace([_dense(row, 6) for row in rows], 6)
+    zero = ring.zero()
+    assert basis == [[zero, zero, zero, s, one, zero], [zero] * 5 + [one]]
+    # the same triangle made consistent keeps its component
+    rows[2] = {2: one, 0: -one}
+    assert len(axioms._relation_nullspace(rows, 6)) == 3
+
+
+def test_relation_solver_forced_zero_spreads_along_relations():
+    one = ring.one()
+    rows = [{0: one, 1: one}, {1: ring.s_power(2), 2: -one}, {2: ring.integer(3)}, {3: one, 4: one}]
+    zero = ring.zero()
+    assert axioms._relation_nullspace(rows, 5) == [[zero, zero, zero, one, -one]]
+
+
+def test_relation_solver_scales_on_inexact_division():
+    # x1 = 2 x0 / (1 + s^2) is not in the ring: the component is scaled by 1 + s^2
+    rows = [{0: ring.integer(2), 1: -(ring.s_power(2) + 1)}]
+    basis = axioms._relation_nullspace(rows, 2)
+    assert basis == nullspace([_dense(rows[0], 2)], 2)
+    assert basis == [[ring.s_power(2) + 1, ring.integer(2)]]
+
+
+def test_cancelling_terms_leave_the_unknown_free():
+    # for the flip the R^-1 and R terms of every row land in one column and
+    # cancel: no row is left, and each entry of M is free
+    flip = SqMatrix.permutation(2)
+    assert axioms._twist_rows(flip, flip, 2) == []
+    one, zero = ring.one(), ring.zero()
+    assert axioms._relation_nullspace([], 4) == [
+        [one if i == j else zero for i in range(4)] for j in range(4)]
+
+
+def test_relation_solver_refuses_three_unknowns(m2):
+    one = ring.one()
+    with pytest.raises(VertexLinkError, match="charge conservation"):
+        axioms._relation_nullspace([{0: one, 1: one, 2: one}], 3)
+    # R[(0,0),(1,1)] and R[(0,1),(1,1)] join charge sectors, and the twist
+    # row (a',b,c,d) = (1,0,1,0) then meets three entries of M_d
+    entries = dict(m2.R.entries)
+    entries[(0, 3)] = entries[(1, 3)] = one
+    with pytest.raises(VertexLinkError, match="charge conservation"):
+        axioms._solve_exact(SqMatrix(4, entries), m2.R_inv, m2.conv)
+
+
 # ------------------------------------------------------------------ solver
 
 

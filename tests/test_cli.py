@@ -69,6 +69,18 @@ _GOLDEN = {
     ("solve-m", "--model", "4", "--discover", "--json"): (
         "cc09dd7ac3eb817e07f1542c2311fb5577554f9882bf1fd49aed95eccfb34619",
         "08ebeaa67c0c1f53894492c8e8767e35324e1aa48e843fe92dadf3326c26a947"),
+    ("solve-m", "--model", "2", "--json"): (
+        "3686a1352f892d8d64ed89617cfbcfdc3fdfd83db99985da055e69a030692472",
+        "fb93da99ce270adecdb55bc7fc65f896a27eaa57475f9dfbeeaa1d81adde230a"),
+    ("solve-m", "--model", "2", "--discover", "--json"): (
+        "2791d6937c7f01a740ab357dedd4ce27588b71eca09dd22f36fcff775829da35",
+        "91a2d36ac83433c1adb6c3257b571285f61a5177264d97d6ae5381d0b6666fb4"),
+    ("solve-m", "--model", "3", "--json"): (
+        "2ae137eecf38aba0df0c9d898ee27d217c0480d26f60cdfefd6a4c21e018b69b",
+        "bbb8569a75867daa729dc13f16c7fd6dedcc8561fe277e784b493263109cf3cf"),
+    ("solve-m", "--model", "3", "--discover", "--json"): (
+        "9f23f8966f4eff292f39b2bf0fe8cfe74bc1468f2d3360d608ee17f2ee0f5c7f",
+        "ecf33eec548b7d83cc369cc22f39eabc2dfabd3a7fab5b34bb342fa71b4dd532"),
     ("tl", "--model", "4", "--json"): (
         "bc8dce19b0770f95d3b9e079be0f009b9269f8f89d6b1b0e5d4c2a6ea84bd8d4",
         "f867bb0dc2a0bcd709661989d2f2b9a40dd1d40758bb8291e96c3c15b8217d80"),
