@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 from .errors import BadLetter, DimensionMismatch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BraidWord:
+    # slotted: 48 bytes in place of about 350 with a __dict__, and caches
+    # and callers keep many words
     strands: int
     letters: tuple[int, ...] = field(default_factory=tuple)
 

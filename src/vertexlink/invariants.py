@@ -30,14 +30,16 @@ from .tensor import partial_close_second, trace_product
 
 
 def _closure_trace(word: BraidWord, m: VertexModel, bits: int) -> RingElem:
-    """Z^-writhe <L> on the image of the ring at q = 2^bits, meeting in the middle.
+    """Z^-writhe <L> on the image of the ring at q^2 = 2^bits, meeting in the middle.
 
     The two half-words are represented separately, sharing their letter
     matrices, on the rows of charge w >= 0 only, and traced against each
     other with mu^(x)n folded onto those rows: the trace on the sector -w
     equals that on w (:mod:`vertexlink.packed`), so the row weighs
-    sigma^n (q^(kappa w) + q^(-kappa w)), or sigma^n once for w = 0.
-    Exact when ``bits`` is at least ``packed.closure_bits(m, word)``.
+    sigma^n (q^(kappa w) + q^(-kappa w)), or sigma^n once for w = 0.  The
+    letters are in the parity gauge, a diagonal conjugation that fixes the
+    trace and puts every entry in Z[q^+-2].  Exact when ``bits`` is at
+    least ``packed.closure_bits(m, word)``.
     """
     n = word.strands
     img = packed.image(m, bits)

@@ -1,15 +1,38 @@
 """Kronecker-packed matrices: closure traces and exact identity checks on plain ints.
 
 The closure trace only adds and multiplies ring elements, and substituting
-a number for q is a ring homomorphism, so the chain can run on Python ints
-(Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009).  Factoring
-the unit Z out of every letter (R/Z and Z R^-1) leaves entries in
+a number for a power of s is a ring homomorphism, so the chain can run on
+Python ints (Kronecker substitution; Harvey, J. Symbolic Comput. 44, 2009).
+Factoring the unit Z out of every letter (R/Z and Z R^-1) leaves entries in
 Z[q^+-1]: every exponent in s is even.  (The N = 4 model is built in the
 gauge that clears the radical of its table, :mod:`vertexlink.models`.)  A
 :class:`PackedMatrix` stores x^shift times a matrix over Z[x^+-1], shifted
 to nonnegative degree and evaluated at x = 2^bits: one int per entry.  The
-variable x is q = s^2 for the closure letters; a check whose operands hold
-odd powers of s (R, M_u and M_d for N = 2 and 4) packs at x = s.
+variable x is s^step.  The closure letters pack at x = q^2 = s^4 after the
+parity gauge below; a check whose operands hold odd powers of s (R, M_u and
+M_d for N = 2 and 4) packs at x = s, and one over Z[q^+-1] at x = q.
+
+The parity gauge.  Every entry of R/Z and Z R^-1 is q^eps P(q^2), with one
+parity eps per entry, so at x = q about half the base-2^bits digits of
+every int in the chain would be zero.  Over the label indices 0..N-1,
+multiply the entry [(a, b), (c, d)] of both letters by q^g with
+g = lam (b - d) + beta(a) + beta(b) - beta(c) - beta(d) (:func:`gauged`).
+One (lam, beta) puts every entry in Z[q^+-2], and it is read from the
+parities eps alone (:func:`parity_gauge`).  On n strands this conjugates
+every letter by G = diag(q^(sum_k lam k i_k + beta(i_k))) over the rows
+(i_1, ..., i_n):
+
+* At the sites k, k+1 the row (.., a, b, ..) and the column (.., c, d, ..)
+  of b_k differ by q^(lam (k a + (k+1) b - k c - (k+1) d) + beta(a) +
+  beta(b) - beta(c) - beta(d)).  R conserves charge, a + b = c + d, so
+  that is q^g at every site: one two-site letter still serves every site
+  (:func:`vertexlink.braid.embed_two_site`).
+* G is diagonal, so it keeps every charge sector, and G rep(b) G^-1 has
+  the diagonal of rep(b): each t_w below, the flip argument and the trace
+  are unchanged.
+* Each entry moves by a monomial, so its weight, rho and
+  :func:`closure_bits` are unchanged, and the width proof below holds as
+  it is.
 
 Only the final scalar is unpacked, as balanced base-2^bits digits.  That is
 exact when every coefficient of the result has absolute value below
@@ -50,6 +73,13 @@ of both half-words is built on those rows only, and the chain runs on about
 half the rows.  The value is the same polynomial as the full trace, so the
 same width unpacks it.
 
+At x = q^2 a weight q^e of odd e is q x^((e-1)/2).  So the trace sums the
+terms of even e and of odd e apart, unpacks each at x = q^2, and returns
+the even part plus q times the odd part (:meth:`PackedMatrix.trace_product`).
+The two parts share no power of q, so the coefficients of each part are
+coefficients of the trace, and the width that reads the trace reads each
+part.  (The shipped models have kappa = +-2, so every e is even there.)
+
 A :class:`PackedMatrix` is keyed by row, {r: {c: int}}: a product walks
 the right factor's rows as stored, and the closure trace looks up
 B[c][r] for each entry A[r][c] of a row of weight.
@@ -81,13 +111,14 @@ weight and the weight submultiplicative, with bits = bitlen(2 X) + 1
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from . import _kernel as K
 from . import ring
 from .errors import DimensionMismatch, DomainError
 from .ring import RingElem
-from .tensor import closure_character
+from .tensor import SqMatrix, closure_character
 
 
 class PackedMatrix:
@@ -95,7 +126,7 @@ class PackedMatrix:
 
     It stands for x^-shift times the matrix whose entries unpack from the
     ints in ``rows``, keyed by row and then column: {r: {c: int}}.  A row
-    with no entry is left out.  The closure letters pack at x = q (step 2).
+    with no entry is left out.  The closure letters pack at x = q^2 (step 4).
     """
 
     __slots__ = ("dim", "rows", "bits", "shift", "step")
@@ -164,11 +195,13 @@ class PackedMatrix:
     def trace_product(self, other: "PackedMatrix", weights=None) -> RingElem:
         """tr(self @ other @ W), unpacked, without forming the product.
 
-        W is diagonal: row r weighs the sum of x^e over the exponents e in
+        W is diagonal: row r weighs the sum of q^e over the exponents e in
         ``weights[r]``, and a row ``weights`` leaves out weighs 0; without
         ``weights``, W = 1.  The diagonal terms are summed per row weight
         (per charge sector, for a closure weight), and each sum is shifted
-        by its powers of x once.
+        by its powers of q once.  q^e is s^rest x^d with 2 e = step d + rest:
+        the terms of each rest are summed and unpacked apart, then moved by
+        s^rest (at x = q^2, the even and odd e; see the module docstring).
         """
         self._check(other)
         if weights is None:
@@ -185,8 +218,16 @@ class PackedMatrix:
                     if b is not None and r in b:
                         t += v * b[r]
                 sums[es] = sums.get(es, 0) + t
-        total = sum(t << self.bits * e for es, t in sums.items() for e in es)
-        return unpack(total, self.bits, self.shift + other.shift, self.step)
+        parts: dict[int, int] = {}
+        for es, t in sums.items():
+            for e in es:
+                d, rest = divmod(2 * e, self.step)
+                parts[rest] = parts.get(rest, 0) + (t << self.bits * d)
+        shift = self.shift + other.shift
+        total = ring.zero()
+        for rest, part in parts.items():
+            total = total + ring.s_power(rest) * unpack(part, self.bits, shift, self.step)
+        return total
 
     def __repr__(self):
         nnz = sum(len(row) for row in self.rows.values())
@@ -419,7 +460,7 @@ def _closure_weight(N: int, n: int, sigma: int, kappa: int) -> tuple[RingElem, d
 
 @dataclass(frozen=True)
 class PackedImage:
-    """A model's unit-free letters at q = 2^bits, and the character (sigma, kappa) of its mu.
+    """A model's gauged unit-free letters at q^2 = 2^bits, and the character (sigma, kappa) of mu.
 
     ``braid.represent`` reads ``N``, ``R`` and ``R_inv``, as on a model.
     """
@@ -441,16 +482,60 @@ class PackedImage:
 
 @dataclass(frozen=True)
 class _Letters:
-    R_hat: object  # R / Z
-    R_bar: object  # Z R^-1
+    R_hat: object  # R / Z, in the parity gauge
+    R_bar: object  # Z R^-1, in the parity gauge
     rho_pos: int  # largest row sums of entry weights
     rho_neg: int
+
+
+def parity_gauge(N: int, letters) -> tuple[int, tuple[int, ...]]:
+    """(lam, beta) for which :func:`gauged` takes each two-site letter of ``letters`` into Z[q^+-2].
+
+    Each entry must be q^eps P(q^2).  Only eps and (lam, beta) mod 2
+    decide, so the gauge is read from the parities alone: lam in {0, 1}
+    and beta in {0, 1}^N with beta(0) = 0 (a constant added to beta moves
+    no entry), at most 2^N candidates and no ring product.  An entry of
+    odd power of s or of mixed parity, or letters no candidate clears, are
+    refused.
+    """
+    need = set()  # (a, b, c, d, eps): eps + lam (b - d) + beta(a) + ... must be even
+    for M in letters:
+        for (r, c), v in M.entries.items():
+            off, coeffs = v.rat
+            classes = {(off + i) % 4 for i, x in enumerate(coeffs) if x}
+            if len(classes) != 1 or classes & {1, 3}:
+                raise DomainError(f"entry ({r}, {c}) = {v!r} is no q^eps P(q^2)")
+            need.add((*divmod(r, N), *divmod(c, N), classes.pop() // 2))
+    for lam in (0, 1):
+        for rest in itertools.product((0, 1), repeat=N - 1):
+            beta = (0, *rest)
+            if not any((eps + lam * (b - d) + beta[a] + beta[b] + beta[c] + beta[d]) % 2
+                       for a, b, c, d, eps in need):
+                return lam, beta
+    raise DomainError("no diagonal gauge takes the letters into Z[q^+-2]")
+
+
+def gauged(M, N: int, gauge: tuple[int, tuple[int, ...]]):
+    """M (a two-site SqMatrix) with entry [(a, b), (c, d)] times
+    q^(lam (b - d) + beta(a) + beta(b) - beta(c) - beta(d)), checked to lie in Z[q^+-2]."""
+    lam, beta = gauge
+    out = {}
+    for (row, col), v in M.entries.items():
+        (a, b), (c, d) = divmod(row, N), divmod(col, N)
+        off, coeffs = v.rat
+        off += 2 * (lam * (b - d) + beta[a] + beta[b] - beta[c] - beta[d])
+        if any((off + i) % 4 for i, x in enumerate(coeffs) if x):
+            raise DomainError(f"entry ({row}, {col}) is not in Z[q^+-2] in the gauge {gauge}")
+        out[(row, col)] = RingElem((off, coeffs))
+    return SqMatrix(M.dim, out)
 
 
 @functools.lru_cache(maxsize=32)
 def _letters(m) -> _Letters:
     R_hat = m.R * ring.invert_unit(m.Z)
     R_bar = m.R_inv * m.Z
+    gauge = parity_gauge(m.N, (R_hat, R_bar))
+    R_hat, R_bar = gauged(R_hat, m.N, gauge), gauged(R_bar, m.N, gauge)
     return _Letters(R_hat, R_bar, row_weight(R_hat), row_weight(R_bar))
 
 
@@ -471,7 +556,7 @@ def closure_bits(m, word) -> int:
 
 @functools.lru_cache(maxsize=64)
 def image(m, bits: int) -> PackedImage:
-    """The unit-free letters of ``m`` packed at q = 2^bits, with the character of its mu."""
+    """The gauged unit-free letters of ``m`` at q^2 = 2^bits, with the character of its mu."""
     L = _letters(m)
-    return PackedImage(m.N, pack_matrix(L.R_hat, bits), pack_matrix(L.R_bar, bits),
+    return PackedImage(m.N, pack_matrix(L.R_hat, bits, 4), pack_matrix(L.R_bar, bits, 4),
                        closure_character(m.mu, m.conv))

@@ -35,7 +35,6 @@ from .models import (
     build_model,
     limit_check,
     mirror_model,
-    paper_table,
     spectral_checks,
 )
 from .tensor import trace_product
@@ -211,26 +210,24 @@ def _check_jones(seed: int) -> CheckResult:
     return CheckResult("jones-oracle", True, "3 links x 5 rational points, exact match")
 
 
-def _check_radical(seed: int) -> CheckResult:
-    # the model is built in the gauge that clears r from the paper's table
-    # (models.gauge refuses an entry that keeps it); each packed closure is
-    # traced again on the SqMatrix chain
-    table = paper_table(4)
-    cleared = sum(isinstance(v, tuple) for v in table.values())
-    m = build_model(4)
-    rng = random.Random(seed + 4)
-    for t in range(20):
-        n = rng.randint(2, 4)
-        word = random_word(rng, n, rng.randint(1, 8))
-        mu = m.mu
-        for _ in range(n - 1):
-            mu = mu.kron(m.mu)
-        if regular_invariant(word, m) != trace_product(represent(word, m), mu):
-            return CheckResult("radical-cancellation", False,
-                               f"trial {t}: packed trace differs from the chain")
-    return CheckResult("radical-cancellation", True,
-                       f"gauge cleared r from {cleared} of {len(table)} N=4 entries, "
-                       "20 closures match the chain")
+def _check_packed_trace(seed: int) -> CheckResult:
+    # each packed closure (ints at q^2 = 2^B, letters in the parity gauge:
+    # lam = 1 for N = 2, 4 and beta = (0, 0, 1) for N = 3) is traced again
+    # on the SqMatrix chain with mu^(x)n
+    for N in (2, 3, 4):
+        m = build_model(N)
+        rng = random.Random(seed + N)
+        for t in range(20):
+            n = rng.randint(2, 4)
+            word = random_word(rng, n, rng.randint(1, 8))
+            mu = m.mu
+            for _ in range(n - 1):
+                mu = mu.kron(m.mu)
+            if regular_invariant(word, m) != trace_product(represent(word, m), mu):
+                return CheckResult("packed-trace", False,
+                                   f"N={N} trial {t}: packed trace differs from the chain")
+    return CheckResult("packed-trace", True,
+                       "60 closures, N=2,3,4, match the SqMatrix chain")
 
 
 def _check_tl(seed: int) -> CheckResult:
@@ -307,7 +304,7 @@ _CHECKS = tuple(sorted((
     ("skein", _check_skein),
     ("invariance", _check_invariance),
     ("jones-oracle", _check_jones),
-    ("radical-cancellation", _check_radical),
+    ("packed-trace", _check_packed_trace),
     ("tl-bracket", _check_tl),
     ("spectral", _check_spectral),
     ("uq-correspondence", _check_uq),

@@ -38,6 +38,15 @@ def test_word_validation():
     BraidWord(1, ())  # one free strand is fine
 
 
+def test_word_is_slotted_frozen_and_hashable():
+    """A word keeps no per-instance dict; it stays immutable and usable as a cache key."""
+    w = BraidWord(3, (1, -2))
+    assert not hasattr(w, "__dict__")
+    with pytest.raises(AttributeError):
+        w.strands = 4
+    assert {w: 1}[BraidWord(3, (1, -2))] == 1
+
+
 def test_parse_braid():
     w = parse_braid("1, -2 1\t-2")
     assert w.strands == 3 and w.letters == (1, -2, 1, -2)

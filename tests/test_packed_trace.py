@@ -1,9 +1,12 @@
 """The Kronecker-packed closure trace equals the exact SqMatrix reference.
 
-``invariants.regular_invariant`` runs the braid chain on ints at q = 2^B;
-the reference runs it on ``SqMatrix`` through the kernel's ``spgemm``.
+``invariants.regular_invariant`` runs the braid chain on ints at q^2 = 2^B,
+its letters in the parity gauge; the reference runs it on ``SqMatrix``
+through the kernel's ``spgemm``.
 """
 
+import dataclasses
+import io
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -11,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from oracle.quadratic_closure import field, laurent_at
-from vertexlink import braid, invariants, packed, ring, tensor
+from vertexlink import braid, invariants, packed, ring, selftest, tensor
 from vertexlink.braid import BraidWord
 from vertexlink.errors import DomainError
 from vertexlink.models import build_model, gauge_powers, mirror_model, paper_table
@@ -220,14 +223,15 @@ def signed_model(N, sign, mirrored):
 
 
 def exact_twin(m):
-    """The unit-free letters the packed image holds, over the exact ring, as a model for represent."""
+    """The gauged unit-free letters the packed image holds, over the exact ring, as a model
+    for represent."""
     L = packed._letters(m)
     return SimpleNamespace(N=m.N, R=L.R_hat, R_inv=L.R_bar)
 
 
 def unfolded(M):
-    """A PackedMatrix read back entry by entry, as {(r, c): RingElem}."""
-    return {(r, c): packed.unpack(v, M.bits, M.shift)
+    """A PackedMatrix read back entry by entry, at its own variable, as {(r, c): RingElem}."""
+    return {(r, c): packed.unpack(v, M.bits, M.shift, M.step)
             for r, row in M.rows.items() for c, v in row.items()}
 
 
@@ -310,3 +314,141 @@ def test_closure_trace_builds_each_letter_once(m3, monkeypatch):
     built.clear()
     assert m3.Z ** w.writhe * invariants._closure_trace(w, m3, packed.closure_bits(m3, w)) == want
     assert sorted(built) == [-2, 1, 3]
+
+
+# ------------------------------------------------------------- parity gauge
+
+
+def ungauged_twin(m):
+    """R / Z and Z R^-1 as the model holds them, before the parity gauge."""
+    return SimpleNamespace(N=m.N, R=m.R * ring.invert_unit(m.Z), R_inv=m.R_inv * m.Z)
+
+
+def s_classes(values):
+    """The classes mod 4 of every exponent of s in ``values``."""
+    return {e % 4 for v in values for e in v.terms}
+
+
+# (lam, beta) the search returns first: beta(0) = 0, lam = 0 tried first
+GAUGE = {2: (1, (0, 0)), 3: (0, (0, 0, 1)), 4: (1, (0, 0, 0, 0))}
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirror"])
+@pytest.mark.parametrize("N,sign", SIGNED, ids=[f"N{N}{'+' if s > 0 else '-'}" for N, s in SIGNED])
+def test_parity_gauge_is_found_for_every_model(N, sign, mirrored):
+    """Every letter entry is q^eps P(q^2); one (lam, beta) clears eps and keeps each weight."""
+    m = signed_model(N, sign, mirrored)
+    raw = ungauged_twin(m)
+    assert s_classes([*raw.R.entries.values(), *raw.R_inv.entries.values()]) == {0, 2}
+    gauge = packed.parity_gauge(N, (raw.R, raw.R_inv))
+    assert gauge == GAUGE[N]
+    L = packed._letters(m)
+    for before, after in ((raw.R, L.R_hat), (raw.R_inv, L.R_bar)):
+        assert packed.gauged(before, N, gauge).entries == after.entries
+        assert s_classes(after.entries.values()) == {0}
+        assert after.entries.keys() == before.entries.keys()
+        for key, v in before.entries.items():  # a monomial moves each entry
+            assert v.rat[1] == after.entries[key].rat[1]
+        assert packed.row_weight(after) == packed.row_weight(before)
+
+
+def test_a_letter_with_one_odd_parity_entry_is_refused(m3):
+    """A diagonal entry moves by q^0 in every gauge, so one of odd parity is refused."""
+    L = packed._letters(m3)
+    entries = dict(L.R_hat.entries)
+    entries[(0, 0)] = entries[(0, 0)] * ring.q_power(1)
+    odd = SqMatrix(L.R_hat.dim, entries)
+    with pytest.raises(DomainError, match="no diagonal gauge"):
+        packed.parity_gauge(3, (odd, L.R_bar))
+    # an entry of mixed parity, or with an odd power of s, is no q^eps P(q^2)
+    for bad in (ring.one() + ring.q_power(1), ring.s_power(1)):
+        entries[(0, 0)] = bad
+        with pytest.raises(DomainError, match="no q\\^eps"):
+            packed.parity_gauge(3, (SqMatrix(L.R_hat.dim, entries),))
+
+
+def test_gauged_checks_every_entry_exactly(m3):
+    """A gauge that leaves an odd power of q is refused entry by entry."""
+    raw = ungauged_twin(m3)
+    with pytest.raises(DomainError, match="not in Z\\[q\\^\\+-2\\]"):
+        packed.gauged(raw.R, 3, (0, (0, 0, 0)))
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirror"])
+@pytest.mark.parametrize("N,sign", SIGNED, ids=[f"N{N}{'+' if s > 0 else '-'}" for N, s in SIGNED])
+def test_gauge_keeps_every_sector_trace(N, sign, mirrored):
+    """G = diag(q^(sum_k lam k i_k + beta(i_k))) conjugates the chain: every t_w is unchanged.
+
+    The chains themselves differ: the gauge moves off-diagonal entries.
+    """
+    m = signed_model(N, sign, mirrored)
+    twin, raw = exact_twin(m), ungauged_twin(m)
+    rng = random.Random(30 * N + 3 * sign + mirrored)
+    moved = False
+    for n in range(2, 5):
+        w = braid.random_word(rng, n, rng.randint(1, 6))
+        traces = sector_traces(w, twin)
+        assert traces == sector_traces(w, raw), w
+        moved |= braid.represent(w, twin) != braid.represent(w, raw)
+    assert moved
+
+
+def with_odd_kappa(m):
+    """``m`` with mu = sigma diag(q^a) over the labels a: kappa = 1, so the closure
+    weights q^e take both parities of e.  The trace is no Markov trace then,
+    but t_w = t_-w and the gauge do not depend on mu."""
+    sigma, _ = tensor.closure_character(m.mu, m.conv)
+    mu = SqMatrix(m.N, {(i, i): ring.s_power(int(2 * a), sigma)
+                        for i, a in enumerate(m.conv.labels)})
+    return dataclasses.replace(m, mu=mu)
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirror"])
+@pytest.mark.parametrize("N,sign", SIGNED, ids=[f"N{N}{'+' if s > 0 else '-'}" for N, s in SIGNED])
+def test_q2_trace_with_both_parities_matches_the_chain(N, sign, mirrored):
+    """At x = q^2 the terms of odd e unpack apart and come back times q.
+
+    Every word drawn is checked, until 4 of them have a trace with powers
+    of q of both parities past the unit: both the even and the odd part
+    nonzero.
+    """
+    m = with_odd_kappa(signed_model(N, sign, mirrored))
+    assert tensor.closure_character(m.mu, m.conv)[1] == 1
+    rng = random.Random(40 * N + 4 * sign + mirrored)
+    both = 0
+    for _ in range(100):
+        n = rng.randint(2, 4)
+        w = braid.random_word(rng, n, rng.randint(1, 6))
+        want = reference(w, m)
+        assert invariants.regular_invariant(w, m) == want, w
+        both += s_classes([want]) >= {0, 2} or s_classes([want]) >= {1, 3}
+        if both == 4:
+            break
+    assert both == 4
+
+
+def test_selftest_packed_trace_row_covers_both_gauge_forms(monkeypatch):
+    """The row runs N = 2 and 4 (lam = 1) and N = 3 (beta = (0, 0, 1)), and names a bad N."""
+    seen = []
+    build = selftest.build_model
+
+    def recording(N, *args):
+        seen.append(N)
+        return build(N, *args)
+
+    monkeypatch.setattr(selftest, "build_model", recording)
+    out = io.StringIO()
+    assert selftest.run(only="packed-trace", out=out, err=io.StringIO()) == 0
+    assert out.getvalue().splitlines()[1].split() == [
+        "packed-trace", "PASS", "60", "closures,", "N=2,3,4,", "match", "the", "SqMatrix",
+        "chain"]
+    assert seen == [2, 3, 4]
+
+    def off_at_n3(word, m):
+        value = invariants.regular_invariant(word, m)
+        return value + ring.one() if m.N == 3 else value
+
+    monkeypatch.setattr(selftest, "regular_invariant", off_at_n3)
+    out = io.StringIO()
+    assert selftest.run(only="packed-trace", out=out, err=io.StringIO()) == 1
+    assert "FAIL  N=3 trial 0: packed trace differs from the chain" in out.getvalue()
