@@ -27,7 +27,8 @@ taubar, pinned last, leave sigma = (-1)^(N-1) and kappa = -2 (+2 for
 mirrors).
 
 The numeric side carries the solvable-model weights R(u) for N = 2, 3
-whose u -> infinity limit reproduces the constant matrices.
+whose u -> infinity limit reproduces the constant matrices, as sparse
+float tensors that ``tensor.contract`` joins like the exact ones.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from . import ring
 from .errors import (
@@ -55,13 +55,11 @@ from .tensor import (
     charge_sectors,
     check_flip,
     closure_character,
+    contract,
     det,
     inverse_blockwise,
     trace_product,
 )
-
-if TYPE_CHECKING:  # numpy loads in the float checks only, not with the exact pipeline
-    import numpy as np
 
 _Q = ring.q_power
 _S = ring.s_power
@@ -458,22 +456,17 @@ def _weights(sm: SpectralModel, u: float) -> dict:
     return _weights_n3(sm.lam, sm.mu_aniso, u)
 
 
-def boltzmann_tensor(sm: SpectralModel, u: float | None = None) -> np.ndarray:
-    """Four-index array T[pos(a), pos(c), pos(b), pos(d)] = R^a_c^b_d(u)."""
-    import numpy as np
+def boltzmann_tensor(sm: SpectralModel, u: float | None = None) -> dict[tuple[int, ...], float]:
+    """R^a_c^b_d(u) as ``{(pos(a), pos(c), pos(b), pos(d)): float}``, zeros dropped."""
     x = sm.u if u is None else u
     conv = IndexConvention.for_size(sm.N)
-    T = np.zeros((sm.N,) * 4)
-    for (a, c, b, d), v in _weights(sm, x).items():
-        T[conv.pos(_f(a)), conv.pos(_f(c)), conv.pos(_f(b)), conv.pos(_f(d))] = v
-    return T
+    return {tuple(conv.pos(_f(i)) for i in key): v for key, v in _weights(sm, x).items() if v}
 
 
-def boltzmann_matrix(sm: SpectralModel, u: float | None = None) -> np.ndarray:
-    """Weights flattened to the N^2 x N^2 matrix [flat(a,b), flat(c,d)]."""
-    T = boltzmann_tensor(sm, u)
+def boltzmann_matrix(sm: SpectralModel, u: float | None = None) -> dict[tuple[int, int], float]:
+    """The weights as the N^2 x N^2 matrix ``{(flat(a,b), flat(c,d)): float}``, zeros dropped."""
     N = sm.N
-    return T.transpose(0, 2, 1, 3).reshape(N * N, N * N)
+    return {(a * N + b, c * N + d): v for (a, c, b, d), v in boltzmann_tensor(sm, u).items()}
 
 
 @dataclass(frozen=True)
@@ -494,9 +487,16 @@ class SpectralReport:
         return max(self.ybe, self.unitarity, self.crossing) <= tol
 
 
-def _rel(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, float]:
-    diff = float(abs(lhs - rhs).max())
-    scale = max(float(abs(lhs).max()), float(abs(rhs).max()), 1.0)
+def _worst(values) -> float:
+    """The largest of ``values``, 0.0 if there are none; NaN if any is NaN, as numpy's max."""
+    vals = list(values)
+    return math.nan if any(math.isnan(x) for x in vals) else max(vals, default=0.0)
+
+
+def _rel(lhs: dict, rhs: dict) -> tuple[float, float]:
+    """Max |lhs - rhs| over both supports, and that over the largest magnitude (at least 1)."""
+    diff = _worst(abs(lhs.get(k, 0.0) - rhs.get(k, 0.0)) for k in lhs.keys() | rhs.keys())
+    scale = max(_worst(map(abs, lhs.values())), _worst(map(abs, rhs.values())), 1.0)
     return diff / scale, diff
 
 
@@ -506,40 +506,32 @@ def spectral_checks(sm: SpectralModel, u: float, v: float) -> SpectralReport:
     Residuals are relative to the largest magnitude on either side of the
     identity, which keeps them meaningful when sinh factors grow large.
     """
-    import numpy as np
     Tu = boltzmann_tensor(sm, u)
     Tv = boltzmann_tensor(sm, v)
     Tuv = boltzmann_tensor(sm, u + v)
-    lhs = np.einsum(YANG_BAXTER[0], Tu, Tuv, Tv)  # the exact braid check's strings
-    rhs = np.einsum(YANG_BAXTER[1], Tv, Tuv, Tu)
+    lhs = contract(YANG_BAXTER[0], Tu, Tuv, Tv)  # the exact braid check's strings
+    rhs = contract(YANG_BAXTER[1], Tv, Tuv, Tu)
     ybe_rel, ybe_abs = _rel(lhs, rhs)
 
-    Bu = boltzmann_matrix(sm, u)
-    Bmu = boltzmann_matrix(sm, -u)
-    prod = Bu @ Bmu
-    target = rho(sm, u) * rho(sm, -u) * np.eye(sm.N * sm.N)
+    # R(u) R(-u) as matrices is this contraction over the legs (a, c, b, d)
+    prod = contract("acbd,cedf->aebf", Tu, boltzmann_tensor(sm, -u))
+    n = sm.N
+    target = {(a, a, b, b): rho(sm, u) * rho(sm, -u) for a in range(n) for b in range(n)}
     uni_rel, uni_abs = _rel(prod, target)
 
-    conv = IndexConvention.for_size(sm.N)
-    Tcross = boltzmann_tensor(sm, sm.lam - u)
-    n = sm.N
-    lhs_c = np.zeros((n,) * 4)
-    rhs_c = np.zeros((n,) * 4)
+    # crossing: R^i_k^j_L(u) against the multiplier times R^j_(-i)^(-L)_k(lam - u)
+    labels = IndexConvention.for_size(n).labels
 
     def r_of(p: Fraction) -> float:
         return math.exp(-2 * sm.mu_aniso * sm.lam * float(p))
 
-    for i in conv.labels:
-        for k in conv.labels:
-            for j in conv.labels:
-                for L in conv.labels:
-                    pi, pk, pj, pl = conv.pos(i), conv.pos(k), conv.pos(j), conv.pos(L)
-                    lhs_c[pi, pk, pj, pl] = Tu[pi, pk, pj, pl]
-                    mult = math.sqrt(r_of(i) * r_of(k) / (r_of(j) * r_of(L)))
-                    rhs_c[pi, pk, pj, pl] = mult * Tcross[
-                        pj, conv.pos(-i), conv.pos(-L), pk
-                    ]
-    cross_rel, cross_abs = _rel(lhs_c, rhs_c)
+    rhs_c = {}
+    for (pj, pmi, pml, pk), w in boltzmann_tensor(sm, sm.lam - u).items():
+        pi, pl = n - 1 - pmi, n - 1 - pml
+        mult = math.sqrt(r_of(labels[pi]) * r_of(labels[pk])
+                         / (r_of(labels[pj]) * r_of(labels[pl])))
+        rhs_c[pi, pk, pj, pl] = mult * w
+    cross_rel, cross_abs = _rel(Tu, rhs_c)
 
     return SpectralReport(
         N=sm.N, lam=sm.lam, mu_aniso=sm.mu_aniso, u=u, v=v,
@@ -573,21 +565,19 @@ def limit_check(sm: SpectralModel, model: VertexModel, u_large: float = 15.0,
     rejected.  Per-entry deviations are absolute for vanishing targets and
     relative for large ones.
     """
-    import numpy as np
     if abs(sm.mu_aniso - 0.5) > 1e-15:
         raise DomainError("the constant-matrix limit requires mu_aniso = 1/2")
     if sm.N != model.N:
         raise DomainError("spectral and constant models have different N")
     q = -math.exp(sm.lam)
     z_inv = ring.invert_unit(model.Z)
-    dim = model.N ** 2
-    exact = np.zeros((dim, dim))
-    for (r, c), v in model.R.entries.items():
-        exact[r, c] = ring.eval_numeric(v * z_inv, q)
+    exact = {key: ring.eval_numeric(v * z_inv, q) for key, v in model.R.entries.items()}
 
     def deviation(u: float) -> float:
-        B = boltzmann_matrix(sm, u) / rho(sm, u)
-        return float(np.max(np.abs(B - exact) / np.maximum(1.0, np.abs(exact))))
+        r = rho(sm, u)
+        B = boltzmann_matrix(sm, u)
+        return _worst(abs(B.get(k, 0.0) / r - x) / max(1.0, abs(x))
+                      for k in B.keys() | exact.keys() for x in [exact.get(k, 0.0)])
 
     return LimitReport(
         N=sm.N, lam=sm.lam, u=u_large,

@@ -263,14 +263,17 @@ def _join(left: dict, l_letters: str, right: dict, r_letters: str, keep: str) ->
 
 
 def contract(spec: str, *operands: dict) -> dict:
-    """Exact einsum over sparse tensors ``{index tuple: RingElem}``.
+    """Einsum over sparse tensors ``{index tuple: value}``, exact for exact values.
+
+    Values need only ``+``, ``*`` and truth (zero is false): ``RingElem``
+    for the identity checks, ``float`` for the spectral checks.
 
     ``spec`` is numpy's einsum syntax with an explicit ``->``, e.g.
     ``"ae,befc,fd->abcd"`` is sum_ef A[a,e] B[b,e,f,c] C[f,d].  A letter
     repeated inside one operand selects that operand's diagonal.  Operands
     are joined left to right, and each letter is summed out as soon as no
     later operand and not the output needs it.  The result is keyed in
-    output-letter order with exact zeros dropped; a malformed spec raises
+    output-letter order with zeros dropped; a malformed spec raises
     DomainError.
     """
     terms, out = _parse_spec(spec, operands)

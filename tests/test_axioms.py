@@ -496,13 +496,13 @@ print(json.dumps([found, code, out.getvalue()]))
 """
 
 
-# refuses every import outside the standard library, numpy and the package
+# refuses every import outside the standard library and the package
 _DECLARED_ONLY = """
 import sys
 class Refuse:
     def find_spec(self, name, path=None, target=None):
         top = name.partition(".")[0]
-        if top not in sys.stdlib_module_names and top not in ("numpy", "vertexlink"):
+        if top not in sys.stdlib_module_names and top != "vertexlink":
             raise ImportError(f"{name} is not a declared dependency")
 sys.meta_path.insert(0, Refuse())
 """

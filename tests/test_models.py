@@ -3,7 +3,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from vertexlink import models, ring
@@ -16,6 +15,7 @@ from vertexlink.errors import (
 from vertexlink.models import (
     SpectralModel,
     boltzmann_matrix,
+    boltzmann_tensor,
     build_model,
     generic_eigenvalues,
     limit_check,
@@ -341,10 +341,40 @@ def test_spectral_model_validation():
 
 
 def test_weights_at_zero_are_proportional_identity():
+    # every off-diagonal weight is exactly zero at u = 0, and so dropped
     for N in (2, 3):
         sm = SpectralModel(N, 0.9)
         B = boltzmann_matrix(sm, 0.0)
-        assert np.allclose(B, rho(sm, 0.0) * np.eye(N * N), atol=1e-14)
+        assert B.keys() == {(i, i) for i in range(N * N)}
+        for v in B.values():
+            assert v == pytest.approx(rho(sm, 0.0), rel=1e-5, abs=1e-14)
+
+
+def test_boltzmann_matrix_flattens_the_tensor():
+    # T[pos a, pos c, pos b, pos d] sits at [flat(a, b), flat(c, d)]
+    for N in (2, 3):
+        sm = SpectralModel(N, 0.7)
+        T = boltzmann_tensor(sm, 0.4)
+        assert all(v for v in T.values())
+        assert boltzmann_matrix(sm, 0.4) == {
+            (a * N + b, c * N + d): v for (a, c, b, d), v in T.items()}
+    h = Fraction(1, 2)
+    sm = SpectralModel(2, 0.7)
+    weight = models._weights_n2(0.7, 0.5, 0.4)[(-h, -h, h, h)]
+    assert boltzmann_tensor(sm, 0.4)[0, 0, 1, 1] == weight
+    assert boltzmann_matrix(sm, 0.4)[1, 1] == weight
+
+
+def test_spectral_residual_nan_fails():
+    # sinh(300)^2 overflows to inf, and inf - inf leaves NaN in the
+    # Yang-Baxter sides: the residual must read NaN and fail, not be skipped
+    rep = spectral_checks(SpectralModel(2, 1.0), 300.0, 300.0)
+    assert math.isnan(rep.ybe)
+    assert not rep.ok(1e-9)
+    # wherever the NaN falls, as numpy's max; Python's max drops a later one
+    for vals in ([0.5, math.nan, 2.0], [math.nan, 0.5], [0.5, math.nan]):
+        assert math.isnan(models._worst(vals))
+    assert models._worst([]) == 0.0
 
 
 def test_rho_factors():

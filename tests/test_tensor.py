@@ -242,7 +242,7 @@ def test_contract_refuses_malformed_spec(spec, operands):
 @settings(max_examples=20)
 def test_legs_key_order(seed, N):
     # legs(M)[a, c, b, d] = M[(a,b),(c,d)]: transposing legs 1 and 2 back
-    # and flattening gives the matrix again, as models.boltzmann_matrix does
+    # and flattening gives the matrix again, the map models.boltzmann_matrix applies
     M = random_matrix(random.Random(seed), N * N, sums=True)
     T = np.zeros((N,) * 4, dtype=object)
     T[...] = ring.zero()
