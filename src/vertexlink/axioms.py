@@ -276,7 +276,6 @@ class TwistSolution:
     uniqueness: int
     z_candidates: list[RingElem]
     fitted_exponent: int | None = None
-    non_generic: bool = False
     twin_consistent: bool | None = None
 
 
@@ -401,7 +400,6 @@ def _solve_exact(R: SqMatrix, R_inv: SqMatrix, conv: IndexConvention) -> TwistSo
         mu_basis=mu_basis,
         uniqueness=len(md_basis),
         z_candidates=[],
-        non_generic=len(md_basis) != 1,
     )
     if len(md_basis) == 1 and len(mu_basis) == 1:
         prod = mu_basis[0] @ md_basis[0]

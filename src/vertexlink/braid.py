@@ -155,21 +155,3 @@ def represent(word: BraidWord, model, *, cache: dict | None = None, rows=None):
         acc = g if acc is None else acc @ g
     return model.R.identity(model.N ** n, rows) if acc is None else acc
 
-
-def markov_move(word: BraidWord, move: str, g: int | None = None) -> BraidWord:
-    """Apply one Markov move by name.
-
-    ``conjugate`` needs the letter g; ``stabilize_pos`` / ``stabilize_neg``
-    add a strand; ``free_reduce`` cancels adjacent inverse pairs.
-    """
-    if move == "conjugate":
-        if g is None:
-            raise BadLetter("conjugate needs a letter")
-        return word.conjugate(g)
-    if move == "stabilize_pos":
-        return word.stabilize(1)
-    if move == "stabilize_neg":
-        return word.stabilize(-1)
-    if move == "free_reduce":
-        return word.free_reduce()
-    raise BadLetter(f"unknown move {move!r}")

@@ -67,15 +67,18 @@ def _emit_json(payload: dict) -> None:
 
 
 def _strand_cap(args, N: int) -> int:
-    if getattr(args, "strand_cap", None) is not None:
-        return args.strand_cap
-    env = os.environ.get(_CAP_ENV)
-    if env is not None:
+    source, cap = "--strand-cap", getattr(args, "strand_cap", None)
+    if cap is None:
+        source, env = _CAP_ENV, os.environ.get(_CAP_ENV)
+        if env is None:
+            return STRAND_CAP[N]
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise VertexLinkError(f"{_CAP_ENV} must be an integer, got {env!r}")
-    return STRAND_CAP[N]
+    if cap < 1:
+        raise VertexLinkError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 def _sign_value(args) -> int:

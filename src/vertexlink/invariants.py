@@ -15,15 +15,13 @@ import random
 from dataclasses import dataclass
 
 from . import packed, ring
-from .axioms import check_axioms, check_markov_conditions
 from .braid import BraidWord, random_word, represent
 from .errors import DomainError
 from .models import (
     VertexModel,
-    build_model,
     check_trace_constants,
     generic_eigenvalues,
-    mirror_model,
+    mirror_model,  # unused here: bench/tracing.py wraps ``invariants.mirror_model``
 )
 from .ring import RingElem
 from .tensor import partial_close_second, trace_product
@@ -36,7 +34,7 @@ def _closure_trace(word: BraidWord, m: VertexModel, bits: int) -> RingElem:
     matrices, on the rows of charge w >= 0 only, and traced against each
     other with mu^(x)n folded onto those rows: the trace on the sector -w
     equals that on w (:mod:`vertexlink.packed`), so the row weighs
-    sigma^n (q^(kappa w) + q^(-kappa w)), or sigma^n once for w = 0.  The
+    sigma^n (q^(2 w) + q^(-2 w)), or sigma^n once for w = 0.  The
     letters are in the parity gauge, a diagonal conjugation that fixes the
     trace and puts every entry in Z[q^+-2].  Exact when ``bits`` is at
     least ``packed.closure_bits(m, word)``.
@@ -62,11 +60,6 @@ def regular_invariant(word: BraidWord, m: VertexModel) -> RingElem:
     """
     bits = packed.closure_bits(m, word)
     return m.Z ** word.writhe * _closure_trace(word, m, bits)
-
-
-def markov_phi(word: BraidWord, m: VertexModel) -> tuple[RingElem, RingElem]:
-    """Markov trace as an exact pair (numerator, denominator k^n)."""
-    return regular_invariant(word, m), m.k ** word.strands
 
 
 def ambient_invariant(word: BraidWord, m: VertexModel) -> RingElem:
@@ -285,20 +278,3 @@ def invariance_suite(word: BraidWord, m: VertexModel, trials: int = 50,
         if ambient_invariant(w, m) != base:
             report.failures += (f"trial {trial}: ambient invariant changed on {w.letters}",)
     return report
-
-
-def mirror_model_check(word: BraidWord, m: VertexModel) -> bool:
-    """The mirror solution closes every braid to the same value."""
-    mm = mirror_model(m)
-    if not check_axioms(mm).passed or not check_markov_conditions(mm).passed:
-        return False
-    return regular_invariant(word, mm) == regular_invariant(word, m)
-
-
-def global_sign_ratio(word: BraidWord, N: int) -> RingElem:
-    """alpha for the -Z branch over alpha for +Z; always +-1 on a fixed word."""
-    plus = ambient_invariant(word, build_model(N, 1))
-    minus = ambient_invariant(word, build_model(N, -1))
-    if plus.is_zero():
-        raise DomainError("invariant vanished; ratio undefined")
-    return ring.exact_divide(minus, plus)

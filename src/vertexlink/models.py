@@ -56,7 +56,6 @@ from .tensor import (
     check_flip,
     closure_character,
     contract,
-    det,
     inverse_blockwise,
     trace_product,
 )
@@ -253,19 +252,7 @@ class VertexModel:
     k: RingElem
     D: RingElem
     eigenvalues: tuple[RingElem, ...]
-    tau_num: RingElem
-    taubar_num: RingElem
-    det_mu_u: RingElem
     mirrored: bool = False
-
-    @property
-    def tau(self) -> tuple[RingElem, RingElem]:
-        """Markov trace weight of a positive curl, as (numerator, D)."""
-        return self.tau_num, self.D
-
-    @property
-    def taubar(self) -> tuple[RingElem, RingElem]:
-        return self.taubar_num, self.D
 
     def __repr__(self):
         tag = "-" if self.sign < 0 else "+"
@@ -334,9 +321,6 @@ def _finalize(
         k=k,
         D=D,
         eigenvalues=eig,
-        tau_num=Z,
-        taubar_num=Z * _Q(N * N - 1),
-        det_mu_u=det(M_u),
         mirrored=mirrored,
     )
 
@@ -390,7 +374,6 @@ class SpectralModel:
     N: int
     lam: float
     mu_aniso: float = 0.5
-    u: float = 0.0
 
     def __post_init__(self):
         if self.N not in (2, 3):
@@ -399,12 +382,11 @@ class SpectralModel:
             raise DomainError("crossing parameter lam must be positive")
 
 
-def rho(sm: SpectralModel, u: float | None = None) -> float:
+def rho(sm: SpectralModel, u: float) -> float:
     """Overall normalization sinh(lam - u) sinh(2 lam - u) ... ((N-1) terms)."""
-    x = sm.u if u is None else u
     acc = 1.0
     for j in range(1, sm.N):
-        acc *= math.sinh(j * sm.lam - x)
+        acc *= math.sinh(j * sm.lam - u)
     return acc
 
 
@@ -456,14 +438,13 @@ def _weights(sm: SpectralModel, u: float) -> dict:
     return _weights_n3(sm.lam, sm.mu_aniso, u)
 
 
-def boltzmann_tensor(sm: SpectralModel, u: float | None = None) -> dict[tuple[int, ...], float]:
+def boltzmann_tensor(sm: SpectralModel, u: float) -> dict[tuple[int, ...], float]:
     """R^a_c^b_d(u) as ``{(pos(a), pos(c), pos(b), pos(d)): float}``, zeros dropped."""
-    x = sm.u if u is None else u
     conv = IndexConvention.for_size(sm.N)
-    return {tuple(conv.pos(_f(i)) for i in key): v for key, v in _weights(sm, x).items() if v}
+    return {tuple(conv.pos(_f(i)) for i in key): v for key, v in _weights(sm, u).items() if v}
 
 
-def boltzmann_matrix(sm: SpectralModel, u: float | None = None) -> dict[tuple[int, int], float]:
+def boltzmann_matrix(sm: SpectralModel, u: float) -> dict[tuple[int, int], float]:
     """The weights as the N^2 x N^2 matrix ``{(flat(a,b), flat(c,d)): float}``, zeros dropped."""
     N = sm.N
     return {(a * N + b, c * N + d): v for (a, c, b, d), v in boltzmann_tensor(sm, u).items()}

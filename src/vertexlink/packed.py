@@ -42,7 +42,7 @@ the largest row sum rho of entry weights obeys rho(AB) <= rho(A) rho(B),
 and a trace weighs at most dim times a row sum.  The closure weight
 mu^(x)n adds no factor: it is the unit sigma^n q^(kappa w) on each charge
 sector w (:func:`vertexlink.tensor.closure_character`), of weight 1, so
-the trace shifts each sector's sum by its power of q once and never forms
+the trace shifts each sector's sum by its power of x once and never forms
 mu^(x)n as a matrix.  No value is ever rounded.
 
 The trace runs over the charges w >= 0 only.  Write t_w = tr(rep(b)|S_w)
@@ -73,12 +73,12 @@ of both half-words is built on those rows only, and the chain runs on about
 half the rows.  The value is the same polynomial as the full trace, so the
 same width unpacks it.
 
-At x = q^2 a weight q^e of odd e is q x^((e-1)/2).  So the trace sums the
-terms of even e and of odd e apart, unpacks each at x = q^2, and returns
-the even part plus q times the odd part (:meth:`PackedMatrix.trace_product`).
-The two parts share no power of q, so the coefficients of each part are
-coefficients of the trace, and the width that reads the trace reads each
-part.  (The shipped models have kappa = +-2, so every e is even there.)
+Every model has |kappa| = 2 (its trace constants pin mu, and :func:`image`
+refuses any other kappa).  A row whose label positions sum to l has the
+charge w = l - top/2, top = n (N - 1), so q^(+-kappa w) = q^-top x^d for
+d = l or top - l, x = q^2: the trace shifts each sector's sum left by
+bits d for each d, adds the ints and unpacks once
+(:meth:`PackedMatrix.trace_product`), then multiplies by sigma^n q^-top.
 
 A :class:`PackedMatrix` is keyed by row, {r: {c: int}}: a product walks
 the right factor's rows as stored, and the closure trace looks up
@@ -195,13 +195,11 @@ class PackedMatrix:
     def trace_product(self, other: "PackedMatrix", weights=None) -> RingElem:
         """tr(self @ other @ W), unpacked, without forming the product.
 
-        W is diagonal: row r weighs the sum of q^e over the exponents e in
+        W is diagonal: row r weighs the sum of x^d over the exponents d in
         ``weights[r]``, and a row ``weights`` leaves out weighs 0; without
         ``weights``, W = 1.  The diagonal terms are summed per row weight
-        (per charge sector, for a closure weight), and each sum is shifted
-        by its powers of q once.  q^e is s^rest x^d with 2 e = step d + rest:
-        the terms of each rest are summed and unpacked apart, then moved by
-        s^rest (at x = q^2, the even and odd e; see the module docstring).
+        (per charge sector, for a closure weight), each sum is shifted by
+        its powers of x once, and the total is unpacked once.
         """
         self._check(other)
         if weights is None:
@@ -210,24 +208,19 @@ class PackedMatrix:
         weigh = weights.get
         sums: dict[tuple[int, ...], int] = {}
         for r, row in self.rows.items():
-            es = weigh(r)
-            if es is not None:
+            ds = weigh(r)
+            if ds is not None:
                 t = 0
                 for c, v in row.items():
                     b = get(c)
                     if b is not None and r in b:
                         t += v * b[r]
-                sums[es] = sums.get(es, 0) + t
-        parts: dict[int, int] = {}
-        for es, t in sums.items():
-            for e in es:
-                d, rest = divmod(2 * e, self.step)
-                parts[rest] = parts.get(rest, 0) + (t << self.bits * d)
-        shift = self.shift + other.shift
-        total = ring.zero()
-        for rest, part in parts.items():
-            total = total + ring.s_power(rest) * unpack(part, self.bits, shift, self.step)
-        return total
+                sums[ds] = sums.get(ds, 0) + t
+        total = 0
+        for ds, t in sums.items():
+            for d in ds:
+                total += t << self.bits * d
+        return unpack(total, self.bits, self.shift + other.shift, self.step)
 
     def __repr__(self):
         nnz = sum(len(row) for row in self.rows.values())
@@ -444,23 +437,20 @@ def _annihilates(R, eig: tuple, minimal: bool, bits: int) -> bool:
 
 
 @functools.lru_cache(maxsize=32)
-def _closure_weight(N: int, n: int, sigma: int, kappa: int) -> tuple[RingElem, dict]:
+def _closure_weight(N: int, n: int, sigma: int) -> tuple[RingElem, dict]:
     levels = [0]  # label positions summed per row: the charge is w = level - top / 2
     for _ in range(n):
         levels = [x + p for x in levels for p in range(N)]
     top = n * (N - 1)
-    # q^(+-kappa w) = q^(e - |kappa| top / 2) with e = |kappa| level or
-    # |kappa| (top - level), both >= 0; one e on the sector w = 0
-    k = abs(kappa)
-    pair = {x: (k * x, k * (top - x)) if 2 * x > top else (k * x,)
-            for x in range(top + 1)}
+    # q^(+-2 w) = q^-top x^d with d = level or top - level, x = q^2; one d on w = 0
+    pair = {x: (x, top - x) if 2 * x > top else (x,) for x in range(top + 1)}
     weights = {r: pair[x] for r, x in enumerate(levels) if 2 * x >= top}
-    return ring.s_power(-k * top, sigma ** n), weights
+    return ring.q_power(-top, sigma ** n), weights
 
 
 @dataclass(frozen=True)
 class PackedImage:
-    """A model's gauged unit-free letters at q^2 = 2^bits, and the character (sigma, kappa) of mu.
+    """A model's gauged unit-free letters at q^2 = 2^bits, and the sign sigma of its mu.
 
     ``braid.represent`` reads ``N``, ``R`` and ``R_inv``, as on a model.
     """
@@ -468,16 +458,16 @@ class PackedImage:
     N: int
     R: PackedMatrix
     R_inv: PackedMatrix
-    character: tuple[int, int]
+    sigma: int
 
     def closure_weight(self, n: int) -> tuple[RingElem, dict]:
         """mu^(x)n on n strands folded onto the charges w >= 0, as (unit, weights).
 
-        Row r of charge w > 0 weighs unit (q^e1 + q^e2), the weights of w
-        and -w, for (e1, e2) = weights[r]; a row of charge 0 weighs unit q^e
-        for (e,) = weights[r]; rows of charge w < 0 are left out.
+        Row r of charge w > 0 weighs unit (x^d1 + x^d2), x = q^2, the weights
+        of w and -w, for (d1, d2) = weights[r]; a row of charge 0 weighs unit
+        x^d for (d,) = weights[r]; rows of charge w < 0 are left out.
         """
-        return _closure_weight(self.N, n, *self.character)
+        return _closure_weight(self.N, n, self.sigma)
 
 
 @dataclass(frozen=True)
@@ -556,7 +546,9 @@ def closure_bits(m, word) -> int:
 
 @functools.lru_cache(maxsize=64)
 def image(m, bits: int) -> PackedImage:
-    """The gauged unit-free letters of ``m`` at q^2 = 2^bits, with the character of its mu."""
+    """The gauged unit-free letters of ``m`` at q^2 = 2^bits, and sigma of its mu; |kappa| = 2."""
+    sigma, kappa = closure_character(m.mu, m.conv)
+    if abs(kappa) != 2:
+        raise DomainError(f"closure weight mu has kappa = {kappa}, not +-2")
     L = _letters(m)
-    return PackedImage(m.N, pack_matrix(L.R_hat, bits, 4), pack_matrix(L.R_bar, bits, 4),
-                       closure_character(m.mu, m.conv))
+    return PackedImage(m.N, pack_matrix(L.R_hat, bits, 4), pack_matrix(L.R_bar, bits, 4), sigma)

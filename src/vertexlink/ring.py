@@ -58,16 +58,6 @@ class RingElem:
         off, coeffs = self.rat
         return {off + i: c for i, c in enumerate(coeffs) if c}
 
-    def min_exp(self) -> int:
-        if self.is_zero():
-            raise DomainError("zero polynomial has no degree")
-        return self.rat[0]
-
-    def max_exp(self) -> int:
-        if self.is_zero():
-            raise DomainError("zero polynomial has no degree")
-        return self.rat[0] + len(self.rat[1]) - 1
-
     # -- predicates --------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -49,11 +49,6 @@ class IndexConvention:
     def unflatten(self, idx: int) -> tuple[Fraction, Fraction]:
         return self.labels[idx // self.N], self.labels[idx % self.N]
 
-    def pairs(self):
-        for a in self.labels:
-            for b in self.labels:
-                yield a, b
-
 
 class SqMatrix:
     """Square sparse matrix over the exact coefficient ring."""
@@ -291,11 +286,12 @@ def contract(spec: str, *operands: dict) -> dict:
 
 def trace_product(a, b, weights=None) -> RingElem:
     """tr(a @ b) without forming the product; packed operands unpack the result
-    and alone take row ``weights`` (:meth:`vertexlink.packed.PackedMatrix.trace_product`)."""
+    and alone take row ``weights``, powers of x = q^2 in the closure trace, where
+    |kappa| = 2 (:meth:`vertexlink.packed.PackedMatrix.trace_product`)."""
     if not isinstance(a, SqMatrix):
         return a.trace_product(b, weights)
     if weights is not None:
-        raise DomainError("per-row powers of q apply to packed operands only")
+        raise DomainError("per-row powers of x apply to packed operands only")
     if a.dim != b.dim:
         raise DimensionMismatch(f"{a.dim} vs {b.dim}")
     acc = ring.zero()

@@ -332,7 +332,6 @@ def test_solver_recovers_m(each_model):
     m = each_model
     sol = solve_twist(m.R * ring.invert_unit(m.Z), z=m.Z)
     assert sol.uniqueness == 1
-    assert not sol.non_generic
     assert sol.twin_consistent
     md = sol.md_basis[0]
     ratios = {ring.exact_divide(v, md.entries[pos]) for pos, v in m.M_d.entries.items()}
@@ -416,7 +415,6 @@ def test_solver_degenerate_crossing():
     conv = IndexConvention.for_size(2)
     sol = solve_twist(SqMatrix.permutation(2), z=ring.one(), conv=conv)
     assert sol.uniqueness == 4
-    assert sol.non_generic
     assert sol.twin_consistent is None
     # discovery reads Z^2 = 1, but neither +-1 leaves a unique M to confirm
     with pytest.raises(NoSolution):

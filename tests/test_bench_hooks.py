@@ -7,7 +7,9 @@ a model; ``trace_product`` and ``exact_divide`` return ring elements with
 the traced run, so this test replays it: for each workload, in a fresh
 interpreter as the benchmark does, it installs the tracer, runs the
 workload's setup and one segment of its operations, and checks every
-output against the workload's own checks.  ``bench/`` is read, never changed.
+output against the workload's own checks.  It then loads ``bench/run.py``
+and records the environment, as the untraced run does (it reads
+``vertexlink.kernel_name()``).  ``bench/`` is read, never changed.
 """
 
 import json
@@ -56,6 +58,11 @@ try:
 except Exception:
     bad.append(traceback.format_exc())
 silent = [layer for layer in W.expected_layers if tracer.layers[layer].calls == 0]
+try:  # the untraced run records the environment through the package too
+    import vertexlink
+    load("run").environment(vertexlink)
+except Exception:
+    bad.append(traceback.format_exc())
 print(json.dumps([bad, silent]))
 """
 

@@ -10,7 +10,6 @@ from vertexlink.braid import (
     BraidWord,
     embed_two_site,
     letter_matrix,
-    markov_move,
     parse_braid,
     represent,
 )
@@ -87,18 +86,6 @@ def test_word_product_and_powers():
     assert a.powers_of(2, -3).letters == (1, -2, -2, -2)
     with pytest.raises(BadLetter):
         a.powers_of(3, 1)
-
-
-def test_markov_move_dispatch():
-    w = BraidWord(2, (1,))
-    assert markov_move(w, "conjugate", 1).letters == (1, 1, -1)
-    assert markov_move(w, "stabilize_pos").letters == (1, 2)
-    assert markov_move(w, "stabilize_neg").letters == (1, -2)
-    assert markov_move(BraidWord(2, (1, -1)), "free_reduce").letters == ()
-    with pytest.raises(BadLetter):
-        markov_move(w, "conjugate")
-    with pytest.raises(BadLetter):
-        markov_move(w, "flype")
 
 
 def test_letter_matrix_matches_kron(each_model):

@@ -142,6 +142,18 @@ def test_strand_cap(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_strand_cap_below_one_is_a_usage_error(capsys, monkeypatch, cap):
+    args = ["invariant", "--model", "2", "--braid", "1 1 1"]
+    code, out, err = run_cli(capsys, *args, "--strand-cap", cap)
+    assert (code, out) == (2, "")
+    assert f"--strand-cap must be at least 1, got {cap}" in err
+    monkeypatch.setenv("VERTEXLINK_STRAND_CAP", cap)
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "")
+    assert f"VERTEXLINK_STRAND_CAP must be at least 1, got {cap}" in err
+
+
 def test_verify(capsys):
     code, out, _ = run_cli(capsys, "verify", "--model", "4", "--all")
     assert code == 0

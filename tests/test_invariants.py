@@ -8,24 +8,21 @@ import pytest
 
 from oracle.kauffman_bracket import jones_via_bracket
 from vertexlink import ring
-from vertexlink.axioms import check_axioms
+from vertexlink.axioms import check_axioms, check_markov_conditions
 from vertexlink.braid import BraidWord, random_word
 from vertexlink.errors import ClosedFormMismatch, DomainError
 from vertexlink.invariants import (
     ambient_invariant,
     compute_constants,
     derived_skein_coefficients,
-    global_sign_ratio,
     invariance_suite,
-    markov_phi,
     minpoly_check,
-    mirror_model_check,
     regular_invariant,
     skein_coefficients,
     skein_contexts,
     skein_residual,
 )
-from vertexlink.models import build_model
+from vertexlink.models import build_model, mirror_model
 from vertexlink.tensor import SqMatrix
 
 UNKNOT = BraidWord(1, ())
@@ -65,12 +62,6 @@ def test_mirror_word_inverts_variable(m2):
     right = ambient_invariant(TREFOIL, m2)
     flipped = ring.RingElem.from_terms({-e: c for e, c in right.terms.items()})
     assert left == flipped
-
-
-def test_markov_phi_pair(m2):
-    num, den = markov_phi(TREFOIL, m2)
-    assert num == regular_invariant(TREFOIL, m2)
-    assert den == m2.k ** 2
 
 
 def test_ambient_divides_exactly(each_model):
@@ -262,15 +253,21 @@ def test_ambient_closed_form_squared(each_model):
 
 
 def test_mirror_model_closes_identically(each_model):
+    mm = mirror_model(each_model)
+    assert check_axioms(mm).passed
+    assert check_markov_conditions(mm).passed
     for w in (TREFOIL, FIG8):
-        assert mirror_model_check(w, each_model)
+        assert regular_invariant(w, mm) == regular_invariant(w, each_model)
 
 
 def test_global_sign_ratio():
+    # alpha for the -Z branch over alpha for +Z, exactly: +-1 on a fixed word
     for N in (2, 3, 4):
-        assert global_sign_ratio(HOPF, N) == ring.one()
-        assert global_sign_ratio(TREFOIL, N) == -ring.one()
-        assert global_sign_ratio(UNKNOT, N) == ring.one()
+        plus, minus = build_model(N, 1), build_model(N, -1)
+        for word, ratio in ((HOPF, 1), (TREFOIL, -1), (UNKNOT, 1)):
+            alpha = ambient_invariant(word, plus)
+            assert not alpha.is_zero()
+            assert ring.exact_divide(ambient_invariant(word, minus), alpha) == ring.integer(ratio)
 
 
 # ------------------------------------------------------- radical (4 states)

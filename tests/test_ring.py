@@ -134,10 +134,7 @@ def test_eval_exact():
 def test_laurent_polynomial_views():
     a = ring.RingElem.from_terms({2: 5, -1: -3, 0: 0})
     assert a.terms == {2: 5, -1: -3}
-    assert a.min_exp() == -1
-    assert a.max_exp() == 2
-    with pytest.raises(DomainError):
-        ring.zero().min_exp()
+    assert ring.zero().terms == {}
 
 
 def test_int_coercion():

@@ -1,5 +1,6 @@
 """Sparse exact matrices and the two-factor index convention."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -123,7 +124,7 @@ def test_index_convention():
     for N in (2, 3, 4):
         conv = IndexConvention.for_size(N)
         seen = set()
-        for a, b in conv.pairs():
+        for a, b in itertools.product(conv.labels, repeat=2):
             flat = conv.flatten(a, b)
             assert conv.unflatten(flat) == (a, b)
             seen.add(flat)
