@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from . import packed, ring
 from .errors import ConventionValidationFailed, DomainError, InexactDivision, NoSolution
 from .ring import RingElem
-from .tensor import YANG_BAXTER, IndexConvention, SqMatrix, contract, inverse_blockwise, legs
+from .tensor import YANG_BAXTER, SqMatrix, contract, factor_size, inverse_blockwise, legs
 
 
 @dataclass
@@ -387,8 +387,7 @@ def _vec_to_matrix(vec: list[RingElem], N: int) -> SqMatrix:
     return SqMatrix(N, {(i, j): vec[i * N + j] for i in range(N) for j in range(N)})
 
 
-def _solve_exact(R: SqMatrix, R_inv: SqMatrix, conv: IndexConvention) -> TwistSolution:
-    N = conv.N
+def _solve_exact(R: SqMatrix, R_inv: SqMatrix, N: int) -> TwistSolution:
     md_rows = _twist_rows(R, R_inv, N)
     md_basis = [_vec_to_matrix(v, N) for v in _relation_nullspace(md_rows, N * N)]
     if not md_basis:
@@ -407,7 +406,7 @@ def _solve_exact(R: SqMatrix, R_inv: SqMatrix, conv: IndexConvention) -> TwistSo
     return sol
 
 
-def _discover_z(R_hat: SqMatrix, R_hat_inv: SqMatrix, conv: IndexConvention) -> int:
+def _discover_z(R_hat: SqMatrix, R_hat_inv: SqMatrix, N: int) -> int:
     """The exponent m of zeta = Z^2 = q^m, from two exact partial traces.
 
     Closing twist 1 with d = a cancels the crossing matrices through
@@ -416,7 +415,6 @@ def _discover_z(R_hat: SqMatrix, R_hat_inv: SqMatrix, conv: IndexConvention) -> 
     R = Z R_hat the R_hat^-1 side is zeta times the R_hat side, so each
     (b, c) gives zeta as one exact ratio; all must agree on +q^m.
     """
-    N = conv.N
     inv_side = contract("acba->bc", legs(R_hat_inv, N))
     r_side = contract("beec->bc", legs(R_hat, N))
     if not r_side or set(inv_side) != set(r_side):
@@ -432,8 +430,7 @@ def _discover_z(R_hat: SqMatrix, R_hat_inv: SqMatrix, conv: IndexConvention) -> 
     return m
 
 
-def solve_twist(R_hat: SqMatrix, z: RingElem | None = None,
-                conv: IndexConvention | None = None) -> TwistSolution:
+def solve_twist(R_hat: SqMatrix, z: RingElem | None = None) -> TwistSolution:
     """Recover crossing matrices from an R-matrix.
 
     With ``z`` given, solves the exact twist system for R = z * R_hat.
@@ -446,20 +443,16 @@ def solve_twist(R_hat: SqMatrix, z: RingElem | None = None,
     returned basis matrices are primitive (no common factor) and determined
     up to scale.
     """
-    if conv is None:
-        N = int(round(math.isqrt(R_hat.dim)))
-        if N * N != R_hat.dim:
-            raise DomainError("R must act on a two-factor space")
-        conv = IndexConvention.for_size(N)
+    N = factor_size(R_hat.dim)
     if z is not None:
         R = R_hat * z
-        return _solve_exact(R, inverse_blockwise(R, conv), conv)
+        return _solve_exact(R, inverse_blockwise(R), N)
 
     # R_hat is inverted once: (s^m R_hat)^-1 = s^-m R_hat^-1
-    R_hat_inv = inverse_blockwise(R_hat, conv)
-    m = _discover_z(R_hat, R_hat_inv, conv)
+    R_hat_inv = inverse_blockwise(R_hat)
+    m = _discover_z(R_hat, R_hat_inv, N)
     try:
-        sol = _solve_exact(R_hat * ring.s_power(m), R_hat_inv * ring.s_power(-m), conv)
+        sol = _solve_exact(R_hat * ring.s_power(m), R_hat_inv * ring.s_power(-m), N)
     except (NoSolution, InexactDivision, DomainError):
         sol = None
     if sol is None or sol.uniqueness != 1:

@@ -89,7 +89,7 @@ def compute_constants(m: VertexModel) -> ModelConstants:
     """Re-derive k, tau, taubar from traces and pin them to closed forms."""
     k = m.mu.trace()
     # tr(X mu (x) mu) is tr(K mu) for the partial closure K of X
-    traces = [trace_product(partial_close_second(X, m.mu, m.conv), m.mu) for X in (m.R, m.R_inv)]
+    traces = [trace_product(partial_close_second(X, m.mu), m.mu) for X in (m.R, m.R_inv)]
     check_trace_constants(m.N, m.Z, k, m.D, *traces)
     curl_ratio = ring.q_power(m.N * m.N - 1)
     return ModelConstants(

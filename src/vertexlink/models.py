@@ -50,7 +50,6 @@ from .packed import annihilates
 from .ring import RingElem
 from .tensor import (
     YANG_BAXTER,
-    IndexConvention,
     SqMatrix,
     charge_sectors,
     check_flip,
@@ -67,14 +66,21 @@ _ZERO = ring.zero()
 _THREE = _Q(-2) + _ONE + _Q(2)  # [3]_q = r^2
 
 
-def _f(x) -> Fraction:
-    return Fraction(x)
+def labels(N: int) -> tuple[Fraction, ...]:
+    """The spin labels (2p - (N-1))/2 at the positions p of a factor of size N."""
+    return tuple(Fraction(2 * p - (N - 1), 2) for p in range(N))
+
+
+@functools.lru_cache(maxsize=None)
+def _positions(N: int) -> dict[Fraction, int]:
+    """The position of each label; integer labels look up as their Fractions."""
+    return {a: p for p, a in enumerate(labels(N))}
 
 
 # ------------------------------------------------------------------ tables
 #
 # Entry tables give R-hat = R / Z keyed by tensor indices (a, c, b, d),
-# meaning the matrix entry [flatten(a, b), flatten(c, d)].  An entry
+# meaning the matrix entry [a N + b, c N + d] over their positions.  An entry
 # (x, y) stands for x + y r.
 
 
@@ -171,12 +177,12 @@ def paper_table(N: int) -> dict:
 _R_POWER = {Fraction(-3, 2): 1, Fraction(3, 2): -1}
 
 
-def gauge_powers(conv: IndexConvention) -> tuple[int, ...]:
+def gauge_powers(N: int) -> tuple[int, ...]:
     """g(a) over the labels a: every model is its table conjugated by D (x) D, D = diag(r^g(a))."""
-    return tuple(_R_POWER.get(a, 0) for a in conv.labels)
+    return tuple(_R_POWER.get(a, 0) for a in labels(N))
 
 
-def gauge(table: dict, conv: IndexConvention) -> dict:
+def gauge(table: dict, N: int) -> dict:
     """The table conjugated by D (x) D, exactly, using r^2 = [3]_q.
 
     D (x) D moves the entry keyed (a, c, b, d) by r^k with
@@ -184,7 +190,7 @@ def gauge(table: dict, conv: IndexConvention) -> dict:
     free of r for even k and y r^(k+1) for odd k; the other part must be
     zero, or the entry is refused.
     """
-    g = dict(zip(conv.labels, gauge_powers(conv)))
+    g = dict(zip(labels(N), gauge_powers(N)))
     out = {}
     for key, v in table.items():
         a, c, b, d = key
@@ -198,13 +204,12 @@ def gauge(table: dict, conv: IndexConvention) -> dict:
     return out
 
 
-def _label_flip(conv: IndexConvention) -> SqMatrix:
+def _label_flip(N: int) -> SqMatrix:
     """The label flip a -> -a in the gauge, D C0 D^-1 = diag(r^(2 g(a))) C0, times r^(-2 min g).
 
     The factor takes every entry into Z[q^+-1]; for N = 2, 3 it is C0.
     """
-    g = gauge_powers(conv)
-    N = conv.N
+    g = gauge_powers(N)
     return SqMatrix(N, {(i, N - 1 - i): _THREE ** (g[i] - min(g)) for i in range(N)})
 
 
@@ -242,7 +247,6 @@ def loop_sum(N: int) -> RingElem:
 class VertexModel:
     N: int
     sign: int
-    conv: IndexConvention
     Z: RingElem
     R: SqMatrix
     R_inv: SqMatrix
@@ -279,31 +283,30 @@ def check_trace_constants(N: int, Z: RingElem, k: RingElem, D: RingElem,
 def _finalize(
     N: int,
     sign: int,
-    conv: IndexConvention,
     Z: RingElem,
     R: SqMatrix,
     M_u: SqMatrix,
     M_d: SqMatrix,
     mirrored: bool = False,
 ) -> VertexModel:
-    charge_sectors(R, conv)
-    flip = _label_flip(conv)
-    check_flip(R, flip, conv)
+    charge_sectors(R)
+    flip = _label_flip(N)
+    check_flip(R, flip)
     eig = generic_eigenvalues(N, Z)
     # before the inversion, so a mis-signed R is refused as such and not by
     # a later step it happens to break (the adjugate's exact divisions, the
     # trace constants)
     if not annihilates(R, eig):
         raise MinPolyViolated("prod(R - lambda) over the eigenvalues is not zero")
-    R_inv = inverse_blockwise(R, conv)
+    R_inv = inverse_blockwise(R)
     if R @ R_inv != SqMatrix.identity(N * N):
         raise ClosedFormMismatch("R @ R_inv is not the identity")
-    check_flip(R_inv, flip, conv)
+    check_flip(R_inv, flip)
     ident = SqMatrix.identity(N)
     if M_d @ M_u != ident or M_u @ M_d != ident:
         raise ClosedFormMismatch("M_u and M_d are not mutually inverse")
     mu = M_u @ M_d.transpose()
-    closure_character(mu, conv)
+    closure_character(mu)
     k = mu.trace()
     D = loop_sum(N)
     mm = mu.kron(mu)
@@ -311,7 +314,6 @@ def _finalize(
     return VertexModel(
         N=N,
         sign=sign,
-        conv=conv,
         Z=Z,
         R=R,
         R_inv=R_inv,
@@ -335,15 +337,15 @@ def _normalize_sign(sign) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _build_model(N: int, sign: int) -> VertexModel:
-    conv = IndexConvention.for_size(N)
+    pos = _positions(N)
     Z = _S(-((N - 1) ** 2), sign)
     R = SqMatrix(N * N, {
-        (conv.flatten(_f(a), _f(b)), conv.flatten(_f(c), _f(d))): Z * v
-        for (a, c, b, d), v in gauge(paper_table(N), conv).items()
+        (pos[a] * N + pos[b], pos[c] * N + pos[d]): Z * v
+        for (a, c, b, d), v in gauge(paper_table(N), N).items()
     })
     M_u = _m_upper(N)
     M_d = -M_u if N % 2 == 0 else M_u
-    return _finalize(N, sign, conv, Z, R, M_u, M_d)
+    return _finalize(N, sign, Z, R, M_u, M_d)
 
 
 def build_model(N: int, sign=1) -> VertexModel:
@@ -359,7 +361,7 @@ def mirror_model(m: VertexModel) -> VertexModel:
     P = SqMatrix.permutation(m.N)
     R = P @ m.R @ P
     return _finalize(
-        m.N, m.sign, m.conv, m.Z, R, m.M_u.transpose(), m.M_d.transpose(),
+        m.N, m.sign, m.Z, R, m.M_u.transpose(), m.M_d.transpose(),
         mirrored=not m.mirrored,
     )
 
@@ -440,8 +442,8 @@ def _weights(sm: SpectralModel, u: float) -> dict:
 
 def boltzmann_tensor(sm: SpectralModel, u: float) -> dict[tuple[int, ...], float]:
     """R^a_c^b_d(u) as ``{(pos(a), pos(c), pos(b), pos(d)): float}``, zeros dropped."""
-    conv = IndexConvention.for_size(sm.N)
-    return {tuple(conv.pos(_f(i)) for i in key): v for key, v in _weights(sm, u).items() if v}
+    pos = _positions(sm.N)
+    return {tuple(pos[i] for i in key): v for key, v in _weights(sm, u).items() if v}
 
 
 def boltzmann_matrix(sm: SpectralModel, u: float) -> dict[tuple[int, int], float]:
@@ -501,7 +503,7 @@ def spectral_checks(sm: SpectralModel, u: float, v: float) -> SpectralReport:
     uni_rel, uni_abs = _rel(prod, target)
 
     # crossing: R^i_k^j_L(u) against the multiplier times R^j_(-i)^(-L)_k(lam - u)
-    labels = IndexConvention.for_size(n).labels
+    label = labels(n)
 
     def r_of(p: Fraction) -> float:
         return math.exp(-2 * sm.mu_aniso * sm.lam * float(p))
@@ -509,8 +511,8 @@ def spectral_checks(sm: SpectralModel, u: float, v: float) -> SpectralReport:
     rhs_c = {}
     for (pj, pmi, pml, pk), w in boltzmann_tensor(sm, sm.lam - u).items():
         pi, pl = n - 1 - pmi, n - 1 - pml
-        mult = math.sqrt(r_of(labels[pi]) * r_of(labels[pk])
-                         / (r_of(labels[pj]) * r_of(labels[pl])))
+        mult = math.sqrt(r_of(label[pi]) * r_of(label[pk])
+                         / (r_of(label[pj]) * r_of(label[pl])))
         rhs_c[pi, pk, pj, pl] = mult * w
     cross_rel, cross_abs = _rel(Tu, rhs_c)
 

@@ -547,7 +547,7 @@ def closure_bits(m, word) -> int:
 @functools.lru_cache(maxsize=64)
 def image(m, bits: int) -> PackedImage:
     """The gauged unit-free letters of ``m`` at q^2 = 2^bits, and sigma of its mu; |kappa| = 2."""
-    sigma, kappa = closure_character(m.mu, m.conv)
+    sigma, kappa = closure_character(m.mu)
     if abs(kappa) != 2:
         raise DomainError(f"closure weight mu has kappa = {kappa}, not +-2")
     L = _letters(m)

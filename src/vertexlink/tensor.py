@@ -1,53 +1,24 @@
 """Sparse exact matrices and index bookkeeping.
 
 Matrices are square, stored as ``{(row, col): RingElem}`` with exact zeros
-dropped.  Tensor legs follow one pinned convention: an R-matrix entry
-R^a_c^b_d sits at ``[flatten(a, b), flatten(c, d)]``, i.e. rows are the
-upper index pair and columns the lower pair, with
-``flatten(a, b) = pos(a) * N + pos(b)`` over the ascending index set.
-``legs`` keys it as the tensor (a, c, b, d); ``contract`` is an exact einsum.
+dropped.  Indices are positions: position p of a factor of size N carries
+the spin label (2p - (N-1))/2, and the pair of positions (a, b) sits at
+flat index a N + b, so N is read from a matrix's dimension.  An R-matrix
+entry R^a_c^b_d sits at ``[a N + b, c N + d]``: rows are the upper pair,
+columns the lower.  ``legs`` keys it as the tensor (a, c, b, d);
+``contract`` is an exact einsum.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 
 from . import _kernel as K
 from . import ring
 from .errors import ConventionValidationFailed, DimensionMismatch, DomainError
 from .ring import RingElem
-
-
-@dataclass(frozen=True)
-class IndexConvention:
-    """Ascending spin labels for one tensor factor of size N.
-
-    Labels are half-integers for even N and integers for odd N, symmetric
-    around zero, e.g. (-1/2, 1/2) or (-1, 0, 1).
-    """
-
-    N: int
-    labels: tuple[Fraction, ...]
-
-    @classmethod
-    def for_size(cls, N: int) -> "IndexConvention":
-        labels = tuple(Fraction(2 * k - (N - 1), 2) for k in range(N))
-        return cls(N, labels)
-
-    def pos(self, a: Fraction) -> int:
-        k = int(a - self.labels[0])
-        if not 0 <= k < self.N or self.labels[k] != a:
-            raise DomainError(f"label {a} not in index set of size {self.N}")
-        return k
-
-    def flatten(self, a: Fraction, b: Fraction) -> int:
-        return self.pos(a) * self.N + self.pos(b)
-
-    def unflatten(self, idx: int) -> tuple[Fraction, Fraction]:
-        return self.labels[idx // self.N], self.labels[idx % self.N]
 
 
 class SqMatrix:
@@ -302,16 +273,14 @@ def trace_product(a, b, weights=None) -> RingElem:
     return acc
 
 
-def partial_close_second(R: SqMatrix, mu: SqMatrix, conv: IndexConvention) -> SqMatrix:
+def partial_close_second(R: SqMatrix, mu: SqMatrix) -> SqMatrix:
     """Close the second tensor factor of R through mu.
 
-    K[a, b] = sum over c, e of R[flatten(a,c), flatten(b,e)] * mu[e, c].
+    K[a, b] = sum over c, e of R[a N + c, b N + e] * mu[e, c].
     For a model matrix this is the scalar tau * k * identity (and the
     analogue with R inverse gives taubar * k).
     """
-    N = conv.N
-    if R.dim != N * N or mu.dim != N:
-        raise DimensionMismatch("partial closure dims do not match the convention")
+    N = mu.dim
     return SqMatrix(N, contract("abce,ec->ab", legs(R, N), mu.entries))
 
 
@@ -335,16 +304,11 @@ def _det_dense(rows: list[list[RingElem]]) -> RingElem:
     return acc
 
 
-def det(M: SqMatrix) -> RingElem:
-    """Exact determinant by cofactor expansion (small matrices)."""
-    return _det_dense(_dense(M))
-
-
 def small_inverse(M: SqMatrix) -> SqMatrix:
     """Adjugate inverse for small matrices; entries must divide exactly."""
     rows = _dense(M)
-    det = _det_dense(rows)
-    if not det:
+    den = _det_dense(rows)
+    if not den:
         raise DomainError("matrix is singular over the ring")
     n = M.dim
     out: dict[tuple[int, int], RingElem] = {}
@@ -359,56 +323,59 @@ def small_inverse(M: SqMatrix) -> SqMatrix:
             if (i + j) % 2:
                 cof = -cof
             if cof:
-                out[(j, i)] = ring.exact_divide(cof, det)
+                out[(j, i)] = ring.exact_divide(cof, den)
     return SqMatrix(n, out)
 
 
-def charge_of_pair(conv: IndexConvention, flat: int) -> Fraction:
-    a, b = conv.unflatten(flat)
-    return a + b
+def factor_size(dim: int) -> int:
+    """N for a two-factor dimension N^2; DimensionMismatch for any other."""
+    N = math.isqrt(dim)
+    if N * N != dim:
+        raise DimensionMismatch(f"dimension {dim} is not N^2 for a two-factor space")
+    return N
 
 
-def charge_sectors(R: SqMatrix, conv: IndexConvention) -> list[list[int]]:
-    """Indices of a two-factor matrix grouped by charge a + b.
+def charge_sectors(R: SqMatrix) -> list[list[int]]:
+    """Indices of a two-factor matrix grouped by charge, the position sum a + b, ascending.
 
     Refuses, naming the entry, any R entry that joins two sectors: a
     charge-conserving R is block diagonal over these groups.
     """
-    N = conv.N
-    if R.dim != N * N:
-        raise DimensionMismatch("charge sectors need a two-factor matrix")
+    N = factor_size(R.dim)
     for (rp, cp) in R.entries:
-        a, b = conv.unflatten(rp)
-        c, d = conv.unflatten(cp)
+        (a, b), (c, d) = divmod(rp, N), divmod(cp, N)
         if a + b != c + d:
             raise ConventionValidationFailed(
                 f"entry [{rp},{cp}] violates charge conservation: "
-                f"{a}+{b} != {c}+{d}"
+                f"positions {a}+{b} != {c}+{d}"
             )
-    groups: dict[Fraction, list[int]] = {}
+    sectors: list[list[int]] = [[] for _ in range(2 * N - 1)]
     for idx in range(N * N):
-        groups.setdefault(charge_of_pair(conv, idx), []).append(idx)
-    return list(groups.values())
+        sectors[sum(divmod(idx, N))].append(idx)
+    return sectors
 
 
-def check_flip(R: SqMatrix, C: SqMatrix, conv: IndexConvention) -> None:
+def check_flip(R: SqMatrix, C: SqMatrix) -> None:
     """Refuse, naming the first bad entry, an R with (C (x) C) R != P R P (C (x) C).
 
-    C is a label flip: antidiagonal, C[-a, a] = c_a != 0 over the labels a,
-    and P swaps the two factors.  Entrywise, with u(a, b) = c_a c_b,
-    u(a,b) R[(a,b),(c,d)] = u(c,d) R[(-b,-a),(-d,-c)]: both sides are
-    products, so nothing is divided.  For c_a = 1 it reads
-    R[(a,b),(c,d)] = R[(-b,-a),(-d,-c)].  With charge conservation it makes
-    the closure trace on the charge sector w equal that on -w
-    (:mod:`vertexlink.packed`).
+    C is a label flip, antidiagonal with no zero there and nothing off it:
+    C[a', a] = c_a, a' = N-1-a.  P swaps the factors.  Entrywise, with
+    u(a, b) = c_a c_b, u(a,b) R[(a,b),(c,d)] = u(c,d) R[(b',a'),(d',c')]:
+    nothing is divided.  With charge conservation it makes the closure
+    trace on the charge sector w equal that on -w (:mod:`vertexlink.packed`).
     """
-    N = conv.N
-    if R.dim != N * N or C.dim != N:
+    N = C.dim
+    if R.dim != N * N:
         raise DimensionMismatch("the flip needs a two-factor matrix and a one-factor flip")
+    bad = sorted(set(C.entries) ^ {(N - 1 - i, i) for i in range(N)})
+    if bad:
+        r, c = bad[0]
+        where = "is zero" if r + c == N - 1 else "is off the antidiagonal"
+        raise ConventionValidationFailed(f"flip entry [{r},{c}] {where}")
     col = [C.entries[(N - 1 - i, i)] for i in range(N)]
     u = [col[idx // N] * col[idx % N] for idx in range(N * N)]
 
-    def flip(idx: int) -> int:  # (a, b) -> (-b, -a)
+    def flip(idx: int) -> int:  # (a, b) -> (b', a')
         return N * N - 1 - (idx % N) * N - idx // N
 
     # flip is an involution and u has no zero, so an entry whose image is
@@ -422,27 +389,32 @@ def check_flip(R: SqMatrix, C: SqMatrix, conv: IndexConvention) -> None:
             )
 
 
-def closure_character(mu: SqMatrix, conv: IndexConvention) -> tuple[int, int]:
+def closure_character(mu: SqMatrix) -> tuple[int, int]:
     """(sigma, kappa) with mu = sigma diag(q^(kappa a)) over the labels a, exactly.
 
     Turaev's enhancement (Invent. Math. 92, 1988): mu^(x)n is then the unit
-    sigma^n q^(kappa w) on each charge sector w.  Anything else is refused.
+    sigma^n q^(kappa w) on each charge sector w.  Anything else is refused,
+    and so is N < 2, where no slope kappa is fixed.
     """
+    N = mu.dim
+    if N < 2:
+        raise DimensionMismatch(f"a closure weight needs N >= 2, got N = {N}")
     first = mu.entries.get((0, 0))
     if first is None or not first.is_unit():
         raise ConventionValidationFailed("closure weight mu[0,0] is not a unit")
     sigma, lo = first.as_unit()
-    kappa = -lo // (conv.N - 1)  # lo = 2 kappa a for the lowest label a = -(N - 1) / 2
-    if mu != SqMatrix(conv.N, {(i, i): ring.s_power(int(2 * kappa * a), sigma)
-                               for i, a in enumerate(conv.labels)}):
+    # q^(kappa a) = s^(kappa (2p - (N - 1))) at position p, so lo = -kappa (N - 1)
+    kappa = -lo // (N - 1)
+    if mu != SqMatrix(N, {(p, p): ring.s_power(kappa * (2 * p - (N - 1)), sigma)
+                          for p in range(N)}):
         raise ConventionValidationFailed("closure weight mu is not sigma diag(q^(kappa a))")
     return sigma, kappa
 
 
-def inverse_blockwise(R: SqMatrix, conv: IndexConvention) -> SqMatrix:
+def inverse_blockwise(R: SqMatrix) -> SqMatrix:
     """Invert a charge-conserving matrix block by block over its sectors."""
     out: dict[tuple[int, int], RingElem] = {}
-    for idxs in charge_sectors(R, conv):
+    for idxs in charge_sectors(R):
         sub = SqMatrix(len(idxs))
         for a, ra in enumerate(idxs):
             for b, cb in enumerate(idxs):

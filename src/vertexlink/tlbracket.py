@@ -164,7 +164,7 @@ def curl_factors(m: VertexModel) -> tuple[RingElem, RingElem]:
     """Scalars of the partial closures of R and R^-1 (tau k and taubar k)."""
     out = []
     for X in (m.R, m.R_inv):
-        closed = partial_close_second(X, m.mu, m.conv)
+        closed = partial_close_second(X, m.mu)
         c = closed.scalar_value()
         if c is None:
             raise NotScalar("partial closure is not a scalar matrix")

@@ -23,7 +23,7 @@ from vertexlink.axioms import (
 )
 from vertexlink.errors import NoSolution, VertexLinkError
 from vertexlink.models import build_model, gauge_powers, mirror_model
-from vertexlink.tensor import IndexConvention, SqMatrix, inverse_blockwise
+from vertexlink.tensor import SqMatrix, inverse_blockwise
 
 
 def test_axioms_pass(each_signed_model):
@@ -199,22 +199,20 @@ def _twist_systems(R: SqMatrix, R_inv: SqMatrix):
 _SOLVER_CASES = [f"N{N}{sign}{mirror}" for N in (2, 3, 4) for sign in "+-" for mirror in ("", "m")]
 
 
-def _solver_case(case: str) -> tuple[SqMatrix, IndexConvention, int]:
-    """(R, convention, nullity of each twist system) for a case id."""
+def _solver_case(case: str) -> tuple[SqMatrix, int, int]:
+    """(R, N, nullity of each twist system) for a case id."""
     if case == "flip":
-        return SqMatrix.permutation(2), IndexConvention.for_size(2), 4
+        return SqMatrix.permutation(2), 2, 4
     if case == "N3-conjugated":
-        m = build_model(3)
-        return _conjugated_n3(m.R), m.conv, 1
+        return _conjugated_n3(build_model(3).R), 3, 1
     m = build_model(int(case[1]), 1 if case[2] == "+" else -1)
-    return (mirror_model(m) if case.endswith("m") else m).R, m.conv, 1
+    return (mirror_model(m) if case.endswith("m") else m).R, m.N, 1
 
 
 @pytest.mark.parametrize("case", _SOLVER_CASES + ["N3-conjugated", "flip"])
 def test_relation_solver_matches_dense_nullspace(case):
-    R, conv, nullity = _solver_case(case)
-    N = conv.N
-    R_inv = inverse_blockwise(R, conv)
+    R, N, nullity = _solver_case(case)
+    R_inv = inverse_blockwise(R)
     for X, X_inv in _twist_systems(R, R_inv):
         sparse = axioms._twist_rows(X, X_inv, N)
         dense = _dense_twist_rows(X, X_inv, N)
@@ -322,7 +320,7 @@ def test_relation_solver_refuses_three_unknowns(m2):
     entries = dict(m2.R.entries)
     entries[(0, 3)] = entries[(1, 3)] = one
     with pytest.raises(VertexLinkError, match="charge conservation"):
-        axioms._solve_exact(SqMatrix(4, entries), m2.R_inv, m2.conv)
+        axioms._solve_exact(SqMatrix(4, entries), m2.R_inv, 2)
 
 
 # ------------------------------------------------------------------ solver
@@ -356,9 +354,9 @@ def test_solver_discovery_solves_once(m4, monkeypatch):
     calls = []
     real = axioms._solve_exact
 
-    def counted(R, R_inv, conv):
+    def counted(R, R_inv, N):
         calls.append(R)
-        return real(R, R_inv, conv)
+        return real(R, R_inv, N)
 
     monkeypatch.setattr(axioms, "_solve_exact", counted)
     sol = solve_twist(m4.R * ring.invert_unit(m4.Z))
@@ -372,9 +370,9 @@ def test_solver_inverts_r_once(m3, monkeypatch, with_z):
     calls = []
     real = axioms.inverse_blockwise
 
-    def counted(R, conv):
+    def counted(R):
         calls.append(R)
-        return real(R, conv)
+        return real(R)
 
     monkeypatch.setattr(axioms, "inverse_blockwise", counted)
     r_hat = m3.R * ring.invert_unit(m3.Z)
@@ -388,9 +386,9 @@ def test_selftest_solver_check_solves_once_per_model(monkeypatch):
     calls = []
     real = axioms._solve_exact
 
-    def counted(R, R_inv, conv):
+    def counted(R, R_inv, N):
         calls.append(R)
-        return real(R, R_inv, conv)
+        return real(R, R_inv, N)
 
     monkeypatch.setattr(axioms, "_solve_exact", counted)
     out = io.StringIO()
@@ -400,25 +398,23 @@ def test_selftest_solver_check_solves_once_per_model(monkeypatch):
 
 
 def test_solver_no_solution():
-    conv = IndexConvention.for_size(2)
     bad = SqMatrix(4, {(0, 0): ring.s_power(1), (1, 1): ring.s_power(2),
                        (2, 2): ring.s_power(5), (3, 3): ring.one()})
     with pytest.raises(NoSolution):
-        solve_twist(bad, z=ring.one(), conv=conv)
+        solve_twist(bad, z=ring.one())
     # its partial-trace ratios are s^-2 and 1, not one common q^m
     with pytest.raises(NoSolution):
-        solve_twist(bad, conv=conv)
+        solve_twist(bad)
 
 
 def test_solver_degenerate_crossing():
     # the flip itself: every M solves the twist system
-    conv = IndexConvention.for_size(2)
-    sol = solve_twist(SqMatrix.permutation(2), z=ring.one(), conv=conv)
+    sol = solve_twist(SqMatrix.permutation(2), z=ring.one())
     assert sol.uniqueness == 4
     assert sol.twin_consistent is None
     # discovery reads Z^2 = 1, but neither +-1 leaves a unique M to confirm
     with pytest.raises(NoSolution):
-        solve_twist(SqMatrix.permutation(2), conv=conv)
+        solve_twist(SqMatrix.permutation(2))
 
 
 def test_solver_refuses_charge_violation(m2):
@@ -449,14 +445,14 @@ def test_mu_basis_solves_twist2(case):
     # the models are symmetric up to their gauge D = diag(r^g(a)), r^2 = [3]_q,
     # where both twist systems coincide: (D^2 (x) D^2) R^t = R (D^2 (x) D^2),
     # cross-multiplied to E = [3]_q^(-min g) D^2 = diag([3]_q^(g(a) - min g))
-    g = gauge_powers(m.conv)
+    g = gauge_powers(m.N)
     three = ring.q_power(-2) + 1 + ring.q_power(2)
     E = SqMatrix(m.N, {(i, i): three ** (x - min(g)) for i, x in enumerate(g)})
     EE = E.kron(E)
     assert (EE @ R.transpose() == R @ EE) == (case != "N3-conjugated")
     sol = solve_twist(R * ring.invert_unit(m.Z), z=m.Z)
     assert len(sol.mu_basis) == 1
-    R_inv = inverse_blockwise(R, m.conv)
+    R_inv = inverse_blockwise(R)
     N = m.N
     zero = ring.zero()
 

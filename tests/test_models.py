@@ -1,5 +1,6 @@
 """Model construction fixtures and the numeric weight limits."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from vertexlink import models, ring
 from vertexlink.errors import (
     ConventionValidationFailed,
+    DimensionMismatch,
     DomainError,
     MinPolyViolated,
     UnsupportedN,
@@ -25,7 +27,7 @@ from vertexlink.models import (
     spectral_checks,
 )
 from vertexlink.invariants import compute_constants
-from vertexlink.tensor import SqMatrix, charge_of_pair, check_flip, det
+from vertexlink.tensor import SqMatrix, check_flip
 
 Q = ring.q_power
 S = ring.s_power
@@ -67,7 +69,13 @@ def test_closure_character(each_model):
     # mu_a = sigma q^(kappa a): kappa = -2, and +2 once the mirror transposes M
     m = each_model
     want = ((-1) ** (m.N - 1), 2 if m.mirrored else -2)
-    assert models.closure_character(m.mu, m.conv) == want
+    assert models.closure_character(m.mu) == want
+
+
+def test_closure_character_refuses_a_one_by_one_mu():
+    # N = 1 has the one label 0, so no slope kappa is fixed
+    with pytest.raises(DimensionMismatch, match="N >= 2"):
+        models.closure_character(SqMatrix(1, {(0, 0): ring.one()}))
 
 
 def _refused_before_trace_constants(monkeypatch, m, M_u, M_d):
@@ -76,7 +84,7 @@ def _refused_before_trace_constants(monkeypatch, m, M_u, M_d):
 
     monkeypatch.setattr(models, "check_trace_constants", unreachable)
     with pytest.raises(ConventionValidationFailed, match="closure weight"):
-        models._finalize(m.N, m.sign, m.conv, m.Z, m.R, M_u, M_d)
+        models._finalize(m.N, m.sign, m.Z, m.R, M_u, M_d)
 
 
 def test_finalize_refuses_non_diagonal_mu(m2, monkeypatch):
@@ -103,7 +111,20 @@ def test_crossing_matrices_inverse(each_model):
     ident = SqMatrix.identity(m.N)
     assert m.M_u @ m.M_d == ident
     assert m.M_d @ m.M_u == ident
-    assert det(m.M_u) == ring.one()
+    assert _leibniz_det(m.M_u) == ring.one()
+
+
+def _leibniz_det(M):
+    """sum over permutations p of sign(p) prod_i M[i, p(i)]; small N only."""
+    zero = ring.zero()
+    acc = zero
+    for p in itertools.permutations(range(M.dim)):
+        term = ring.one()
+        for i, j in enumerate(p):
+            term = term * M.entries.get((i, j), zero)
+        inversions = sum(p[i] > p[j] for i in range(M.dim) for j in range(i + 1, M.dim))
+        acc = acc - term if inversions % 2 else acc + term
+    return acc
 
 
 def test_r_inverse(each_model):
@@ -116,7 +137,7 @@ def test_r_inverse(each_model):
 def test_charge_conservation(each_model):
     m = each_model
     for (r, c) in m.R.entries:
-        assert charge_of_pair(m.conv, r) == charge_of_pair(m.conv, c)
+        assert sum(divmod(r, m.N)) == sum(divmod(c, m.N))
 
 
 def _r_hat_display(N):
@@ -189,7 +210,7 @@ def test_build_refuses_a_broken_flip(m4):
     # flip (C (x) C) R (C (x) C) = P R P breaks
     R = _gauged_r(m4, (1, 0, 0, 0))
     with pytest.raises(ConventionValidationFailed, match=r"entry \[\d+,\d+\] breaks the flip"):
-        models._finalize(4, 1, m4.conv, m4.Z, R, m4.M_u, m4.M_d)
+        models._finalize(4, 1, m4.Z, R, m4.M_u, m4.M_d)
 
 
 def test_gauged_r_needs_the_gauged_flip(m4):
@@ -198,9 +219,21 @@ def test_gauged_r_needs_the_gauged_flip(m4):
     C0 = SqMatrix(4, {(i, 3 - i): ring.one() for i in range(4)})
     with pytest.raises(ConventionValidationFailed,
                        match=r"entry \[2,5\] breaks the flip symmetry against \[7,10\]"):
-        check_flip(m4.R, C0, m4.conv)
+        check_flip(m4.R, C0)
     for X in (m4.R, m4.R_inv):
-        check_flip(X, models._label_flip(m4.conv), m4.conv)
+        check_flip(X, models._label_flip(4))
+
+
+def test_check_flip_refuses_a_flip_that_is_not_antidiagonal(m3):
+    # a zero on the antidiagonal, or an entry off it, is named, not a KeyError
+    C = models._label_flip(3)
+    check_flip(m3.R, C)
+    extra = SqMatrix(3, {**C.entries, (0, 0): ring.one()})
+    with pytest.raises(ConventionValidationFailed, match=r"flip entry \[0,0\] is off the antidiagonal"):
+        check_flip(m3.R, extra)
+    gap = SqMatrix(3, {k: v for k, v in C.entries.items() if k != (1, 1)})
+    with pytest.raises(ConventionValidationFailed, match=r"flip entry \[1,1\] is zero"):
+        check_flip(m3.R, gap)
 
 
 def test_diagonal_gauge_keeps_the_flip_for_n3(m3):
@@ -209,7 +242,7 @@ def test_diagonal_gauge_keeps_the_flip_for_n3(m3):
     # the labels -1, 0, 1, and charge conservation cancels it
     R = _gauged_r(m3, (1, 0, 0))
     assert R != m3.R
-    assert models._finalize(3, 1, m3.conv, m3.Z, R, m3.M_u, m3.M_d).R == R
+    assert models._finalize(3, 1, m3.Z, R, m3.M_u, m3.M_d).R == R
 
 
 def test_build_refuses_table_key_typed_twice(monkeypatch):
@@ -303,31 +336,31 @@ def test_radical_appears_only_in_n4():
                 assert all(e % 2 == 0 for e in (v * unit).terms)
 
 
-def test_gauge_refuses_an_entry_that_keeps_the_radical(m4):
+def test_gauge_refuses_an_entry_that_keeps_the_radical():
     table = models.paper_table(4)
-    assert models.gauge(table, m4.conv)  # the paper's table clears
+    assert models.gauge(table, 4)  # the paper's table clears
     h, t = Fraction(1, 2), Fraction(3, 2)
     # D (x) D moves this entry by r^1: its rational part would keep r
     key = (-t, -h, h, -h)
     table[key] = (Q(1), table[key][1])
     with pytest.raises(ConventionValidationFailed, match="keeps the radical"):
-        models.gauge(table, m4.conv)
+        models.gauge(table, 4)
     # this one does not move: a radical part stays
     table = models.paper_table(4)
     table[(t, t, t, t)] = (ring.one(), ring.one())
     with pytest.raises(ConventionValidationFailed, match="keeps the radical"):
-        models.gauge(table, m4.conv)
+        models.gauge(table, 4)
 
 
 def test_gauge_leaves_m_u_m_d_and_mu_unchanged():
     # D M D moves M[a, b] by r^(g(a) + g(b)), and D mu D^-1 moves mu[a, b]
     # by r^(g(a) - g(b)): every entry stays where it is
     for m in _models_and_mirrors():
-        g = models.gauge_powers(m.conv)
+        g = models.gauge_powers(m.N)
         for M in (m.M_u, m.M_d):
             assert all(g[a] + g[b] == 0 for a, b in M.entries)
         assert all(g[a] == g[b] for a, b in m.mu.entries)
-    assert models.gauge_powers(build_model(4).conv) == (1, 0, 0, -1)
+    assert models.gauge_powers(4) == (1, 0, 0, -1)
 
 
 # ---------------------------------------------------------------- numerics

@@ -17,7 +17,7 @@ from oracle.quadratic_closure import field, laurent_at
 from vertexlink import braid, invariants, packed, ring, selftest, tensor
 from vertexlink.braid import BraidWord
 from vertexlink.errors import DomainError
-from vertexlink.models import build_model, gauge_powers, mirror_model, paper_table
+from vertexlink.models import build_model, gauge_powers, labels, mirror_model, paper_table
 from vertexlink.tensor import SqMatrix
 
 SIGNED = [(2, 1), (2, -1), (3, 1), (3, -1), (4, 1), (4, -1)]
@@ -186,7 +186,8 @@ def test_gauge_clears_the_radical_and_fixes_the_closure(N, sign, mirrored):
     s = Fraction(2)
     F = field(s ** -4 + 1 + s ** 4)
     r = F(0, 1)
-    g = dict(zip(m.conv.labels, gauge_powers(m.conv)))
+    g = dict(zip(labels(N), gauge_powers(N)))
+    pos = {a: p for p, a in enumerate(labels(N))}
     R_hat = m.R * ring.invert_unit(m.Z)
     table = paper_table(N)
     if mirrored:  # P R P: the entry [(a,b),(c,d)] moves to [(b,a),(d,c)]
@@ -195,7 +196,7 @@ def test_gauge_clears_the_radical_and_fixes_the_closure(N, sign, mirrored):
     for (a, c, b, d), v in table.items():
         x, y = v if isinstance(v, tuple) else (v, ring.zero())
         paper = F(laurent_at(x.terms, s), laurent_at(y.terms, s))
-        gauged = F(ring.eval_exact(R_hat.entries[(m.conv.flatten(a, b), m.conv.flatten(c, d))], s))
+        gauged = F(ring.eval_exact(R_hat.entries[(pos[a] * N + pos[b], pos[c] * N + pos[d])], s))
         # D(a) D(b) paper = gauged D(c) D(d), both sides times r^4 so no power is negative
         lhs, rhs = paper, gauged
         for _ in range(4 + g[a] + g[b]):
@@ -396,9 +397,9 @@ def test_gauge_keeps_every_sector_trace(N, sign, mirrored):
 def with_odd_kappa(m):
     """``m`` with mu = sigma diag(q^a) over the labels a: kappa = 1, which no
     model's trace constants allow."""
-    sigma, _ = tensor.closure_character(m.mu, m.conv)
+    sigma, _ = tensor.closure_character(m.mu)
     mu = SqMatrix(m.N, {(i, i): ring.s_power(int(2 * a), sigma)
-                        for i, a in enumerate(m.conv.labels)})
+                        for i, a in enumerate(labels(m.N))})
     return dataclasses.replace(m, mu=mu)
 
 
@@ -407,7 +408,7 @@ def with_odd_kappa(m):
 def test_packed_trace_refuses_a_kappa_other_than_two(N, sign, mirrored):
     """The closure weights are powers of x = q^2 only for |kappa| = 2."""
     m = with_odd_kappa(signed_model(N, sign, mirrored))
-    assert tensor.closure_character(m.mu, m.conv)[1] == 1
+    assert tensor.closure_character(m.mu)[1] == 1
     with pytest.raises(DomainError, match="kappa = 1"):
         invariants.regular_invariant(BraidWord(2, (1,)), m)
 

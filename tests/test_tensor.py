@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vertexlink import ring
+from vertexlink import models, ring
+from vertexlink.axioms import solve_twist
 from vertexlink.errors import ConventionValidationFailed, DimensionMismatch, DomainError
 from vertexlink.tensor import (
     YANG_BAXTER,
-    IndexConvention,
     SqMatrix,
-    charge_of_pair,
+    charge_sectors,
     contract,
     inverse_blockwise,
     legs,
@@ -122,16 +122,37 @@ def test_json_round_trip():
 
 def test_index_convention():
     for N in (2, 3, 4):
-        conv = IndexConvention.for_size(N)
+        labels = models.labels(N)
+        assert {models._positions(N)[a] for a in labels} == set(range(N))
+        assert all(models._positions(N)[a] == p for p, a in enumerate(labels))
         seen = set()
-        for a, b in itertools.product(conv.labels, repeat=2):
-            flat = conv.flatten(a, b)
-            assert conv.unflatten(flat) == (a, b)
+        for a, b in itertools.product(range(N), repeat=2):
+            flat = a * N + b
+            assert divmod(flat, N) == (a, b)
             seen.add(flat)
         assert seen == set(range(N * N))
         # spins are symmetric around zero with step one
-        charges = sorted({charge_of_pair(conv, i) for i in range(N * N)})
+        assert [y - x for x, y in zip(labels, labels[1:])] == [1] * (N - 1)
+        charges = sorted({labels[i // N] + labels[i % N] for i in seen})
         assert charges[0] == -charges[-1] == Fraction(-(N - 1))
+
+
+def test_charge_sectors_ascend(each_model):
+    # sizes 1, 2, ..., N, ..., 2, 1 over the position sums 0 .. 2N - 2
+    m = each_model
+    N = m.N
+    sectors = charge_sectors(m.R)
+    assert [len(s) for s in sectors] == [*range(1, N + 1), *range(N - 1, 0, -1)]
+    assert [{sum(divmod(i, N)) for i in s} for s in sectors] == [{w} for w in range(2 * N - 1)]
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_two_factor_routines_refuse_non_square_dims(dim):
+    one = ring.one()
+    M = SqMatrix(dim, {(i, i): one for i in range(dim)})
+    for call in (charge_sectors, inverse_blockwise, solve_twist):
+        with pytest.raises(DimensionMismatch, match="not N\\^2"):
+            call(M)
 
 
 def test_small_inverse():
@@ -147,21 +168,21 @@ def test_small_inverse():
 
 def test_inverse_blockwise(each_model):
     m = each_model
-    inv = inverse_blockwise(m.R, m.conv)
+    inv = inverse_blockwise(m.R)
     assert inv == m.R_inv
     off_block = SqMatrix(m.N * m.N, {(0, m.N * m.N - 1): ring.one()})
     with pytest.raises(ConventionValidationFailed, match="charge conservation"):
-        inverse_blockwise(off_block, m.conv)
+        inverse_blockwise(off_block)
 
 
 def test_partial_close_is_scalar(each_model):
     m = each_model
-    k = partial_close_second(m.R, m.mu, m.conv)
+    k = partial_close_second(m.R, m.mu)
     val = k.scalar_value()
     assert val is not None
     # closing one strand of a crossing multiplies the open strand by tau * k
     assert val * m.D == m.Z * m.k
-    val_inv = partial_close_second(m.R_inv, m.mu, m.conv).scalar_value()
+    val_inv = partial_close_second(m.R_inv, m.mu).scalar_value()
     assert val_inv * m.D == m.Z * ring.q_power(m.N * m.N - 1) * m.k
 
 
