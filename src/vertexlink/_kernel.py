@@ -73,6 +73,8 @@ def pmul(a, b):
     lb = len(bc)
     if la == 1:
         f = ac[0]
+        if lb == 1:
+            return (a[0] + b[0], (f * bc[0],))
         return (a[0] + b[0], tuple(f * c for c in bc))
     if lb == 1:
         f = bc[0]

@@ -15,7 +15,10 @@ largest entry norms bounds every coefficient of that side
 (:func:`equation_bits`).  With both sides' coefficients below 2^(bits-1) in
 absolute value their balanced base-2^bits digits are unique, so the sides,
 their shifts aligned, are equal as ints exactly when they are equal as
-polynomials.  A failing equation unpacks its first differing entry.
+polynomials.  :func:`equation_witnesses` is that pass, for ``check_axioms``
+and the ``uqsl2`` twist clause; a failing equation unpacks its first
+differing entry.  ``braid_equation_sides``, ``twist1_sides`` and
+``twist2_sides`` are the exact references over the ring.
 
 The solver runs the other way: given only an R-matrix it recovers the
 crossing matrix M_d (and M_u) as the nullspace of an exact linear system,
@@ -87,18 +90,19 @@ def braid_equation_sides(R: SqMatrix, N: int) -> tuple[dict, dict]:
     return _sides("braid", {"R": legs(R, N)})
 
 
-def _operands(R, R_inv, M_u, M_d, N: int) -> dict:
+def equation_operands(R, R_inv, M_u, M_d, N: int) -> dict:
+    """The operands of :data:`EQUATIONS` by name."""
     return {"R": legs(R, N), "R_inv": legs(R_inv, N), "M_u": M_u.entries, "M_d": M_d.entries}
 
 
 def twist1_sides(R: SqMatrix, R_inv: SqMatrix, M_u: SqMatrix, M_d: SqMatrix, N: int):
     """R^-1^a_c^b_d  vs  sum_ef M^ae R^b_e^f_c M_fd (first twist form)."""
-    return _sides("twist1", _operands(R, R_inv, M_u, M_d, N))
+    return _sides("twist1", equation_operands(R, R_inv, M_u, M_d, N))
 
 
 def twist2_sides(R: SqMatrix, R_inv: SqMatrix, M_u: SqMatrix, M_d: SqMatrix, N: int):
     """R^-1^a_c^b_d  vs  sum_ef M_ce R^e_d^a_f M^fb (second twist form)."""
-    return _sides("twist2", _operands(R, R_inv, M_u, M_d, N))
+    return _sides("twist2", equation_operands(R, R_inv, M_u, M_d, N))
 
 
 def equation_bits(exact: dict, N: int) -> int:
@@ -113,20 +117,24 @@ def equation_bits(exact: dict, N: int) -> int:
                             for sides in EQUATIONS.values() for spec, names in sides))
 
 
-def _equation_witnesses(exact: dict, bits: int) -> dict[str, str]:
-    """{name: witness} over :data:`EQUATIONS`, the witness empty where the equation holds.
+def equation_witnesses(exact: dict, bits: int, names) -> dict[str, str]:
+    """{name: witness} for the equations ``names`` of :data:`EQUATIONS`, the
+    witness empty where the equation holds.
 
-    Each operand is packed once and each side contracted on ints; only a
-    failing equation unpacks its first differing entry.
+    Each operand is packed once and each distinct side contracted once on
+    ints (twist1 and twist2 share their R^-1 side); only a failing equation
+    unpacks its first differing entry.
     """
     step = packed.variable_step(v for op in exact.values() for v in op.values())
     ops, shifts = {}, {}
     for x, op in exact.items():
         ops[x], shifts[x] = packed.pack(op, bits, step)
-    out = {}
-    for name, sides in EQUATIONS.items():
-        lhs, rhs = ((contract(spec, *(ops[x] for x in names)), sum(shifts[x] for x in names))
-                    for spec, names in sides)
+    sides, out = {}, {}
+    for name in names:
+        for spec, xs in EQUATIONS[name]:
+            if (spec, xs) not in sides:
+                sides[spec, xs] = contract(spec, *(ops[x] for x in xs)), sum(shifts[x] for x in xs)
+        lhs, rhs = (sides[side] for side in EQUATIONS[name])
         diff = packed.first_difference(lhs, rhs, bits, step)
         out[name] = "" if diff is None else (
             f"at {diff[0]}: {ring.render(diff[1])} != {ring.render(diff[2])}")
@@ -150,8 +158,8 @@ def check_axioms(m) -> CheckReport:
     ok = m.R @ m.R_inv == ident and m.R_inv @ m.R == ident
     rep.record("r", ok, "R R^-1 != 1")
 
-    exact = _operands(m.R, m.R_inv, m.M_u, m.M_d, N)
-    for name, witness in _equation_witnesses(exact, equation_bits(exact, N)).items():
+    exact = equation_operands(m.R, m.R_inv, m.M_u, m.M_d, N)
+    for name, witness in equation_witnesses(exact, equation_bits(exact, N), EQUATIONS).items():
         rep.record(name, not witness, witness)
     return rep
 

@@ -185,12 +185,12 @@ class PackedMatrix:
         return a == b
 
     def scaled(self, c: RingElem) -> "PackedMatrix":
-        """c times this matrix; c is packed at the same width and variable."""
+        """c times this matrix; c is packed at the same width and variable, and
+        c = 0 leaves no row."""
         shift = -low_degree([c], self.step)
         v = pack_value(c, self.bits, self.step, shift)
-        return PackedMatrix(self.dim, {r: {k: x * v for k, x in row.items()}
-                                       for r, row in self.rows.items()},
-                            self.bits, self.shift + shift, self.step)
+        rows = {r: {k: x * v for k, x in row.items()} for r, row in self.rows.items()} if v else {}
+        return PackedMatrix(self.dim, rows, self.bits, self.shift + shift, self.step)
 
     def trace_product(self, other: "PackedMatrix", weights=None) -> RingElem:
         """tr(self @ other @ W), unpacked, without forming the product.

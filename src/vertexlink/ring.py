@@ -84,6 +84,8 @@ class RingElem:
         return None
 
     def __add__(self, other):
+        if isinstance(other, RingElem):
+            return RingElem(K.padd(self.rat, other.rat))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -107,6 +109,8 @@ class RingElem:
         return RingElem(K.pneg(self.rat))
 
     def __mul__(self, other):
+        if isinstance(other, RingElem):
+            return RingElem(K.pmul(self.rat, other.rat))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -129,6 +133,8 @@ class RingElem:
         return acc
 
     def __eq__(self, other):
+        if isinstance(other, RingElem):
+            return self.rat == other.rat
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -138,7 +144,7 @@ class RingElem:
         return hash(self.rat)
 
     def __bool__(self):
-        return not self.is_zero()
+        return self.rat[1] != ()
 
     def __repr__(self):
         return f"RingElem({render(self)})"

@@ -11,6 +11,7 @@ columns the lower.  ``legs`` keys it as the tensor (a, c, b, d);
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -182,50 +183,39 @@ def _picker(positions):
     return operator.itemgetter(*positions) if positions else lambda t: ()
 
 
-def _parse_spec(spec: str, operands) -> tuple[list[str], str]:
-    """The operand terms and output letters of ``spec``; DomainError if malformed."""
+@functools.lru_cache(maxsize=64)
+def _plan(spec: str, count: int) -> tuple[tuple, object]:
+    """``spec`` compiled for ``count`` operands; DomainError if malformed.
+
+    One step per operand: its arity, its diagonal selector (None without a
+    repeated letter), the pickers of the shared letters from the kept
+    letters and from the operand, of the kept letters still needed and of
+    the operand's new letters still needed; then the output permutation.
+    """
     inputs, arrow, out = spec.partition("->")
     terms = inputs.split(",")
     if not arrow or "->" in out or not all(
             x.isascii() and x.isalpha() for x in (inputs + out).replace(",", "")):
         raise DomainError(f"spec {spec!r} is not letters, commas and one explicit '->'")
-    if len(terms) != len(operands):
-        raise DomainError(f"spec {spec!r} names {len(terms)} operands, got {len(operands)}")
+    if len(terms) != count:
+        raise DomainError(f"spec {spec!r} names {len(terms)} operands, got {count}")
     if len(set(out)) != len(out) or not set(out) <= set(inputs):
         raise DomainError(f"output {out!r} repeats a letter or has one no input has")
-    if any(len(key) != len(term) for term, op in zip(terms, operands) for key in op):
-        raise DomainError(f"spec {spec!r}: an operand has a key of another arity")
-    return terms, out
-
-
-def _summed(pairs) -> dict:
-    """Add up (key, value) pairs per key, dropping exact zeros."""
-    out: dict = {}
-    for key, v in pairs:
-        cur = out.get(key)
-        out[key] = v if cur is None else cur + v
-    return {k: v for k, v in out.items() if v}
-
-
-def _project(op: dict, term: str, keep: str) -> dict:
-    """Entries whose repeated letters agree, keyed by ``keep``, the rest summed out."""
-    # on the diagonal iff reading each letter at its first position gives k back
-    on_diagonal = _picker([term.index(x) for x in term])
-    pick = _picker([term.index(x) for x in keep])
-    return _summed((pick(k), v) for k, v in op.items() if on_diagonal(k) == k)
-
-
-def _join(left: dict, l_letters: str, right: dict, r_letters: str, keep: str) -> dict:
-    """Multiply matching entries of two tensors, summing every letter not kept."""
-    shared = [x for x in r_letters if x in l_letters]
-    l_key = _picker([l_letters.index(x) for x in shared])
-    r_key = _picker([r_letters.index(x) for x in shared])
-    pick = _picker([(l_letters + r_letters).index(x) for x in keep])
-    groups: dict = {}
-    for k, v in right.items():
-        groups.setdefault(r_key(k), []).append((k, v))
-    return _summed((pick(k1 + k2), v1 * v2) for k1, v1 in left.items()
-                   for k2, v2 in groups.get(l_key(k1), ()))
+    steps, letters = [], ""
+    for i, term in enumerate(terms):
+        needed = set(out).union(*terms[i + 1:])
+        own = list(dict.fromkeys(term))
+        shared = [x for x in own if x in letters]
+        kept = [x for x in letters if x in needed]
+        new = [x for x in own if x not in letters and x in needed]
+        steps.append((len(term),
+                      _picker([term.index(x) for x in term]) if len(own) < len(term) else None,
+                      _picker([letters.index(x) for x in shared]),
+                      _picker([term.index(x) for x in shared]),
+                      _picker([letters.index(x) for x in kept]),
+                      _picker([term.index(x) for x in new])))
+        letters = "".join(kept + new)
+    return tuple(steps), None if letters == out else _picker([letters.index(x) for x in out])
 
 
 def contract(spec: str, *operands: dict) -> dict:
@@ -237,22 +227,43 @@ def contract(spec: str, *operands: dict) -> dict:
     ``spec`` is numpy's einsum syntax with an explicit ``->``, e.g.
     ``"ae,befc,fd->abcd"`` is sum_ef A[a,e] B[b,e,f,c] C[f,d].  A letter
     repeated inside one operand selects that operand's diagonal.  Operands
-    are joined left to right, and each letter is summed out as soon as no
-    later operand and not the output needs it.  The result is keyed in
-    output-letter order with zeros dropped; a malformed spec raises
-    DomainError.
+    are joined left to right, zero entries left out, and each letter is
+    summed out as soon as no later operand and not the output needs it.
+    The result is keyed in output-letter order with zeros dropped.  Each
+    spec is compiled once (:func:`_plan`); a malformed spec, or a key that
+    is not a tuple of the term's length, raises DomainError on every call.
     """
-    terms, out = _parse_spec(spec, operands)
-    letters = ""
-    for i, (op, term) in enumerate(zip(operands, terms)):
-        own = "".join(dict.fromkeys(term))
-        needed = set(out).union(*terms[i + 1:])
-        keep = out if i == len(terms) - 1 else "".join(
-            x for x in dict.fromkeys(letters + own) if x in needed)
-        acc = _project(op, term, keep) if i == 0 else _join(
-            acc, letters, _project(op, term, own), own, keep)
-        letters = keep
-    return acc
+    steps, perm = _plan(spec, len(operands))
+    acc = None
+    for op, (arity, diagonal, l_shared, r_shared, l_kept, r_new) in zip(operands, steps):
+        groups: dict = {}
+        for k, v in op.items():
+            if not isinstance(k, tuple):
+                raise DomainError(f"spec {spec!r}: key {k!r} is not a tuple")
+            if len(k) != arity:
+                raise DomainError(f"spec {spec!r}: an operand has a key of another arity")
+            if v and (diagonal is None or diagonal(k) == k):
+                key = r_shared(k)
+                if key in groups:
+                    groups[key].append((r_new(k), v))
+                else:
+                    groups[key] = [(r_new(k), v)]
+        out: dict = {}
+        if acc is None:
+            for key, v in groups.get((), ()):
+                cur = out.get(key)
+                out[key] = v if cur is None else cur + v
+        else:
+            for k1, v1 in acc.items():
+                row = groups.get(l_shared(k1))
+                if row is not None:
+                    head = l_kept(k1)
+                    for tail, v2 in row:
+                        key = head + tail
+                        cur = out.get(key)
+                        out[key] = v1 * v2 if cur is None else cur + v1 * v2
+        acc = {k: v for k, v in out.items() if v}
+    return acc if perm is None else {perm(k): v for k, v in acc.items()}
 
 
 def trace_product(a, b, weights=None) -> RingElem:

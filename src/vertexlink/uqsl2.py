@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ring
-from .axioms import twist1_sides, twist2_sides
+from .axioms import equation_bits, equation_operands, equation_witnesses
 from .errors import DimensionMismatch, UnsupportedN
 from .models import VertexModel, build_model
 from .ring import RingElem
@@ -145,15 +145,15 @@ def exact_w_matches_md(j) -> bool:
 
 
 def exact_twist_substitution(j) -> bool:
-    """Twist equations stay exact with M_d replaced by w^t (and M_u by its inverse)."""
+    """Twist equations stay exact with M_d replaced by w^t (and M_u by its inverse),
+    checked on the packed image (:func:`vertexlink.axioms.equation_witnesses`)."""
     jf = _as_spin(j)
     N = int(2 * jf) + 1
     m = build_model(N)
     M_d = build_w(jf).transpose()
-    M_u = small_inverse(M_d)
-    l1, r1 = twist1_sides(m.R, m.R_inv, M_u, M_d, N)
-    l2, r2 = twist2_sides(m.R, m.R_inv, M_u, M_d, N)
-    return l1 == r1 and l2 == r2
+    exact = equation_operands(m.R, m.R_inv, small_inverse(M_d), M_d, N)
+    witnesses = equation_witnesses(exact, equation_bits(exact, N), ("twist1", "twist2"))
+    return not any(witnesses.values())
 
 
 def _r_series(rep: SpinRep, sign: int) -> tuple[SqMatrix, SqMatrix]:

@@ -1,20 +1,22 @@
 """The exact identity checks on the Kronecker-packed image equal their SqMatrix references.
 
 ``packed.annihilates``, the braid and twist equations of
-``axioms.check_axioms`` and ``tlbracket.tl_relations_check`` compare both
-sides as ints at a proven width.  Each is checked here against the same
-computation over the exact ring: the width bounds every coefficient of
-both sides, a width below the coefficients gives a wrong verdict, and the
-verdicts and witnesses agree with the reference.
+``axioms.check_axioms``, the ``uqsl2`` twist clause and
+``tlbracket.tl_relations_check`` compare both sides as ints at a proven
+width.  Each is checked here against the same computation over the exact
+ring: the width bounds every coefficient of both sides, a width below the
+coefficients gives a wrong verdict, and the verdicts and witnesses agree
+with the reference.
 """
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vertexlink import axioms, braid, packed, ring, tlbracket
+from vertexlink import axioms, braid, packed, ring, tlbracket, uqsl2
 from vertexlink.axioms import (
     CheckReport,
     braid_equation_sides,
@@ -24,7 +26,7 @@ from vertexlink.axioms import (
 )
 from vertexlink.invariants import STRAND_CAP
 from vertexlink.models import build_model, mirror_model
-from vertexlink.tensor import SqMatrix
+from vertexlink.tensor import SqMatrix, small_inverse
 
 MODELS = [(N, sign, mirrored) for N in (2, 3, 4) for sign in (1, -1) for mirrored in (False, True)]
 IDS = [f"N{N}{'+' if s > 0 else '-'}{'m' if mir else ''}" for N, s, mir in MODELS]
@@ -47,7 +49,7 @@ def vanishing(bits, step, j):
 
 def operands(m):
     """The operands of ``axioms.EQUATIONS`` for the model ``m``, by name."""
-    return axioms._operands(m.R, m.R_inv, m.M_u, m.M_d, m.N)
+    return axioms.equation_operands(m.R, m.R_inv, m.M_u, m.M_d, m.N)
 
 
 def bumped(M, key, delta):
@@ -185,7 +187,8 @@ def test_equations_too_narrow_width_read_wrong(N):
     assert not reference_axioms(bad).results["braid"]
     assert not check_axioms(bad).results["braid"]
     # at x = 2^3 the bumped R has the image of R: every equation reads as holding
-    assert axioms._equation_witnesses(operands(bad), bits) == dict.fromkeys(axioms.EQUATIONS, "")
+    assert (axioms.equation_witnesses(operands(bad), bits, axioms.EQUATIONS)
+            == dict.fromkeys(axioms.EQUATIONS, ""))
 
 
 @given(model=st.sampled_from(MODELS), row=st.integers(0, 15), col=st.integers(0, 15),
@@ -198,6 +201,29 @@ def test_perturbed_r_agrees_with_the_exact_reference(model, row, col, sign, k):
     got, want = check_axioms(bad), reference_axioms(bad)
     assert got.results == want.results
     assert got.witnesses == want.witnesses
+
+
+def w_with_one_entry_times_q(j):
+    W = uqsl2.build_w(j)
+    key = min(W.entries)
+    return SqMatrix(W.dim, {**W.entries, key: W.entries[key] * ring.q_power(1)})
+
+
+@pytest.mark.parametrize("broken", [False, True], ids=["w", "w-entry-times-q"])
+@pytest.mark.parametrize("j", [Fraction(1, 2), Fraction(1), Fraction(3, 2)], ids=str)
+def test_uq_twist_clause_agrees_with_the_exact_reference(j, broken, monkeypatch):
+    """The uq twist clause, M_d = w^t and M_u its inverse, on the packed pass."""
+    W = w_with_one_entry_times_q(j) if broken else uqsl2.build_w(j)
+    m = build_model(W.dim)
+    M_d = W.transpose()
+    args = (m.R, m.R_inv, small_inverse(M_d), M_d, m.N)
+    exact = axioms.equation_operands(*args)
+    got = axioms.equation_witnesses(exact, axioms.equation_bits(exact, m.N), ("twist1", "twist2"))
+    want = {"twist1": exact_diff(*twist1_sides(*args)), "twist2": exact_diff(*twist2_sides(*args))}
+    assert got == want
+    assert any(want.values()) == broken
+    monkeypatch.setattr(uqsl2, "build_w", lambda _: W)
+    assert uqsl2.exact_twist_substitution(j) is not broken
 
 
 # ------------------------------------------------------------ Temperley-Lieb
@@ -264,6 +290,27 @@ def test_tl_wrong_loop_value_breaks_square(N, monkeypatch):
     got = tlbracket.tl_relations_check(m, max_strands=4)
     assert_agrees(got, reference_relations(bad, N, 4), "square")
     assert {name.split(":")[1] for name, ok in got.results.items() if not ok} == {"square"}
+
+
+def test_scaling_by_zero_leaves_no_row():
+    R = build_model(2).R
+    P = packed.pack_matrix(R, 9, packed.variable_step(R.entries.values()))
+    assert P.scaled(ring.zero()).rows == {}
+    assert P.scaled(ring.zero()) == P.like(P.dim, {})
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_tl_square_with_zero_loop_value_agrees_with_the_reference(N, monkeypatch):
+    """A nilpotent e with k = 0 has E^2 = k E = 0, read as holding on the packed image."""
+    m = build_model(N)
+    e = SqMatrix(N * N, {(0, 1): ring.one()})
+    bad = tlbracket.TLData(e=e, f=e, k=ring.zero())
+    monkeypatch.setattr(tlbracket, "build_tl", lambda _: bad)
+    got = tlbracket.tl_relations_check(m, max_strands=4)
+    want = reference_relations(bad, N, 4)
+    assert got.results == want.results
+    assert got.witnesses == want.witnesses
+    assert all(ok for name, ok in got.results.items() if ":square:" in name)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])

@@ -1,14 +1,18 @@
 """Sparse exact matrices and the two-factor index convention."""
 
+import ast
 import itertools
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vertexlink
 from vertexlink import models, ring
 from vertexlink.axioms import solve_twist
 from vertexlink.errors import ConventionValidationFailed, DimensionMismatch, DomainError
@@ -208,6 +212,7 @@ PACKAGE_SPECS = [
     "acba->bc",
     "beec->bc",
     "abce,ec->ab",
+    "acbd,cedf->aebf",
 ]
 EXTRA_SPECS = ["ab,bc,cd->ad", "aab,bc->ca", "ab,ba->", "ab->ba", "aa->", "a,b->ab"]
 
@@ -253,11 +258,44 @@ def test_contract_drops_exact_zeros_and_copies():
     ("ab->c", ({},)),                           # output letter no input has
     ("ab->aa", ({},)),                          # output letter repeated
     ("a1->a", ({},)),                           # not a letter
+    ("a->a", ({0: 1},)),                        # a key that is not a tuple
 ], ids=["no-arrow", "two-arrows", "few-operands", "many-operands", "arity",
-        "unknown-output", "repeated-output", "non-letter"])
+        "unknown-output", "repeated-output", "non-letter", "non-tuple-key"])
 def test_contract_refuses_malformed_spec(spec, operands):
     with pytest.raises(DomainError):
         contract(spec, *operands)
+    # the spec is compiled once, and still refused on every later call
+    with pytest.raises(DomainError):
+        contract(spec, *operands)
+
+
+def test_cached_plan_still_checks_every_key():
+    a = {(0, 1): ring.one()}
+    assert contract("ab,b->a", a, {(1,): ring.one()}) == {(0,): ring.one()}
+    with pytest.raises(DomainError, match="another arity"):
+        contract("ab,b->a", a, {(1, 0): ring.one()})
+    with pytest.raises(DomainError, match="key 1 is not a tuple"):
+        contract("ab,b->a", a, {1: ring.one()})
+    with pytest.raises(DomainError, match="another arity"):
+        contract("ab,b->a", {(0,): ring.one()}, {})  # the empty right operand leaves nothing to join
+
+
+def test_contract_never_joins_an_explicit_zero():
+    inf = float("inf")
+    got = contract("ab,b->a", {(0, 0): 0.0, (0, 1): 1.0}, {(0,): inf, (1,): 2.0})
+    assert got == {(0,): 2.0}
+
+
+def test_package_specs_are_all_tested():
+    """Every string constant of the package shaped like an einsum spec is in PACKAGE_SPECS."""
+    shaped = re.compile(r"[A-Za-z,]+->[A-Za-z]*")
+    found = set()
+    for path in Path(vertexlink.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if shaped.fullmatch(node.value):
+                    found.add(node.value)
+    assert found and found <= set(PACKAGE_SPECS), found - set(PACKAGE_SPECS)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 3]))
