@@ -105,16 +105,19 @@ def twist2_sides(R: SqMatrix, R_inv: SqMatrix, M_u: SqMatrix, M_d: SqMatrix, N: 
     return _sides("twist2", equation_operands(R, R_inv, M_u, M_d, N))
 
 
-def equation_bits(exact: dict, N: int) -> int:
-    """Packing width that decides every equation of :data:`EQUATIONS` exactly,
-    given its operands by name, each index ranging over N values.
+def equation_bits(exact: dict, N: int, names) -> int:
+    """Packing width that decides the equations ``names`` of :data:`EQUATIONS`
+    exactly, given their operands by name, each index ranging over N values.
 
     Every entry of either side weighs at most ``packed.contraction_bound``
-    of its spec and the largest entry weight of each operand.
+    of its spec and the largest entry weight of each operand.  Only the
+    operands of those equations are weighed, each once.
     """
-    norms = {x: max(map(packed.weight, op.values()), default=0) for x, op in exact.items()}
-    return packed.width(max(packed.contraction_bound(spec, N, [norms[x] for x in names])
-                            for sides in EQUATIONS.values() for spec, names in sides))
+    sides = [side for name in names for side in EQUATIONS[name]]
+    norms = {x: max(map(packed.weight, exact[x].values()), default=0)
+             for x in {x for _, xs in sides for x in xs}}
+    return packed.width(max(packed.contraction_bound(spec, N, [norms[x] for x in xs])
+                            for spec, xs in sides))
 
 
 def equation_witnesses(exact: dict, bits: int, names) -> dict[str, str]:
@@ -159,7 +162,8 @@ def check_axioms(m) -> CheckReport:
     rep.record("r", ok, "R R^-1 != 1")
 
     exact = equation_operands(m.R, m.R_inv, m.M_u, m.M_d, N)
-    for name, witness in equation_witnesses(exact, equation_bits(exact, N), EQUATIONS).items():
+    bits = equation_bits(exact, N, EQUATIONS)
+    for name, witness in equation_witnesses(exact, bits, EQUATIONS).items():
         rep.record(name, not witness, witness)
     return rep
 

@@ -66,6 +66,26 @@ class BraidWord:
             raise DimensionMismatch("concatenating words on different strand counts")
         return BraidWord(self.strands, self.letters + other.letters)
 
+    def pieces(self) -> tuple["BraidWord", ...]:
+        """The word cut at every generator it lacks: one word per block of strands.
+
+        Without b_i no letter crosses strand i with strand i + 1, so the
+        braid is the tensor product of the words on the blocks between the
+        cuts, each letter of a block shifted to the block's first strand.
+        A word that uses every generator is its one piece.
+        """
+        n = self.strands
+        used = {abs(x) for x in self.letters}
+        if len(used) == n - 1:
+            return (self,)
+        out = []
+        lo = 0  # strands left of the block
+        for cut in [i for i in range(1, n) if i not in used] + [n]:
+            out.append(BraidWord(cut - lo, tuple(x - lo if x > 0 else x + lo
+                                                 for x in self.letters if lo < abs(x) < cut)))
+            lo = cut
+        return tuple(out)
+
     def powers_of(self, i: int, p: int) -> "BraidWord":
         """This word followed by b_i^p (p may be negative)."""
         if i <= 0 or i >= self.strands:

@@ -6,6 +6,25 @@ dividing by k^n gives the Markov trace, and the ambient normalization
 removes the writhe dependence so the result is invariant under
 conjugation, both stabilizations and free reduction.  All arithmetic is
 exact; the single division by the loop sum D is checked exact.
+
+A split closure is the product of its pieces (Turaev, Invent. Math. 92,
+1988).  Let the word w on n strands lack the generator b_i.  Its letters
+with |x| < i act on the strands 1..i and those with |x| > i on the strands
+i+1..n, and letters on disjoint strands commute.  So w = A B, with A the
+letters |x| < i in their order, a word on i strands, and B the others in
+their order, each shifted down by i, a word on n - i strands.  Then:
+
+* rep(w) = rep(A) (x) rep(B): a letter of A embeds as X (x) 1 and one of
+  B as 1 (x) Y, and (X (x) 1)(1 (x) Y) = X (x) Y in either order;
+* mu^(x)n = mu^(x)i (x) mu^(x)(n-i);
+* tr((X (x) Y)(U (x) V)) = tr(X U) tr(Y V), so
+  tr(rep(w) mu^(x)n) = tr(rep(A) mu^(x)i) tr(rep(B) mu^(x)(n-i)).
+
+So <L_w> = <L_A> <L_B> exactly, and since the writhe adds over the
+pieces, the unit-free traces Z^-writhe <L> multiply too.  This is linear
+algebra alone: it uses no Markov move and no property of
+the model, so no invariance check meets its own value through it.
+:func:`regular_invariant` applies it at every missing generator at once.
 """
 
 from __future__ import annotations
@@ -44,9 +63,12 @@ def _closure_trace(word: BraidWord, m: VertexModel, bits: int) -> RingElem:
     half = len(word.letters) // 2
     unit, weights = img.closure_weight(n)
     rows = weights.keys()
+    tail = word.letters[half:]
     letters: dict = {}
     left = represent(BraidWord(n, word.letters[:half]), img, cache=letters, rows=rows)
-    right = represent(BraidWord(n, word.letters[half:]), img, cache=letters, rows=rows)
+    # free the letters only the left half uses before the right half runs
+    letters = {x: g for x, g in letters.items() if x in tail}
+    right = represent(BraidWord(n, tail), img, cache=letters, rows=rows)
     return unit * trace_product(left, right, weights)
 
 
@@ -54,10 +76,21 @@ def _closure_trace(word: BraidWord, m: VertexModel, bits: int) -> RingElem:
 def regular_invariant(word: BraidWord, m: VertexModel) -> RingElem:
     """Closure trace <L> = tr(rep(word) mu^(x)n), exact.
 
-    Each letter is Z times a unit-free matrix, so <L> is Z^writhe times
-    the unit-free trace, which runs on plain ints (:mod:`vertexlink.packed`)
-    at a width proven wide enough to read every coefficient back.
+    A word that lacks a generator is split (:meth:`BraidWord.pieces`) and
+    its value is the product of its pieces' values, each through this
+    cache (see the module docstring): each piece packs at its own width,
+    and a piece met twice, such as a free strand, is computed once.
+    Otherwise each letter is Z times a unit-free matrix, so <L> is
+    Z^writhe times the unit-free trace, which runs on plain ints
+    (:mod:`vertexlink.packed`) at a width proven wide enough to read every
+    coefficient back.
     """
+    pieces = word.pieces()
+    if len(pieces) > 1:
+        value = ring.one()
+        for piece in pieces:
+            value = value * regular_invariant(piece, m)
+        return value
     bits = packed.closure_bits(m, word)
     return m.Z ** word.writhe * _closure_trace(word, m, bits)
 

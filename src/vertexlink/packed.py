@@ -181,8 +181,15 @@ class PackedMatrix:
         if not isinstance(other, PackedMatrix):
             return NotImplemented
         self._check(other)
-        a, b = _aligned(self.rows, self.shift, other.rows, other.shift, self.bits)
-        return a == b
+        a, b = self.rows, other.rows
+        if a.keys() != b.keys():
+            return False
+        da, db = _lifts(self.shift, other.shift, self.bits)
+        for r, row in a.items():
+            brow = b[r]
+            if row.keys() != brow.keys() or any(v << da != brow[c] << db for c, v in row.items()):
+                return False
+        return True
 
     def scaled(self, c: RingElem) -> "PackedMatrix":
         """c times this matrix; c is packed at the same width and variable, and
@@ -299,18 +306,10 @@ def unpack(a: int, bits: int, shift: int, step: int = 2) -> RingElem:
     return RingElem(K.canon(-step * shift, buf))
 
 
-def _shifted(values: dict, d: int) -> dict:
-    """``values`` with every int, in nested maps too, shifted left by d bits."""
-    return {k: _shifted(v, d) if isinstance(v, dict) else v << d for k, v in values.items()}
-
-
-def _aligned(a: dict, sa: int, b: dict, sb: int, bits: int) -> tuple[dict, dict]:
-    """x^-sa a and x^-sb b as int maps over the one shift max(sa, sb)."""
-    if sa < sb:
-        a = _shifted(a, bits * (sb - sa))
-    elif sb < sa:
-        b = _shifted(b, bits * (sa - sb))
-    return a, b
+def _lifts(sa: int, sb: int, bits: int) -> tuple[int, int]:
+    """Left shifts, in bits, that put ints read as x^-sa a and x^-sb b over the one
+    shift max(sa, sb): x^-sa a = x^-sb b exactly when a << da == b << db."""
+    return bits * max(sb - sa, 0), bits * max(sa - sb, 0)
 
 
 def first_difference(lhs: tuple[dict, int], rhs: tuple[dict, int], bits: int, step: int = 2):
@@ -318,18 +317,20 @@ def first_difference(lhs: tuple[dict, int], rhs: tuple[dict, int], bits: int, st
     unpacked, as (key, lhs value, rhs value); None when they stand for the same map.
 
     Each side is ({key: int}, shift) as :func:`pack` returns it; a missing
-    key stands for 0.  Exact under the width condition of the module
-    docstring.
+    key stands for 0.  Each pair of ints is compared with its shift applied
+    in place, so no map is copied.  Exact under the width condition of the
+    module docstring.
     """
     (a, sa), (b, sb) = lhs, rhs
-    a, b = _aligned(a, sa, b, sb, bits)
-    if a == b:
+    da, db = _lifts(sa, sb, bits)
+    if a.keys() == b.keys() and all(v << da == b[k] << db for k, v in a.items()):
         return None
+    shift = max(sa, sb)
     for key in sorted(a.keys() | b.keys()):
-        x, y = a.get(key, 0), b.get(key, 0)
+        x, y = a.get(key, 0) << da, b.get(key, 0) << db
         if x != y:
-            shift = max(sa, sb)
             return key, unpack(x, bits, shift, step), unpack(y, bits, shift, step)
+    return None
 
 
 # ------------------------------------------------------------------- widths
@@ -337,7 +338,7 @@ def first_difference(lhs: tuple[dict, int], rhs: tuple[dict, int], bits: int, st
 
 def weight(v: RingElem) -> int:
     """l1 norm of the coefficients: it bounds each, and is submultiplicative on Z[q^+-1]."""
-    return sum(abs(x) for x in v.rat[1])
+    return sum(map(abs, v.rat[1]))
 
 
 def row_weight(M) -> int:

@@ -152,7 +152,8 @@ def exact_twist_substitution(j) -> bool:
     m = build_model(N)
     M_d = build_w(jf).transpose()
     exact = equation_operands(m.R, m.R_inv, small_inverse(M_d), M_d, N)
-    witnesses = equation_witnesses(exact, equation_bits(exact, N), ("twist1", "twist2"))
+    twists = ("twist1", "twist2")
+    witnesses = equation_witnesses(exact, equation_bits(exact, N, twists), twists)
     return not any(witnesses.values())
 
 

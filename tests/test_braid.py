@@ -88,6 +88,42 @@ def test_word_product_and_powers():
         a.powers_of(3, 1)
 
 
+def test_pieces_cut_at_every_missing_generator():
+    assert BraidWord(4, (1, 1, -3, 1, 3)).pieces() == (
+        BraidWord(2, (1, 1, 1)), BraidWord(2, (-1, 1)))
+    assert BraidWord(4, (2, -3, 2)).pieces() == (BraidWord(1), BraidWord(3, (1, -2, 1)))
+    assert BraidWord(4, (1, -2, 1)).pieces() == (BraidWord(3, (1, -2, 1)), BraidWord(1))
+    assert BraidWord(5, (2, -4, 2)).pieces() == (
+        BraidWord(1), BraidWord(2, (1, 1)), BraidWord(2, (-1,)))
+    assert BraidWord(3).pieces() == (BraidWord(1),) * 3
+    w = BraidWord(3, (1, 2, -1))
+    assert w.pieces() == (w,)
+    assert BraidWord(1).pieces() == (BraidWord(1),)
+
+
+@given(braid_words(max_strands=5))
+@settings(max_examples=60, deadline=None)
+def test_pieces_use_every_generator_and_keep_each_letter(w):
+    pieces = w.pieces()
+    assert sum(p.strands for p in pieces) == w.strands
+    assert sum(p.writhe for p in pieces) == w.writhe
+    lo, letters = 0, []
+    for p in pieces:
+        assert {abs(x) for x in p.letters} == set(range(1, p.strands))
+        letters += [x + lo if x > 0 else x - lo for x in p.letters]
+        lo += p.strands
+    assert sorted(letters) == sorted(w.letters)
+
+
+def test_represent_of_a_split_word_is_the_kron_of_its_pieces(each_model):
+    for w in (BraidWord(4, (1, -3, 1, 3)), BraidWord(4, (2, -3)), BraidWord(3, (-1,))):
+        a, *rest = w.pieces()
+        want = represent(a, each_model)
+        for p in rest:
+            want = want.kron(represent(p, each_model))
+        assert represent(w, each_model) == want, w
+
+
 def test_letter_matrix_matches_kron(each_model):
     m = each_model
     N = m.N

@@ -70,7 +70,7 @@ def test_widths_are_the_proven_bounds(N, sign, mirrored):
     rho(R) = 7, 13.
     """
     m = signed_model(N, sign, mirrored)
-    widths = (axioms.equation_bits(operands(m), m.N),
+    widths = (axioms.equation_bits(operands(m), m.N, axioms.EQUATIONS),
               packed.annihilator_bits(m.R, m.eigenvalues),
               tlbracket.tl_bits(tlbracket.build_tl(m)))
     assert widths == {2: (9, 7, 6), 3: (13, 12, 7), 4: (16, 18, 9)}[N]
@@ -170,7 +170,7 @@ def exact_sides(m):
 @pytest.mark.parametrize("N,sign,mirrored", MODELS, ids=IDS)
 def test_equation_width_bounds_both_sides(N, sign, mirrored):
     m = signed_model(N, sign, mirrored)
-    bits = axioms.equation_bits(operands(m), m.N)
+    bits = axioms.equation_bits(operands(m), m.N, axioms.EQUATIONS)
     for name, sides in exact_sides(m).items():
         for side in sides:
             assert coeff_max(side.values()) < 2 ** (bits - 2), name
@@ -203,6 +203,30 @@ def test_perturbed_r_agrees_with_the_exact_reference(model, row, col, sign, k):
     assert got.witnesses == want.witnesses
 
 
+@pytest.mark.parametrize("j,bits", [(Fraction(1, 2), 6), (Fraction(1), 8), (Fraction(3, 2), 9)],
+                         ids=str)
+def test_uq_twist_clause_packs_at_the_twist_width(j, bits, monkeypatch):
+    """The twist sides alone bound the width: at j = 3/2 the R^-1 side weighs
+    at most 6 and the M_u R M_d side 4^2 * 1 * 6 * 1 = 96, so 9 bits, where the
+    braid sides would need 16."""
+    N = int(2 * j) + 1
+    m = build_model(N)
+    M_d = uqsl2.build_w(j).transpose()
+    exact = axioms.equation_operands(m.R, m.R_inv, small_inverse(M_d), M_d, N)
+    assert axioms.equation_bits(exact, N, ("twist1", "twist2")) == bits
+    assert axioms.equation_bits(exact, N, axioms.EQUATIONS) > bits
+    seen = []
+    witnesses = uqsl2.equation_witnesses
+
+    def recording(exact, width, names):
+        seen.append(width)
+        return witnesses(exact, width, names)
+
+    monkeypatch.setattr(uqsl2, "equation_witnesses", recording)
+    assert uqsl2.exact_twist_substitution(j)
+    assert seen == [bits]
+
+
 def w_with_one_entry_times_q(j):
     W = uqsl2.build_w(j)
     key = min(W.entries)
@@ -218,7 +242,8 @@ def test_uq_twist_clause_agrees_with_the_exact_reference(j, broken, monkeypatch)
     M_d = W.transpose()
     args = (m.R, m.R_inv, small_inverse(M_d), M_d, m.N)
     exact = axioms.equation_operands(*args)
-    got = axioms.equation_witnesses(exact, axioms.equation_bits(exact, m.N), ("twist1", "twist2"))
+    twists = ("twist1", "twist2")
+    got = axioms.equation_witnesses(exact, axioms.equation_bits(exact, m.N, twists), twists)
     want = {"twist1": exact_diff(*twist1_sides(*args)), "twist2": exact_diff(*twist2_sides(*args))}
     assert got == want
     assert any(want.values()) == broken
@@ -290,6 +315,39 @@ def test_tl_wrong_loop_value_breaks_square(N, monkeypatch):
     got = tlbracket.tl_relations_check(m, max_strands=4)
     assert_agrees(got, reference_relations(bad, N, 4), "square")
     assert {name.split(":")[1] for name, ok in got.results.items() if not ok} == {"square"}
+
+
+def test_packed_equality_aligns_differing_shifts():
+    """x^-1 (x a) and x^-3 (x^3 a) stand for the same matrix, in either order."""
+    bits = 8
+    A = packed.PackedMatrix(4, {0: {1: 5, 2: -3}, 3: {3: 1}}, bits, 1)
+    B = packed.PackedMatrix(4, {r: {c: v << 2 * bits for c, v in row.items()}
+                                for r, row in A.rows.items()}, bits, 3)
+    assert A == B and B == A
+    B.rows[3][3] += 1
+    assert A != B and B != A
+
+
+def test_packed_equality_sees_a_row_or_entry_on_one_side_only():
+    A = packed.PackedMatrix(3, {0: {0: 2}}, 8, 0)
+    assert A == A.like(3, {0: {0: 2}})
+    assert A != A.like(3, {0: {0: 2}, 2: {1: 1}})
+    assert A.like(3, {0: {0: 2}, 2: {1: 1}}) != A
+    assert A != A.like(3, {0: {0: 2, 1: 1}})
+    assert A != A.like(3, {})
+
+
+def test_first_difference_aligns_shifts_and_reads_missing_keys_as_zero():
+    bits = 8
+    a = {(0,): 3, (1,): 7}
+    b = {k: v << bits for k, v in a.items()}
+    assert packed.first_difference((a, 0), (b, 1), bits) is None
+    assert packed.first_difference((b, 1), (a, 0), bits) is None
+    assert packed.first_difference((a, 0), ({**a, (2,): 0}, 0), bits) is None
+    key, x, y = packed.first_difference((a, 0), ({(0,): 3 << bits}, 1), bits)
+    assert (key, x, y) == ((1,), ring.integer(7), ring.zero())
+    key, x, y = packed.first_difference(({**b, (0,): 4 << bits}, 1), (a, 0), bits)
+    assert (key, x, y) == ((0,), ring.integer(4), ring.integer(3))
 
 
 def test_scaling_by_zero_leaves_no_row():

@@ -317,6 +317,79 @@ def test_closure_trace_builds_each_letter_once(m3, monkeypatch):
     assert sorted(built) == [-2, 1, 3]
 
 
+# ------------------------------------------------------------ split closures
+
+SPLIT_WORDS = {
+    "middle-gap": BraidWord(4, (1, 1, -3, 1, 3)),
+    "top-gap": BraidWord(4, (1, -2, 1, 2, -1)),
+    "bottom-gap": BraidWord(4, (2, -3, 2, 3, 3)),
+    "several-gaps": BraidWord(4, (2, -2, 2, 2)),
+    "one-side-low": BraidWord(4, (1, -1, 1)),
+    "one-side-high": BraidWord(4, (3, 3, -3)),
+}
+
+
+def unsplit(w, m):
+    """The chain on all of w's strands, as ``regular_invariant`` runs a word that
+    uses every generator."""
+    return m.Z ** w.writhe * invariants._closure_trace(w, m, packed.closure_bits(m, w))
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirror"])
+@pytest.mark.parametrize("N,sign", SIGNED, ids=[f"N{N}{'+' if s > 0 else '-'}" for N, s in SIGNED])
+def test_split_word_equals_the_unsplit_chain(N, sign, mirrored):
+    m = signed_model(N, sign, mirrored)
+    for name, w in SPLIT_WORDS.items():
+        assert len(w.pieces()) > 1, name
+        got = invariants.regular_invariant(w, m)
+        assert got == unsplit(w, m), name
+        assert got == reference(w, m), name
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirror"])
+@pytest.mark.parametrize("N,sign", SIGNED, ids=[f"N{N}{'+' if s > 0 else '-'}" for N, s in SIGNED])
+def test_empty_word_on_n_strands_is_k_to_the_n(N, sign, mirrored):
+    m = signed_model(N, sign, mirrored)
+    for n in range(1, 5):
+        w = BraidWord(n)
+        assert invariants.regular_invariant(w, m) == m.k ** n, n
+        assert unsplit(w, m) == m.k ** n, n
+
+
+def recorded_chains(monkeypatch):
+    """The words ``_closure_trace`` runs from here on, with the invariant cache cleared."""
+    invariants.regular_invariant.cache_clear()
+    seen = []
+    closure_trace = invariants._closure_trace
+
+    def recording(word, m, bits):
+        seen.append(word)
+        return closure_trace(word, m, bits)
+
+    monkeypatch.setattr(invariants, "_closure_trace", recording)
+    return seen
+
+
+def test_no_chain_runs_on_all_strands_when_a_generator_is_missing(m3, monkeypatch):
+    w = BraidWord(5, (1, 2, -4, 1, 4))  # no b_3
+    want = unsplit(w, m3)
+    seen = recorded_chains(monkeypatch)
+    assert invariants.regular_invariant(w, m3) == want
+    assert seen == [BraidWord(3, (1, 2, 1)), BraidWord(2, (-1, 1))]
+    seen.clear()
+    # the free strands are one piece, run once and then read from the cache
+    assert invariants.regular_invariant(BraidWord(5, (2,)), m3) == m3.k ** 3 * reference(
+        BraidWord(2, (1,)), m3)
+    assert seen == [BraidWord(1), BraidWord(2, (1,))]
+
+
+def test_a_word_using_every_generator_runs_one_chain(m3, monkeypatch):
+    w = BraidWord(4, (1, -2, 3, -2))
+    seen = recorded_chains(monkeypatch)
+    assert invariants.regular_invariant(w, m3) == reference(w, m3)
+    assert seen == [w]
+
+
 # ------------------------------------------------------------- parity gauge
 
 
