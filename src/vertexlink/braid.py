@@ -147,7 +147,11 @@ def letter_matrix(model, n: int, letter: int, rows=None):
 
 def random_word(rng: random.Random, strands: int, length: int) -> BraidWord:
     """``length`` letters drawn uniformly from the generators and their inverses."""
+    if length < 0:
+        raise BadLetter(f"a word cannot have {length} letters")
     alphabet = [k for k in range(-(strands - 1), strands) if k != 0]
+    if length and not alphabet:
+        raise BadLetter(f"{strands} strands have no generator to draw {length} letters from")
     return BraidWord(strands, tuple(rng.choice(alphabet) for _ in range(length)))
 
 

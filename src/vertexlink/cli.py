@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import warnings
@@ -32,8 +31,6 @@ from .invariants import (
     skein_residual,
 )
 from .models import build_model, mirror_model
-
-_CAP_ENV = "VERTEXLINK_STRAND_CAP"
 
 
 def _render_optional(value: ring.RingElem, variable: str) -> str | None:
@@ -67,17 +64,11 @@ def _emit_json(payload: dict) -> None:
 
 
 def _strand_cap(args, N: int) -> int:
-    source, cap = "--strand-cap", getattr(args, "strand_cap", None)
+    cap = getattr(args, "strand_cap", None)
     if cap is None:
-        source, env = _CAP_ENV, os.environ.get(_CAP_ENV)
-        if env is None:
-            return STRAND_CAP[N]
-        try:
-            cap = int(env)
-        except ValueError:
-            raise VertexLinkError(f"{_CAP_ENV} must be an integer, got {env!r}")
+        return STRAND_CAP[N]
     if cap < 1:
-        raise VertexLinkError(f"{source} must be at least 1, got {cap}")
+        raise VertexLinkError(f"--strand-cap must be at least 1, got {cap}")
     return cap
 
 
@@ -95,7 +86,7 @@ def _cmd_invariant(args) -> int:
     if word.strands > cap:
         print(
             f"braid needs {word.strands} strands, above the cap {cap} "
-            f"(raise with --strand-cap or {_CAP_ENV})",
+            "(raise with --strand-cap)",
             file=sys.stderr,
         )
         return 2
@@ -340,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="strand count (default: smallest group the word fits)")
     p.add_argument("--normalization", choices=("regular", "ambient"), default="ambient")
     p.add_argument("--strand-cap", type=int, default=None,
-                   help=f"override the per-model strand cap (env {_CAP_ENV})")
+                   help="override the per-model strand cap")
     p.set_defaults(func=_cmd_invariant)
 
     p = sub.add_parser("verify", help="run axiom and Markov condition checks")

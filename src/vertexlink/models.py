@@ -26,9 +26,11 @@ charge character sigma diag(q^(kappa a)); the closed forms of k, tau and
 taubar, pinned last, leave sigma = (-1)^(N-1) and kappa = -2 (+2 for
 mirrors).
 
-The numeric side carries the solvable-model weights R(u) for N = 2, 3
-whose u -> infinity limit reproduces the constant matrices, as sparse
-float tensors that ``tensor.contract`` joins like the exact ones.
+The numeric side carries the solvable-model weights R(u) for N = 2, 3 at
+anisotropy 1/2, as sparse float tensors keyed (a, c, b, d) that
+``tensor.contract`` joins like the exact ones.  Their u -> infinity limit
+R(u)/rho(u) is the table R/Z, whose entries lie in Z[q, q^-1]: the limit
+check reads them at the real q = -exp(lam), with no square root of q.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .errors import (
     MinPolyViolated,
     UnsupportedN,
 )
-from .packed import annihilates
+from .packed import annihilates, variable_step
 from .ring import RingElem
 from .tensor import (
     YANG_BAXTER,
@@ -56,6 +58,7 @@ from .tensor import (
     closure_character,
     contract,
     inverse_blockwise,
+    legs,
     trace_product,
 )
 
@@ -328,11 +331,9 @@ def _finalize(
 
 
 def _normalize_sign(sign) -> int:
-    if sign in (1, "+", "+1", "pos"):
-        return 1
-    if sign in (-1, "-", "-1", "neg"):
-        return -1
-    raise DomainError(f"sign must be + or -, got {sign!r}")
+    if sign not in (1, -1):
+        raise DomainError(f"sign must be 1 or -1, got {sign!r}")
+    return 1 if sign == 1 else -1
 
 
 @functools.lru_cache(maxsize=None)
@@ -349,7 +350,7 @@ def _build_model(N: int, sign: int) -> VertexModel:
 
 
 def build_model(N: int, sign=1) -> VertexModel:
-    """Verified vertex model for N in {2, 3, 4}; sign picks the Z branch."""
+    """Verified vertex model for N in {2, 3, 4}; sign (1 or -1) picks the Z branch."""
     if N not in (2, 3, 4):
         raise UnsupportedN(f"no model for N = {N}")
     return _build_model(N, _normalize_sign(sign))
@@ -371,11 +372,10 @@ def mirror_model(m: VertexModel) -> VertexModel:
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """Solvable-model weights at anisotropy mu_aniso, crossing parameter lam."""
+    """Solvable-model weights at anisotropy 1/2 and crossing parameter lam."""
 
     N: int
     lam: float
-    mu_aniso: float = 0.5
 
     def __post_init__(self):
         if self.N not in (2, 3):
@@ -392,20 +392,20 @@ def rho(sm: SpectralModel, u: float) -> float:
     return acc
 
 
-def _weights_n2(lam: float, mu_a: float, u: float) -> dict:
+def _weights_n2(lam: float, u: float) -> dict:
     h = Fraction(1, 2)
     sl = math.sinh(lam)
     return {
         (-h, -h, -h, -h): math.sinh(lam - u),
         (h, h, h, h): math.sinh(lam - u),
-        (-h, -h, h, h): math.exp(2 * mu_a * u) * sl,
-        (h, h, -h, -h): math.exp(-2 * mu_a * u) * sl,
+        (-h, -h, h, h): math.exp(u) * sl,
+        (h, h, -h, -h): math.exp(-u) * sl,
         (-h, h, h, -h): math.sinh(u),
         (h, -h, -h, h): math.sinh(u),
     }
 
 
-def _weights_n3(lam: float, mu_a: float, u: float) -> dict:
+def _weights_n3(lam: float, u: float) -> dict:
     sl = math.sinh(lam)
     s2l = math.sinh(2 * lam)
     X = s2l * math.sinh(lam - u)
@@ -416,55 +416,40 @@ def _weights_n3(lam: float, mu_a: float, u: float) -> dict:
         (-1, -1, -1, -1): math.sinh(lam - u) * math.sinh(2 * lam - u),
         (1, -1, -1, 1): math.sinh(u) * math.sinh(lam + u),
         (-1, 1, 1, -1): math.sinh(u) * math.sinh(lam + u),
-        (1, 1, -1, -1): e(-4 * mu_a * u) * sl * s2l,
-        (-1, -1, 1, 1): e(4 * mu_a * u) * sl * s2l,
+        (1, 1, -1, -1): e(-2 * u) * sl * s2l,
+        (-1, -1, 1, 1): e(2 * u) * sl * s2l,
         (1, 0, 0, 1): math.sinh(u) * math.sinh(lam - u),
         (-1, 0, 0, -1): math.sinh(u) * math.sinh(lam - u),
         (0, 1, 1, 0): math.sinh(u) * math.sinh(lam - u),
         (0, -1, -1, 0): math.sinh(u) * math.sinh(lam - u),
-        (1, 1, 0, 0): e(-2 * mu_a * u) * X,
-        (-1, -1, 0, 0): e(2 * mu_a * u) * X,
-        (0, 0, 1, 1): e(2 * mu_a * u) * X,
-        (0, 0, -1, -1): e(-2 * mu_a * u) * X,
-        (0, -1, 0, 1): e(2 * mu_a * u) * Y,
-        (0, 1, 0, -1): e(-2 * mu_a * u) * Y,
-        (1, 0, -1, 0): e(-2 * mu_a * u) * Y,
-        (-1, 0, 1, 0): e(2 * mu_a * u) * Y,
+        (1, 1, 0, 0): e(-u) * X,
+        (-1, -1, 0, 0): e(u) * X,
+        (0, 0, 1, 1): e(u) * X,
+        (0, 0, -1, -1): e(-u) * X,
+        (0, -1, 0, 1): e(u) * Y,
+        (0, 1, 0, -1): e(-u) * Y,
+        (1, 0, -1, 0): e(-u) * Y,
+        (-1, 0, 1, 0): e(u) * Y,
         (0, 0, 0, 0): sl * s2l - math.sinh(u) * math.sinh(lam - u),
     }
-
-
-def _weights(sm: SpectralModel, u: float) -> dict:
-    if sm.N == 2:
-        return _weights_n2(sm.lam, sm.mu_aniso, u)
-    return _weights_n3(sm.lam, sm.mu_aniso, u)
 
 
 def boltzmann_tensor(sm: SpectralModel, u: float) -> dict[tuple[int, ...], float]:
     """R^a_c^b_d(u) as ``{(pos(a), pos(c), pos(b), pos(d)): float}``, zeros dropped."""
     pos = _positions(sm.N)
-    return {tuple(pos[i] for i in key): v for key, v in _weights(sm, u).items() if v}
-
-
-def boltzmann_matrix(sm: SpectralModel, u: float) -> dict[tuple[int, int], float]:
-    """The weights as the N^2 x N^2 matrix ``{(flat(a,b), flat(c,d)): float}``, zeros dropped."""
-    N = sm.N
-    return {(a * N + b, c * N + d): v for (a, c, b, d), v in boltzmann_tensor(sm, u).items()}
+    weights = (_weights_n2 if sm.N == 2 else _weights_n3)(sm.lam, u)
+    return {tuple(pos[i] for i in key): v for key, v in weights.items() if v}
 
 
 @dataclass(frozen=True)
 class SpectralReport:
     N: int
     lam: float
-    mu_aniso: float
     u: float
     v: float
     ybe: float
     unitarity: float
     crossing: float
-    ybe_abs: float
-    unitarity_abs: float
-    crossing_abs: float
 
     def ok(self, tol: float = 1e-9) -> bool:
         return max(self.ybe, self.unitarity, self.crossing) <= tol
@@ -476,11 +461,10 @@ def _worst(values) -> float:
     return math.nan if any(math.isnan(x) for x in vals) else max(vals, default=0.0)
 
 
-def _rel(lhs: dict, rhs: dict) -> tuple[float, float]:
-    """Max |lhs - rhs| over both supports, and that over the largest magnitude (at least 1)."""
+def _rel(lhs: dict, rhs: dict) -> float:
+    """Max |lhs - rhs| over both supports, over the largest magnitude (at least 1)."""
     diff = _worst(abs(lhs.get(k, 0.0) - rhs.get(k, 0.0)) for k in lhs.keys() | rhs.keys())
-    scale = max(_worst(map(abs, lhs.values())), _worst(map(abs, rhs.values())), 1.0)
-    return diff / scale, diff
+    return diff / max(_worst(map(abs, lhs.values())), _worst(map(abs, rhs.values())), 1.0)
 
 
 def spectral_checks(sm: SpectralModel, u: float, v: float) -> SpectralReport:
@@ -494,32 +478,23 @@ def spectral_checks(sm: SpectralModel, u: float, v: float) -> SpectralReport:
     Tuv = boltzmann_tensor(sm, u + v)
     lhs = contract(YANG_BAXTER[0], Tu, Tuv, Tv)  # the exact braid check's strings
     rhs = contract(YANG_BAXTER[1], Tv, Tuv, Tu)
-    ybe_rel, ybe_abs = _rel(lhs, rhs)
 
     # R(u) R(-u) as matrices is this contraction over the legs (a, c, b, d)
     prod = contract("acbd,cedf->aebf", Tu, boltzmann_tensor(sm, -u))
     n = sm.N
     target = {(a, a, b, b): rho(sm, u) * rho(sm, -u) for a in range(n) for b in range(n)}
-    uni_rel, uni_abs = _rel(prod, target)
 
-    # crossing: R^i_k^j_L(u) against the multiplier times R^j_(-i)^(-L)_k(lam - u)
+    # crossing: R^i_k^j_l(u) = e^(-lam (i + k - j - l) / 2) R^j_(-i)^(-l)_k(lam - u)
     label = labels(n)
-
-    def r_of(p: Fraction) -> float:
-        return math.exp(-2 * sm.mu_aniso * sm.lam * float(p))
-
     rhs_c = {}
     for (pj, pmi, pml, pk), w in boltzmann_tensor(sm, sm.lam - u).items():
         pi, pl = n - 1 - pmi, n - 1 - pml
-        mult = math.sqrt(r_of(label[pi]) * r_of(label[pk])
-                         / (r_of(label[pj]) * r_of(label[pl])))
-        rhs_c[pi, pk, pj, pl] = mult * w
-    cross_rel, cross_abs = _rel(Tu, rhs_c)
+        turn = label[pi] + label[pk] - label[pj] - label[pl]
+        rhs_c[pi, pk, pj, pl] = math.exp(-sm.lam * float(turn) / 2) * w
 
     return SpectralReport(
-        N=sm.N, lam=sm.lam, mu_aniso=sm.mu_aniso, u=u, v=v,
-        ybe=ybe_rel, unitarity=uni_rel, crossing=cross_rel,
-        ybe_abs=ybe_abs, unitarity_abs=uni_abs, crossing_abs=cross_abs,
+        N=sm.N, lam=sm.lam, u=u, v=v,
+        ybe=_rel(lhs, rhs), unitarity=_rel(prod, target), crossing=_rel(Tu, rhs_c),
     )
 
 
@@ -542,23 +517,26 @@ class LimitReport:
 
 def limit_check(sm: SpectralModel, model: VertexModel, u_large: float = 15.0,
                 u_reference: float = 8.0) -> LimitReport:
-    """Compare R(u)/rho(u) against the constant matrix at q = -exp(lam).
+    """Compare R(u)/rho(u) against the constant table R/Z at q = -exp(lam).
 
-    The limit identification needs anisotropy 1/2; other values are
-    rejected.  Per-entry deviations are absolute for vanishing targets and
-    relative for large ones.
+    Every entry of R/Z is a Laurent polynomial in q, sum c q^(e/2) over its
+    exponents e of s, so it is read at the real q with no square root.
+    Per-entry deviations are absolute for vanishing targets and relative
+    for large ones.
     """
-    if abs(sm.mu_aniso - 0.5) > 1e-15:
-        raise DomainError("the constant-matrix limit requires mu_aniso = 1/2")
     if sm.N != model.N:
         raise DomainError("spectral and constant models have different N")
-    q = -math.exp(sm.lam)
     z_inv = ring.invert_unit(model.Z)
-    exact = {key: ring.eval_numeric(v * z_inv, q) for key, v in model.R.entries.items()}
+    table = {key: v * z_inv for key, v in legs(model.R, model.N).items()}
+    if variable_step(table.values()) != 2:
+        raise DomainError("R/Z has an odd power of s, so it is not read in q")
+    q = -math.exp(sm.lam)
+    exact = {key: sum(c * q ** ((v.rat[0] + i) // 2) for i, c in enumerate(v.rat[1]) if c)
+             for key, v in table.items()}
 
     def deviation(u: float) -> float:
         r = rho(sm, u)
-        B = boltzmann_matrix(sm, u)
+        B = boltzmann_tensor(sm, u)
         return _worst(abs(B.get(k, 0.0) / r - x) / max(1.0, abs(x))
                       for k in B.keys() | exact.keys() for x in [exact.get(k, 0.0)])
 

@@ -12,8 +12,6 @@ parser; s is the base variable everywhere else.
 
 from __future__ import annotations
 
-import cmath
-import math
 import warnings
 from fractions import Fraction
 
@@ -191,37 +189,7 @@ def invert_unit(a: RingElem) -> RingElem:
     return s_power(-exp, sign)
 
 
-# ---------------------------------------------------------------- numerics
-
-
-def _peval(poly, s):
-    off, coeffs = poly
-    if not coeffs:
-        return 0.0
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * s + c
-    return acc * s ** off
-
-
-def eval_numeric(a: RingElem, q_value):
-    """Evaluate at a numeric q under s = sqrt(q).
-
-    Real q < 0 uses the principal square root (s imaginary).  Returns a
-    float when the imaginary part is negligible, else a complex number.
-    q = 0 is outside the domain.
-    """
-    if q_value == 0:
-        raise DomainError("q = 0 is outside the Laurent domain")
-    if isinstance(q_value, complex):
-        s = cmath.sqrt(q_value)
-    else:
-        qf = float(q_value)
-        s = math.sqrt(qf) if qf > 0 else 1j * math.sqrt(-qf)
-    val = _peval(a.rat, s)
-    if isinstance(val, complex) and abs(val.imag) <= 1e-12 * (1.0 + abs(val.real)):
-        return val.real
-    return val
+# ---------------------------------------------------------------- evaluation
 
 
 def eval_exact(a: RingElem, s_value: Fraction) -> Fraction:

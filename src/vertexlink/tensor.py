@@ -151,12 +151,6 @@ class SqMatrix:
             sort_keys=True,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "SqMatrix":
-        obj = json.loads(text)
-        entries = {(r, c): ring.parse(poly) for r, c, poly in obj["entries"]}
-        return cls(obj["dim"], entries)
-
 
 # -------------------------------------------------------- exact contraction
 
@@ -169,7 +163,8 @@ def legs(M: SqMatrix, N: int) -> dict[tuple[int, int, int, int], RingElem]:
     """A two-factor matrix as a four-leg tensor: M[(a,b),(c,d)] keyed (a, c, b, d).
 
     That is R^a_c^b_d, the key order of the model tables and of
-    ``models.boltzmann_tensor``.
+    ``models.boltzmann_tensor``, so ``models.limit_check`` compares a
+    constant table with the weights key by key.
     """
     if M.dim != N * N:
         raise DimensionMismatch(f"legs need a two-factor matrix of dim {N * N}, got {M.dim}")

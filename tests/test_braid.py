@@ -11,6 +11,7 @@ from vertexlink.braid import (
     embed_two_site,
     letter_matrix,
     parse_braid,
+    random_word,
     represent,
 )
 from vertexlink.errors import BadLetter, DimensionMismatch
@@ -35,6 +36,20 @@ def test_word_validation():
     with pytest.raises(BadLetter):
         BraidWord(3, (1, -3))
     BraidWord(1, ())  # one free strand is fine
+
+
+def test_random_word_on_one_strand_has_no_letters_to_draw():
+    with pytest.raises(BadLetter, match="no generator"):
+        random_word(random.Random(0), 1, 1)
+    with pytest.raises(BadLetter, match="no generator"):
+        random_word(random.Random(0), 1, 5)
+    assert random_word(random.Random(0), 1, 0) == BraidWord(1, ())
+
+
+def test_random_word_refuses_a_negative_length():
+    for strands in (1, 3):
+        with pytest.raises(BadLetter, match="-1 letters"):
+            random_word(random.Random(0), strands, -1)
 
 
 def test_word_is_slotted_frozen_and_hashable():

@@ -127,31 +127,21 @@ def test_bad_braid_letter(capsys):
     assert "cannot read letter" in err
 
 
-def test_strand_cap(capsys, monkeypatch):
+def test_strand_cap(capsys):
     args = ["invariant", "--model", "4", "--braid", "1 2 3 4 5"]
     code, _, err = run_cli(capsys, *args)
     assert code == 2
-    assert "strand" in err
+    assert "above the cap 5 (raise with --strand-cap)" in err
     code, _, _ = run_cli(capsys, *args, "--strand-cap", "6")
     assert code == 0
-    monkeypatch.setenv("VERTEXLINK_STRAND_CAP", "6")
-    code, _, _ = run_cli(capsys, *args)
-    assert code == 0
-    monkeypatch.setenv("VERTEXLINK_STRAND_CAP", "noise")
-    code, _, err = run_cli(capsys, *args)
-    assert code == 2
 
 
 @pytest.mark.parametrize("cap", ["0", "-3"])
-def test_strand_cap_below_one_is_a_usage_error(capsys, monkeypatch, cap):
+def test_strand_cap_below_one_is_a_usage_error(capsys, cap):
     args = ["invariant", "--model", "2", "--braid", "1 1 1"]
     code, out, err = run_cli(capsys, *args, "--strand-cap", cap)
     assert (code, out) == (2, "")
     assert f"--strand-cap must be at least 1, got {cap}" in err
-    monkeypatch.setenv("VERTEXLINK_STRAND_CAP", cap)
-    code, out, err = run_cli(capsys, *args)
-    assert (code, out) == (2, "")
-    assert f"VERTEXLINK_STRAND_CAP must be at least 1, got {cap}" in err
 
 
 def test_verify(capsys):

@@ -193,6 +193,20 @@ def test_invariance_under_markov_moves(each_model):
         assert rep.stab_checks > 0
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the sign-minus ambient invariant lacks a factor (-1)^writhe")
+def test_sign_minus_invariance_under_markov_moves():
+    # a known defect, pinned: on the -Z branch the ambient invariant changes
+    # under stabilization, first on (1, 1, 1, -2); the plus-sign models pass
+    failing = []
+    for N in (2, 3, 4):
+        m = build_model(N, -1)
+        for model in (m, mirror_model(m)):
+            rep = invariance_suite(BraidWord(2, (1, 1, 1)), model, trials=30, seed=1)
+            failing += [(model, len(rep.failures))] if rep.failures else []
+    assert not failing, failing
+
+
 def test_invariance_suite_reports_each_failure(m2):
     # a wrong k breaks every stabilization identity and nothing else
     bad = dataclasses.replace(m2, k=m2.k * ring.q_power(2))

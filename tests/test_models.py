@@ -1,5 +1,6 @@
 """Model construction fixtures and the numeric weight limits."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -16,7 +17,6 @@ from vertexlink.errors import (
 )
 from vertexlink.models import (
     SpectralModel,
-    boltzmann_matrix,
     boltzmann_tensor,
     build_model,
     generic_eigenvalues,
@@ -290,10 +290,11 @@ def test_sign_branch_flips_r(each_model):
 
 
 def test_sign_parsing():
-    assert build_model(2, "+") is build_model(2, 1)
-    assert build_model(2, "neg") is build_model(2, -1)
-    with pytest.raises(DomainError):
-        build_model(2, 0)
+    assert build_model(2, 1).sign == 1
+    assert build_model(2, -1).sign == -1
+    for bad in (0, 2, "+", "-", "neg", None):
+        with pytest.raises(DomainError):
+            build_model(2, bad)
 
 
 def test_unsupported_n():
@@ -376,28 +377,25 @@ def test_spectral_model_validation():
 
 
 def test_weights_at_zero_are_proportional_identity():
-    # every off-diagonal weight is exactly zero at u = 0, and so dropped
+    # every weight off the (a, a, b, b) keys is exactly zero at u = 0, and so dropped
     for N in (2, 3):
         sm = SpectralModel(N, 0.9)
-        B = boltzmann_matrix(sm, 0.0)
-        assert B.keys() == {(i, i) for i in range(N * N)}
-        for v in B.values():
+        T = boltzmann_tensor(sm, 0.0)
+        assert T.keys() == {(a, a, b, b) for a in range(N) for b in range(N)}
+        for v in T.values():
             assert v == pytest.approx(rho(sm, 0.0), rel=1e-5, abs=1e-14)
 
 
-def test_boltzmann_matrix_flattens_the_tensor():
-    # T[pos a, pos c, pos b, pos d] sits at [flat(a, b), flat(c, d)]
-    for N in (2, 3):
-        sm = SpectralModel(N, 0.7)
-        T = boltzmann_tensor(sm, 0.4)
-        assert all(v for v in T.values())
-        assert boltzmann_matrix(sm, 0.4) == {
-            (a * N + b, c * N + d): v for (a, c, b, d), v in T.items()}
-    h = Fraction(1, 2)
+def test_boltzmann_tensor_keys_are_positions():
+    # R^(-1/2)_(-1/2)^(1/2)_(1/2)(u) = e^u sinh(lam) at anisotropy 1/2 sits at
+    # positions (0, 0, 1, 1); its mirror weight (1, 1, 0, 0) carries e^-u
     sm = SpectralModel(2, 0.7)
-    weight = models._weights_n2(0.7, 0.5, 0.4)[(-h, -h, h, h)]
-    assert boltzmann_tensor(sm, 0.4)[0, 0, 1, 1] == weight
-    assert boltzmann_matrix(sm, 0.4)[1, 1] == weight
+    T = boltzmann_tensor(sm, 0.4)
+    assert all(v for v in T.values())
+    assert T[0, 0, 1, 1] == math.exp(0.4) * math.sinh(0.7)
+    assert T[1, 1, 0, 0] == math.exp(-0.4) * math.sinh(0.7)
+    assert boltzmann_tensor(SpectralModel(3, 0.7), 0.4)[2, 2, 0, 0] == (
+        math.exp(-0.8) * math.sinh(0.7) * math.sinh(1.4))
 
 
 def test_spectral_residual_nan_fails():
@@ -440,6 +438,21 @@ def test_limit_check():
 
 def test_limit_check_requires_matching_setup():
     with pytest.raises(DomainError):
-        limit_check(SpectralModel(2, 0.8, mu_aniso=0.3), build_model(2))
-    with pytest.raises(DomainError):
         limit_check(SpectralModel(2, 0.8), build_model(3))
+
+
+def test_limit_check_reads_the_table_in_q():
+    # R/Z with an odd power of s has no value at q alone: refused
+    m = build_model(2)
+    odd = dataclasses.replace(m, Z=m.Z * S(1))
+    with pytest.raises(DomainError, match="odd power"):
+        limit_check(SpectralModel(2, 0.8), odd)
+    # a table entry moved by q^2 is caught, as is a dropped entry
+    for N in (2, 3):
+        m = build_model(N)
+        sm = SpectralModel(N, 0.8)
+        for key in sorted(m.R.entries)[:3]:
+            for new in (m.R.entries[key] * Q(2), ring.zero()):
+                entries = {**m.R.entries, key: new}
+                bad = dataclasses.replace(m, R=SqMatrix(N * N, entries))
+                assert not limit_check(sm, bad).ok(1e-6), (N, key)
