@@ -17,8 +17,8 @@ absolute value their balanced base-2^bits digits are unique, so the sides,
 their shifts aligned, are equal as ints exactly when they are equal as
 polynomials.  :func:`equation_witnesses` is that pass, for ``check_axioms``
 and the ``uqsl2`` twist clause; a failing equation unpacks its first
-differing entry.  ``braid_equation_sides``, ``twist1_sides`` and
-``twist2_sides`` are the exact references over the ring.
+differing entry.  :func:`equation_sides` is the exact reference over the
+ring.
 
 The solver runs the other way: given only an R-matrix it recovers the
 crossing matrix M_d (and M_u) as the nullspace of an exact linear system,
@@ -33,7 +33,8 @@ does R^-1, so the first term needs a = c + d - b and the second
 f = a' + c - b: each row has at most two unknowns.  A row with one forces
 that entry to zero, a row with two fixes the ratio of its entries, and
 each connected component of these relations is solved by one walk
-(:func:`_relation_nullspace`).
+(:func:`_relation_nullspace`).  The dense fraction-free :func:`nullspace`
+is the reference that walk is tested against; no check or solver calls it.
 """
 
 from __future__ import annotations
@@ -75,34 +76,17 @@ EQUATIONS = {
 tensors of R and R^-1 (R^a_c^b_d, ``tensor.legs``) and the crossing matrices."""
 
 
-def _sides(name: str, operands: dict) -> tuple[dict, dict]:
-    lhs, rhs = EQUATIONS[name]
-    return tuple(contract(spec, *(operands[x] for x in names)) for spec, names in (lhs, rhs))
-
-
-def braid_equation_sides(R: SqMatrix, N: int) -> tuple[dict, dict]:
-    """Both sides of the constant Yang-Baxter equation, fully indexed.
-
-    Returns sparse maps (a,b,c,d,e,f) -> value for
-    sum_ijk R^a_i^b_j R^j_k^c_f R^i_d^k_e  and
-    sum_ijk R^b_i^c_j R^a_d^i_k R^k_e^j_f.
-    """
-    return _sides("braid", {"R": legs(R, N)})
-
-
 def equation_operands(R, R_inv, M_u, M_d, N: int) -> dict:
     """The operands of :data:`EQUATIONS` by name."""
     return {"R": legs(R, N), "R_inv": legs(R_inv, N), "M_u": M_u.entries, "M_d": M_d.entries}
 
 
-def twist1_sides(R: SqMatrix, R_inv: SqMatrix, M_u: SqMatrix, M_d: SqMatrix, N: int):
-    """R^-1^a_c^b_d  vs  sum_ef M^ae R^b_e^f_c M_fd (first twist form)."""
-    return _sides("twist1", equation_operands(R, R_inv, M_u, M_d, N))
-
-
-def twist2_sides(R: SqMatrix, R_inv: SqMatrix, M_u: SqMatrix, M_d: SqMatrix, N: int):
-    """R^-1^a_c^b_d  vs  sum_ef M_ce R^e_d^a_f M^fb (second twist form)."""
-    return _sides("twist2", equation_operands(R, R_inv, M_u, M_d, N))
+def equation_sides(name: str, operands: dict) -> tuple[dict, dict]:
+    """Both sides of the equation ``name`` of :data:`EQUATIONS`, fully indexed
+    and summed over the ring, given its operands as :func:`equation_operands`
+    gives them."""
+    lhs, rhs = EQUATIONS[name]
+    return tuple(contract(spec, *(operands[x] for x in names)) for spec, names in (lhs, rhs))
 
 
 def equation_bits(exact: dict, N: int, names) -> int:
@@ -213,6 +197,7 @@ def _normalize_primitive(vec: list[RingElem]) -> list[RingElem]:
 def nullspace(rows: list[list[RingElem]], ncols: int) -> list[list[RingElem]]:
     """Exact nullspace basis via fraction-free echelon reduction.
 
+    The reference for :func:`_relation_nullspace`, which the solver runs.
     Rows are dense lists over the ring.  Elimination uses cross
     multiplication only, keeping every intermediate in the ring; content
     stripping after each update controls coefficient growth.

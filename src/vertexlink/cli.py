@@ -13,12 +13,11 @@ import argparse
 import json
 import random
 import sys
-import warnings
 
 from . import ring, selftest, tlbracket, uqsl2
 from .axioms import check_axioms, check_markov_conditions, solve_twist
 from .braid import parse_braid
-from .errors import VertexLinkError
+from .errors import DomainError, VertexLinkError
 from .invariants import (
     STRAND_CAP,
     ambient_invariant,
@@ -35,12 +34,10 @@ from .models import build_model, mirror_model
 
 def _render_optional(value: ring.RingElem, variable: str) -> str | None:
     """Render in q or t when the exponents allow it, else None."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            return ring.render(value, variable)
-        except UserWarning:
-            return None
+    try:
+        return ring.render(value, variable)
+    except DomainError:
+        return None
 
 
 def _best_render(value: ring.RingElem) -> str:

@@ -2,9 +2,10 @@
 
 The regular (closure-trace) invariant is tr(rep(word) mu^(x)n), computed
 on the Kronecker-packed image of the chain (:mod:`vertexlink.packed`);
-dividing by k^n gives the Markov trace, and the ambient normalization
-removes the writhe dependence so the result is invariant under
-conjugation, both stabilizations and free reduction.  All arithmetic is
+dividing by k^n gives the Markov trace, and the ambient normalization of
+the unit-free trace Z^-writhe <L>, the same on both branches of Z, removes
+the writhe dependence so the result is invariant under conjugation, both
+stabilizations and free reduction.  All arithmetic is
 exact; the single division by the loop sum D is checked exact.
 
 A split closure is the product of its pieces (Turaev, Invent. Math. 92,
@@ -99,13 +100,15 @@ def ambient_invariant(word: BraidWord, m: VertexModel) -> RingElem:
     """Writhe-corrected invariant of the closure of ``word``.
 
     alpha = (tau taubar)^(-(n-1)/2) (taubar/tau)^(e/2) phi, which collapses
-    to a unit monomial times <L> / D; the division must be exact.
+    to a unit monomial times the unit-free trace Z^-e <L> over D; the
+    division must be exact.  Z^-e <L> is the same on both branches of Z, and
+    so is alpha: at odd writhe the sign takes the factor m.sign.
     """
     n = word.strands
     e = word.writhe
     val = regular_invariant(word, m)
     exp = (m.N * m.N - 1) * e + 2 * (m.N - 1)
-    sign = -1 if (m.N - 1) * n % 2 else 1
+    sign = (-1 if (m.N - 1) * n % 2 else 1) * (m.sign if e % 2 else 1)
     return ring.exact_divide(ring.s_power(exp, sign) * val, m.D)
 
 
@@ -134,25 +137,24 @@ def compute_constants(m: VertexModel) -> ModelConstants:
     )
 
 
-def minpoly_check(m: VertexModel, eigenvalues=None) -> bool:
+def minpoly_check(m: VertexModel) -> bool:
     """Annihilation by prod(R - lam), minimality, and the closed form.
 
     Minimal: no product leaving one factor out is zero
     (:func:`vertexlink.packed.annihilates`).
     """
-    eig = tuple(eigenvalues) if eigenvalues is not None else m.eigenvalues
-    if eigenvalues is None and eig != generic_eigenvalues(m.N, m.Z):
+    if m.eigenvalues != generic_eigenvalues(m.N, m.Z):
         return False
-    return packed.annihilates(m.R, eig, minimal=True)
+    return packed.annihilates(m.R, m.eigenvalues, minimal=True)
 
 
 def skein_coefficients(m: VertexModel) -> list[tuple[int, RingElem]]:
     """Coefficients (power, coeff) with alpha(c b^(N-1)) = sum coeff alpha(c b^power).
 
-    Fixed verbatim per model; the property tests re-derive them from the
+    Fixed verbatim per N: alpha is the same on both branches of Z, and so is
+    its skein relation.  The property tests re-derive them from the
     eigenvalues through the annihilating polynomial.
     """
-    sgn = m.sign
     one = ring.one()
 
     def T(k: int, coeff: int = 1) -> RingElem:  # t^k, t = q^2
@@ -161,20 +163,20 @@ def skein_coefficients(m: VertexModel) -> list[tuple[int, RingElem]]:
     H = ring.q_power  # q^k, i.e. t^(k/2)
     if m.N == 2:
         return [
-            (0, H(1, sgn) * (one - T(1))),
+            (0, H(1) * (one - T(1))),
             (-1, T(2)),
         ]
     if m.N == 3:
         return [
-            (1, T(1, sgn) * (one - T(2) + T(3))),
+            (1, T(1) * (one - T(2) + T(3))),
             (0, T(2) * (T(2) - T(3) + T(5))),
-            (-1, T(8, -sgn)),
+            (-1, T(8, -1)),
         ]
     if m.N == 4:
         return [
-            (2, H(3, sgn) * (one - T(3) + T(5) - T(6))),
+            (2, H(3) * (one - T(3) + T(5) - T(6))),
             (1, T(6) * (one - T(2) + T(3) + T(5) - T(6) + T(8))),
-            (0, H(9, -sgn) * T(8) * (one - T(1) + T(3) - T(6))),
+            (0, H(9, -1) * T(8) * (one - T(1) + T(3) - T(6))),
             (-1, T(20, -1)),
         ]
     raise DomainError(f"no skein table for N = {m.N}")
@@ -184,12 +186,12 @@ def derived_skein_coefficients(m: VertexModel) -> list[tuple[int, RingElem]]:
     """The same coefficients from first principles.
 
     R^(N-1) = sum_(k=1..N-1) (-1)^(k+1) e_k R^(N-1-k) + (-1)^(N+1) e_N R^-1
-    with e_k the elementary symmetric functions of the eigenvalues; under
-    the ambient normalization each R power picks up omega = q^((N^2-1)/2)
-    per letter, so multiply e_k by omega^k.
+    with e_k the elementary symmetric functions of the +Z branch's
+    eigenvalues; under the ambient normalization each R power picks up
+    omega = q^((N^2-1)/2) per letter, so multiply e_k by omega^k.
     """
     N = m.N
-    eig = m.eigenvalues
+    eig = [lam * m.sign for lam in m.eigenvalues]
     elem = [ring.one()]
     for lam in eig:
         nxt = [ring.zero()] * (len(elem) + 1)

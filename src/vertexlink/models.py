@@ -330,12 +330,6 @@ def _finalize(
     )
 
 
-def _normalize_sign(sign) -> int:
-    if sign not in (1, -1):
-        raise DomainError(f"sign must be 1 or -1, got {sign!r}")
-    return 1 if sign == 1 else -1
-
-
 @functools.lru_cache(maxsize=None)
 def _build_model(N: int, sign: int) -> VertexModel:
     pos = _positions(N)
@@ -349,11 +343,14 @@ def _build_model(N: int, sign: int) -> VertexModel:
     return _finalize(N, sign, Z, R, M_u, M_d)
 
 
-def build_model(N: int, sign=1) -> VertexModel:
+def build_model(N: int, sign: int = 1) -> VertexModel:
     """Verified vertex model for N in {2, 3, 4}; sign (1 or -1) picks the Z branch."""
-    if N not in (2, 3, 4):
-        raise UnsupportedN(f"no model for N = {N}")
-    return _build_model(N, _normalize_sign(sign))
+    # ints only, not bools or floats: the cache keys 2.0 and True like 2 and 1
+    if type(N) is not int or N not in (2, 3, 4):
+        raise UnsupportedN(f"no model for N = {N!r}")
+    if type(sign) is not int or sign not in (1, -1):
+        raise DomainError(f"sign must be 1 or -1, got {sign!r}")
+    return _build_model(N, sign)
 
 
 @functools.lru_cache(maxsize=None)

@@ -12,7 +12,6 @@ parser; s is the base variable everywhere else.
 
 from __future__ import annotations
 
-import warnings
 from fractions import Fraction
 
 from . import _kernel as K
@@ -237,19 +236,14 @@ def _divisible(poly, divisor: int) -> bool:
 def render(a: RingElem, variable: str = "s") -> str:
     """Render in s, q = s^2 or t = s^4.
 
-    If the requested variable cannot represent the exponents the result
-    falls back to s and a UserWarning notice is emitted.
+    Raises DomainError when the requested variable cannot represent the
+    exponents.
     """
     if variable not in ("s", "q", "t"):
         raise DomainError(f"unknown variable {variable!r}")
     divisor = {"s": 1, "q": 2, "t": 4}[variable]
     if divisor > 1 and not _divisible(a.rat, divisor):
-        warnings.warn(
-            f"exponents not divisible by {divisor}; rendering in s instead of {variable}",
-            UserWarning,
-            stacklevel=2,
-        )
-        variable, divisor = "s", 1
+        raise DomainError(f"exponents not divisible by {divisor}; cannot render in {variable}")
     return _format_poly(a.rat, variable, divisor)
 
 

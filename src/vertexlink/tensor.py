@@ -102,9 +102,6 @@ class SqMatrix:
             return NotImplemented
         return self.dim == other.dim and self.entries == other.entries
 
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.entries.items())))
-
     def transpose(self) -> "SqMatrix":
         res = SqMatrix(self.dim)
         res.entries = {(c, r): v for (r, c), v in self.entries.items()}

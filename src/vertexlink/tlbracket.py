@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import packed, ring
-from .axioms import CheckReport, nullspace
+from .axioms import CheckReport
 from .braid import embed_two_site
 from .errors import (
     ConventionValidationFailed,
@@ -98,46 +98,24 @@ def _tl_relations(tl: TLData, N: int, max_strands: int, bits: int) -> CheckRepor
     return rep
 
 
-def span_membership(target: SqMatrix, basis: list[SqMatrix]) -> list[RingElem] | None:
-    """Coefficients writing target as a ring combination of basis matrices.
-
-    Returns None when no combination with ring coefficients exists.  Open
-    experiment hook: for N > 2 the R-matrix is expected to leave the span
-    of {1, e}, and this reports exactly that.
-    """
-    positions = set(target.entries)
-    for b in basis:
-        positions.update(b.entries)
-    order = sorted(positions)
-    rows = []
-    z = ring.zero()
-    for pos in order:
-        row = [b.entries.get(pos, z) for b in basis]
-        row.append(-target.entries.get(pos, z))
-        rows.append(row)
-    for vec in nullspace(rows, len(basis) + 1):
-        last = vec[-1]
-        if not last:
-            continue
-        try:
-            return [ring.exact_divide(c, last) for c in vec[:-1]]
-        except InexactDivision:
-            continue
-    return None
-
-
 def bracket_decompose_n2(m: VertexModel) -> tuple[RingElem, RingElem]:
     """Write R = A 1 + B e (and R^-1 = B 1 + A e); N = 2 only.
 
-    Also verifies the curl normalization: the partial closures equal
-    -A^3 and -B^3, which is what makes (-A^-3)^writhe restore invariance.
+    A and B are read off two entries of R: M_u is antidiagonal, so e is zero
+    at (0, 0) and A = R[(0, 0)], and the identity is zero at (1, 2), so
+    B = R[(1, 2)] / e[(1, 2)], exactly.  Both decompositions are verified,
+    and so is the curl normalization: the partial closures equal -A^3 and
+    -B^3, which is what makes (-A^-3)^writhe restore invariance.
     """
-    tl = build_tl(m)
-    ident = SqMatrix.identity(m.N * m.N)
-    coeffs = span_membership(m.R, [ident, tl.e])
-    if m.N != 2 or coeffs is None:
+    if m.N != 2:
         raise NotDecomposable(f"R is not in the span of 1 and e for N = {m.N}")
-    A, B = coeffs
+    tl = build_tl(m)
+    try:
+        A = m.R.entries[(0, 0)]
+        B = ring.exact_divide(m.R.entries[(1, 2)], tl.e.entries[(1, 2)])
+    except (KeyError, InexactDivision):
+        raise NotDecomposable("R has no ring coefficients at (0, 0) and (1, 2)") from None
+    ident = SqMatrix.identity(4)
     if m.R != A * ident + B * tl.e:
         raise NotDecomposable("decomposition failed verification")
     if m.R_inv != B * ident + A * tl.e:

@@ -15,15 +15,15 @@ from hypothesis import strategies as st
 
 from vertexlink import axioms, ring, selftest, tensor
 from vertexlink.axioms import (
-    braid_equation_sides,
     check_axioms,
     check_markov_conditions,
+    equation_sides,
     nullspace,
     solve_twist,
 )
 from vertexlink.errors import NoSolution, VertexLinkError
 from vertexlink.models import build_model, gauge_powers, mirror_model
-from vertexlink.tensor import SqMatrix, inverse_blockwise
+from vertexlink.tensor import SqMatrix, inverse_blockwise, legs
 
 
 def test_axioms_pass(each_signed_model):
@@ -54,12 +54,12 @@ def test_mutated_r_fails_with_witness(m2):
 
 
 def test_braid_equation_sides_structural(m3):
-    lhs, rhs = braid_equation_sides(m3.R, 3)
+    lhs, rhs = equation_sides("braid", {"R": legs(m3.R, 3)})
     assert lhs == rhs
     assert lhs  # nonempty contraction
     twisted = SqMatrix(9, {k: v for k, v in m3.R.entries.items()})
     twisted.entries[(4, 4)] = ring.s_power(7)
-    lhs2, rhs2 = braid_equation_sides(twisted, 3)
+    lhs2, rhs2 = equation_sides("braid", {"R": legs(twisted, 3)})
     assert lhs2 != rhs2
 
 

@@ -86,17 +86,17 @@ _GOLDEN = {
         "f867bb0dc2a0bcd709661989d2f2b9a40dd1d40758bb8291e96c3c15b8217d80"),
     ("skein", "--model", "4", "--trials", "10", "--seed", "3", "--json"): (
         "c19b44873322df7badf7fb80ece315186bc06bb9e6672fa242f2e800d15480f3",
-        "aa13624b68615371ed0a428a0e10518f05f7e7bc05a43497dec51f66f7b2c3b8"),
+        "1c7d947619bb7855a1974442e3c965f0813355b785c82b1b12094ad98d6380e6"),
     # one word at each model's strand cap: 7, 6, 5 strands for N = 2, 3, 4
     ("invariant", "--model", "2", "--braid", "1 -2 3 -4 5 -6 1 2", "--json"): (
         "47bf691f5e150befd3df490450bc34ea285683c3280835dd2fb9da49c63482da",
         "77b729bf240a6aa3d3929d2977efdb6c73afb0ddca5ba6bcc4ee1fb02e8f45ea"),
     ("invariant", "--model", "3", "--braid", "1 -2 3 -4 5 2 -1", "--json"): (
         "4df09d054e733a737fa57d9b46097ca2a19f57b3988611b2be4445dbf20233dd",
-        "81317b2335f3dd1d75b2df501d3a41aefe2593ece98de4e6d7e01d73c064b848"),
+        "250237027e4f1f96f5c8693a33165604ec0bda1fb6c2053b7c1cf8cd63413c48"),
     ("invariant", "--model", "4", "--braid", "1 -2 3 -4 2 1 -3", "--json"): (
         "629dda43983982a426cbff8082db7fee1087c169f049c084c362bb593ee27aa0",
-        "3f30e440f079b435f5e2b0d778f059f16617acc49a6b557c6c43f1dffaa115db"),
+        "45886703e4984ed17f3fe3cba9c1109df44f8be79adaaf66df7aa5fc69bc7222"),
 }
 
 

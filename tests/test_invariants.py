@@ -5,9 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle.kauffman_bracket import jones_via_bracket
-from vertexlink import ring
+from vertexlink import packed, ring
 from vertexlink.axioms import check_axioms, check_markov_conditions
 from vertexlink.braid import BraidWord, random_word
 from vertexlink.errors import ClosedFormMismatch, DomainError
@@ -141,9 +143,11 @@ def test_minpoly(each_signed_model):
 
 def test_minpoly_rejects_wrong_list(m3):
     wrong = (m3.eigenvalues[0],) * 3
-    assert not minpoly_check(m3, eigenvalues=wrong)
     padded = tuple(m3.eigenvalues) + (m3.eigenvalues[0],)
-    assert not minpoly_check(m3, eigenvalues=padded)  # annihilates but not minimal
+    for eig in (wrong, padded):
+        assert not minpoly_check(dataclasses.replace(m3, eigenvalues=eig))  # not the closed form
+        assert not packed.annihilates(m3.R, eig, minimal=True)
+    assert packed.annihilates(m3.R, padded)  # annihilates but not minimal
 
 
 # ------------------------------------------------------------------- skein
@@ -154,8 +158,8 @@ def test_skein_tables_agree(each_signed_model):
     assert skein_coefficients(m) == derived_skein_coefficients(m)
 
 
-def test_skein_residual_zero(each_model):
-    m = each_model
+def test_skein_residual_zero(each_model_and_mirror):
+    m = each_model_and_mirror
     rng = random.Random(7 + m.N)
     for _ in range(12):
         n = rng.randint(2, 4)
@@ -184,8 +188,8 @@ def test_skein_residual_detects_wrong_table(m2):
 BASES = [TREFOIL, FIG8, HOPF]
 
 
-def test_invariance_under_markov_moves(each_model):
-    m = each_model
+def test_invariance_under_markov_moves(each_model_and_mirror):
+    m = each_model_and_mirror
     for base in BASES:
         rep = invariance_suite(base, m, trials=12, seed=21)
         assert rep.ok, rep.failures
@@ -193,11 +197,9 @@ def test_invariance_under_markov_moves(each_model):
         assert rep.stab_checks > 0
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the sign-minus ambient invariant lacks a factor (-1)^writhe")
 def test_sign_minus_invariance_under_markov_moves():
-    # a known defect, pinned: on the -Z branch the ambient invariant changes
-    # under stabilization, first on (1, 1, 1, -2); the plus-sign models pass
+    # without the factor m.sign at odd writhe, the -Z branch's ambient
+    # invariant changed under stabilization, first on (1, 1, 1, -2)
     failing = []
     for N in (2, 3, 4):
         m = build_model(N, -1)
@@ -275,13 +277,28 @@ def test_mirror_model_closes_identically(each_model):
 
 
 def test_global_sign_ratio():
-    # alpha for the -Z branch over alpha for +Z, exactly: +-1 on a fixed word
+    # alpha for the -Z branch over alpha for +Z, exactly: 1 at either parity of the writhe
     for N in (2, 3, 4):
         plus, minus = build_model(N, 1), build_model(N, -1)
-        for word, ratio in ((HOPF, 1), (TREFOIL, -1), (UNKNOT, 1)):
+        for word, ratio in ((HOPF, 1), (TREFOIL, 1), (UNKNOT, 1)):
             alpha = ambient_invariant(word, plus)
             assert not alpha.is_zero()
             assert ring.exact_divide(ambient_invariant(word, minus), alpha) == ring.integer(ratio)
+
+
+@st.composite
+def braid_words(draw):
+    n = draw(st.integers(2, 4))
+    letters = draw(st.lists(st.sampled_from([k for k in range(1 - n, n) if k]), max_size=8))
+    return BraidWord(n, tuple(letters))
+
+
+@given(word=braid_words(), N=st.sampled_from([2, 3, 4]))
+@settings(max_examples=60, deadline=None)
+def test_ambient_invariant_same_on_both_branches(word, N):
+    # Z^-e <L> is the same for +Z and -Z, and alpha normalizes it
+    plus, minus = build_model(N, 1), build_model(N, -1)
+    assert ambient_invariant(word, minus) == ambient_invariant(word, plus)
 
 
 # ------------------------------------------------------- radical (4 states)

@@ -292,13 +292,15 @@ def test_sign_branch_flips_r(each_model):
 def test_sign_parsing():
     assert build_model(2, 1).sign == 1
     assert build_model(2, -1).sign == -1
-    for bad in (0, 2, "+", "-", "neg", None):
+    # True == 1 and 1.0 == 1, but neither is a sign
+    for bad in (0, 2, "+", "-", "neg", None, True, False, 1.0, -1.0):
         with pytest.raises(DomainError):
             build_model(2, bad)
 
 
 def test_unsupported_n():
-    for bad in (1, 5, 0, -3):
+    build_model(2)  # a warm cache keys 2.0 like 2: it must not answer for it
+    for bad in (1, 5, 0, -3, 2.0, 3.0, True, "2", None):
         with pytest.raises(UnsupportedN):
             build_model(bad)
 

@@ -17,13 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vertexlink import axioms, braid, packed, ring, tlbracket, uqsl2
-from vertexlink.axioms import (
-    CheckReport,
-    braid_equation_sides,
-    check_axioms,
-    twist1_sides,
-    twist2_sides,
-)
+from vertexlink.axioms import CheckReport, check_axioms, equation_sides
 from vertexlink.invariants import STRAND_CAP
 from vertexlink.models import build_model, mirror_model
 from vertexlink.tensor import SqMatrix, small_inverse
@@ -162,9 +156,7 @@ def reference_axioms(m):
 
 
 def exact_sides(m):
-    args = (m.R, m.R_inv, m.M_u, m.M_d, m.N)
-    return {"braid": braid_equation_sides(m.R, m.N),
-            "twist1": twist1_sides(*args), "twist2": twist2_sides(*args)}
+    return {name: equation_sides(name, operands(m)) for name in axioms.EQUATIONS}
 
 
 @pytest.mark.parametrize("N,sign,mirrored", MODELS, ids=IDS)
@@ -244,7 +236,7 @@ def test_uq_twist_clause_agrees_with_the_exact_reference(j, broken, monkeypatch)
     exact = axioms.equation_operands(*args)
     twists = ("twist1", "twist2")
     got = axioms.equation_witnesses(exact, axioms.equation_bits(exact, m.N, twists), twists)
-    want = {"twist1": exact_diff(*twist1_sides(*args)), "twist2": exact_diff(*twist2_sides(*args))}
+    want = {name: exact_diff(*equation_sides(name, exact)) for name in twists}
     assert got == want
     assert any(want.values()) == broken
     monkeypatch.setattr(uqsl2, "build_w", lambda _: W)

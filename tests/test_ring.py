@@ -85,13 +85,14 @@ def test_render_parse_round_trip(a):
     assert ring.parse(ring.render(a, "s")) == a
 
 
-def test_render_variable_fallback():
+def test_render_refuses_unrepresentable_variable():
     even = ring.q_power(2) + ring.q_power(-1)
     assert "q" in ring.render(even, "q")
+    with pytest.raises(DomainError, match="cannot render in t"):
+        ring.render(even, "t")
     odd = ring.s_power(1) + ring.one()
-    with pytest.warns(UserWarning, match="rendering in s"):
-        text = ring.render(odd, "q")
-    assert ring.parse(text) == odd
+    with pytest.raises(DomainError, match="cannot render in q"):
+        ring.render(odd, "q")
 
 
 def test_render_radical_and_zero():

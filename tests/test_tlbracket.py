@@ -13,7 +13,6 @@ from vertexlink.tlbracket import (
     build_tl,
     curl_factors,
     dubrovnik_check_n3,
-    span_membership,
     tl_relations_check,
 )
 from vertexlink.tensor import SqMatrix
@@ -90,6 +89,16 @@ def test_bracket_decomposition(m2):
     assert bracket_decompose_n2(minus) == (S(-1, -1), S(1, -1))
 
 
+def test_bracket_refuses_what_it_cannot_read(m2):
+    # A is read at (0, 0) and B at (1, 2): a missing entry, or one that
+    # fails the verification, is refused
+    missing = {key: v for key, v in m2.R.entries.items() if key != (0, 0)}
+    bumped = {**m2.R.entries, (0, 0): m2.R.entries[(0, 0)] * Q(1)}
+    for entries in (missing, bumped):
+        with pytest.raises(NotDecomposable):
+            bracket_decompose_n2(dataclasses.replace(m2, R=SqMatrix(4, entries)))
+
+
 def test_bracket_not_decomposable_n3(m3, m4):
     for m in (m3, m4):
         with pytest.raises(NotDecomposable):
@@ -128,25 +137,3 @@ def test_curl_factors_not_scalar(m2):
     with pytest.raises(NotScalar):
         curl_factors(bad)
 
-
-def test_span_membership_positive(m3):
-    tl = build_tl(m3)
-    ident = SqMatrix.identity(9)
-    # recover the Dubrovnik coefficients independently
-    coeffs = span_membership(m3.R - m3.R_inv, [ident, tl.e])
-    z = Q(-2) - Q(2)
-    assert coeffs == [z, -z]
-
-
-def test_span_membership_negative(m3):
-    tl = build_tl(m3)
-    ident = SqMatrix.identity(9)
-    # R itself leaves the span of {1, e} once N > 2
-    assert span_membership(m3.R, [ident, tl.e]) is None
-
-
-def test_span_membership_rejects_inexact():
-    one = ring.one()
-    basis = [SqMatrix(2, {(0, 0): ring.integer(2)})]
-    target = SqMatrix(2, {(0, 0): one})
-    assert span_membership(target, basis) is None
