@@ -1,11 +1,11 @@
 """Mechanical verification of the defining equations, plus the M-solver.
 
-Checks are evaluated in literal component form: each equation is written
-as its einsum index string over ``tensor.contract``, which sums tensor
-entries index by index rather than trusting matrix-level shortcuts, so a
-passing report certifies the displayed equations themselves.
+Every tensor identity the package checks is a row of :data:`EQUATIONS`,
+each side an einsum index string over ``tensor.contract``, which sums
+tensor entries index by index rather than trusting matrix-level shortcuts,
+so a passing row certifies the displayed identity itself.
 
-The braid and twist equations are contracted on the Kronecker-packed image
+Every row is contracted on the Kronecker-packed image
 (:mod:`vertexlink.packed`): each operand is packed once at x = 2^bits, x = s
 or q, and the same index strings are summed over ints.  The width is proven:
 an output entry sums at most N^k products of one entry per operand, k the
@@ -15,10 +15,9 @@ largest entry norms bounds every coefficient of that side
 (:func:`equation_bits`).  With both sides' coefficients below 2^(bits-1) in
 absolute value their balanced base-2^bits digits are unique, so the sides,
 their shifts aligned, are equal as ints exactly when they are equal as
-polynomials.  :func:`equation_witnesses` is that pass, for ``check_axioms``
-and the ``uqsl2`` twist clause; a failing equation unpacks its first
-differing entry.  :func:`equation_sides` is the exact reference over the
-ring.
+polynomials.  :func:`equation_witnesses` is that pass; a failing row
+unpacks the first differing entry of its first failing identity.
+:func:`equation_sides` is the exact reference over the ring.
 
 The solver runs the other way: given only an R-matrix it recovers the
 crossing matrix M_d (and M_u) as the nullspace of an exact linear system,
@@ -68,36 +67,54 @@ class CheckReport:
 
 
 EQUATIONS = {
-    "braid": ((YANG_BAXTER[0], ("R", "R", "R")), (YANG_BAXTER[1], ("R", "R", "R"))),
-    "twist1": (("acbd->abcd", ("R_inv",)), ("ae,befc,fd->abcd", ("M_u", "R", "M_d"))),
-    "twist2": (("acbd->abcd", ("R_inv",)), ("ce,edaf,fb->abcd", ("M_d", "R", "M_u"))),
+    "m": ((("ab,bc->ac", ("M_d", "M_u")), ("ac->ac", ("1",))),
+          (("ab,bc->ac", ("M_u", "M_d")), ("ac->ac", ("1",)))),
+    "r": ((("acbd,cedf->aebf", ("R", "R_inv")), ("ae,bf->aebf", ("1", "1"))),
+          (("acbd,cedf->aebf", ("R_inv", "R")), ("ae,bf->aebf", ("1", "1")))),
+    "braid": (((YANG_BAXTER[0], ("R", "R", "R")), (YANG_BAXTER[1], ("R", "R", "R"))),),
+    "twist1": ((("acbd->abcd", ("R_inv",)), ("ae,befc,fd->abcd", ("M_u", "R", "M_d"))),),
+    "twist2": ((("acbd->abcd", ("R_inv",)), ("ce,edaf,fb->abcd", ("M_d", "R", "M_u"))),),
+    "flip": ((("ac,bd,cedf->aebf", ("C", "C", "R")), ("bdac,ce,df->aebf", ("R", "C", "C"))),),
+    "cs1": ((("cabf,ce->aebf", ("R_inv", "W")), ("ac,cebf->aebf", ("W", "R"))),),
+    "cs2": ((("aedb,df->aebf", ("R", "W")), ("bd,aedf->aebf", ("W", "R_inv"))),),
 }
-"""Both sides of each equation as (einsum spec, operand names) over the leg
-tensors of R and R^-1 (R^a_c^b_d, ``tensor.legs``) and the crossing matrices."""
+"""Every tensor identity the package checks, by name: one or more pairs of
+sides (einsum spec, operand names).  Two-factor matrices enter as leg tensors
+(R^a_c^b_d, ``tensor.legs``), so X Y is ``acbd,cedf->aebf``.  m and r are
+M_d M_u = M_u M_d = 1 and R R^-1 = R^-1 R = 1 ("1" the identity); flip is
+(C (x) C) R = P R P (C (x) C), C a label flip and P the factor swap; cs1
+and cs2 are the crossing forms of ``uqsl2.crossing_symmetry``."""
+
+AXIOMS = ("m", "r", "braid", "twist1", "twist2")
+"""The rows :func:`check_axioms` decides, in its report's order."""
 
 
-def equation_operands(R, R_inv, M_u, M_d, N: int) -> dict:
-    """The operands of :data:`EQUATIONS` by name."""
-    return {"R": legs(R, N), "R_inv": legs(R_inv, N), "M_u": M_u.entries, "M_d": M_d.entries}
+def equation_operands(N: int, **matrices) -> dict:
+    """The operands of :data:`EQUATIONS` by name: a matrix of dim N^2 as its
+    leg tensor, one of dim N by its entries, and "1", the identity of size N."""
+    ops = {"1": {(i, i): ring.one() for i in range(N)}}
+    for x, M in matrices.items():
+        ops[x] = legs(M, N) if M.dim == N * N else M.entries
+    return ops
 
 
-def equation_sides(name: str, operands: dict) -> tuple[dict, dict]:
-    """Both sides of the equation ``name`` of :data:`EQUATIONS`, fully indexed
-    and summed over the ring, given its operands as :func:`equation_operands`
-    gives them."""
-    lhs, rhs = EQUATIONS[name]
-    return tuple(contract(spec, *(operands[x] for x in names)) for spec, names in (lhs, rhs))
+def equation_sides(name: str, operands: dict) -> tuple[tuple[dict, dict], ...]:
+    """Both sides of each identity of ``name`` in :data:`EQUATIONS`, fully
+    indexed and summed over the ring, given its operands as
+    :func:`equation_operands` gives them."""
+    return tuple(tuple(contract(spec, *(operands[x] for x in xs)) for spec, xs in identity)
+                 for identity in EQUATIONS[name])
 
 
 def equation_bits(exact: dict, N: int, names) -> int:
-    """Packing width that decides the equations ``names`` of :data:`EQUATIONS`
+    """Packing width that decides the rows ``names`` of :data:`EQUATIONS`
     exactly, given their operands by name, each index ranging over N values.
 
     Every entry of either side weighs at most ``packed.contraction_bound``
     of its spec and the largest entry weight of each operand.  Only the
-    operands of those equations are weighed, each once.
+    operands of those rows are weighed, each once.
     """
-    sides = [side for name in names for side in EQUATIONS[name]]
+    sides = [side for name in names for identity in EQUATIONS[name] for side in identity]
     norms = {x: max(map(packed.weight, exact[x].values()), default=0)
              for x in {x for _, xs in sides for x in xs}}
     return packed.width(max(packed.contraction_bound(spec, N, [norms[x] for x in xs])
@@ -105,12 +122,12 @@ def equation_bits(exact: dict, N: int, names) -> int:
 
 
 def equation_witnesses(exact: dict, bits: int, names) -> dict[str, str]:
-    """{name: witness} for the equations ``names`` of :data:`EQUATIONS`, the
-    witness empty where the equation holds.
+    """{name: witness} for the rows ``names`` of :data:`EQUATIONS`, the
+    witness empty where every identity of the row holds.
 
     Each operand is packed once and each distinct side contracted once on
-    ints (twist1 and twist2 share their R^-1 side); only a failing equation
-    unpacks its first differing entry.
+    ints (twist1 and twist2 share their R^-1 side).  A row's witness is the
+    first differing entry of its first failing identity, the only one unpacked.
     """
     step = packed.variable_step(v for op in exact.values() for v in op.values())
     ops, shifts = {}, {}
@@ -118,36 +135,26 @@ def equation_witnesses(exact: dict, bits: int, names) -> dict[str, str]:
         ops[x], shifts[x] = packed.pack(op, bits, step)
     sides, out = {}, {}
     for name in names:
-        for spec, xs in EQUATIONS[name]:
-            if (spec, xs) not in sides:
-                sides[spec, xs] = contract(spec, *(ops[x] for x in xs)), sum(shifts[x] for x in xs)
-        lhs, rhs = (sides[side] for side in EQUATIONS[name])
-        diff = packed.first_difference(lhs, rhs, bits, step)
-        out[name] = "" if diff is None else (
-            f"at {diff[0]}: {ring.render(diff[1])} != {ring.render(diff[2])}")
+        out[name] = ""
+        for identity in EQUATIONS[name]:
+            for spec, xs in identity:
+                if (spec, xs) not in sides:
+                    sides[spec, xs] = (contract(spec, *(ops[x] for x in xs)),
+                                       sum(shifts[x] for x in xs))
+            diff = packed.first_difference(*(sides[side] for side in identity), bits, step)
+            if diff is not None:
+                out[name] = f"at {diff[0]}: {ring.render(diff[1])} != {ring.render(diff[2])}"
+                break
     return out
 
 
 def check_axioms(m) -> CheckReport:
-    """Verify (m), (r), (braid), (twist1), (twist2) exactly.
-
-    The braid and twist equations run on the packed image at
-    :func:`equation_bits` (:mod:`vertexlink.packed`).
-    """
+    """Verify the rows :data:`AXIOMS` exactly, in one packed pass at
+    :func:`equation_bits`; a failing row names its first differing entry."""
     rep = CheckReport()
-    N = m.N
-    ident_n = SqMatrix.identity(N)
-    ident = SqMatrix.identity(N * N)
-
-    ok = m.M_d @ m.M_u == ident_n and m.M_u @ m.M_d == ident_n
-    rep.record("m", ok, "M_u, M_d not mutually inverse")
-
-    ok = m.R @ m.R_inv == ident and m.R_inv @ m.R == ident
-    rep.record("r", ok, "R R^-1 != 1")
-
-    exact = equation_operands(m.R, m.R_inv, m.M_u, m.M_d, N)
-    bits = equation_bits(exact, N, EQUATIONS)
-    for name, witness in equation_witnesses(exact, bits, EQUATIONS).items():
+    exact = equation_operands(m.N, R=m.R, R_inv=m.R_inv, M_u=m.M_u, M_d=m.M_d)
+    bits = equation_bits(exact, m.N, AXIOMS)
+    for name, witness in equation_witnesses(exact, bits, AXIOMS).items():
         rep.record(name, not witness, witness)
     return rep
 

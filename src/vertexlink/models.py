@@ -16,15 +16,17 @@ diagonal mu^(x)n, so no closure trace moves; M_u and M_d are
 antidiagonal and g(-a) = -g(a), so they and mu are unchanged.
 
 Construction checks R in this order and aborts on any failure, so a
-successfully built model is already a verified one: charge conservation
-and the flip (C (x) C) R = P R P (C (x) C), with C the label flip a -> -a
-in the gauge and P the factor swap (each error names the offending
-entry), annihilation by the minimal polynomial prod(R - lambda), the
-inverse taken block by block over the charge sectors, R R^-1 = 1 exactly,
-and the flip of R^-1.  M_u and M_d must be mutually inverse, and mu a
-charge character sigma diag(q^(kappa a)); the closed forms of k, tau and
-taubar, pinned last, leave sigma = (-1)^(N-1) and kappa = -2 (+2 for
-mirrors).
+successfully built model is already a verified one: charge conservation;
+the flip (C (x) C) R = P R P (C (x) C), C the label flip a -> -a in the
+gauge and P the factor swap, the ``flip`` row of ``axioms.EQUATIONS``
+on the packed image (C must be antidiagonal with no zero there); then
+annihilation by the minimal polynomial prod(R - lambda); the inverse,
+taken block by block over the charge sectors, and R R^-1 = 1 exactly;
+the flip of R^-1 through the same row.  The charge and flip errors name
+the offending entry.  M_u[k, N-1-k] = (-1)^k s^(N-1-2k) and M_d = M_u^-1 must be
+mutually inverse, and mu a charge character sigma diag(q^(kappa a)); the
+closed forms of k, tau and taubar, pinned last, leave sigma = (-1)^(N-1)
+and kappa = -2 (+2 for mirrors).
 
 The numeric side carries the solvable-model weights R(u) for N = 2, 3 at
 anisotropy 1/2, as sparse float tensors keyed (a, c, b, d) that
@@ -41,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ring
+from .axioms import equation_bits, equation_operands, equation_witnesses
 from .errors import (
     ClosedFormMismatch,
     ConventionValidationFailed,
@@ -54,7 +57,6 @@ from .tensor import (
     YANG_BAXTER,
     SqMatrix,
     charge_sectors,
-    check_flip,
     closure_character,
     contract,
     inverse_blockwise,
@@ -207,6 +209,23 @@ def gauge(table: dict, N: int) -> dict:
     return out
 
 
+def _verify_flip(name: str, X: SqMatrix, C: SqMatrix) -> None:
+    """Refuse, naming the first bad entry, an X with (C (x) C) X != P X P (C (x) C),
+    the ``flip`` row of ``axioms.EQUATIONS``, or a C that is not a label flip:
+    antidiagonal, no zero there, nothing off it (the row holds for C = 0)."""
+    N = C.dim
+    bad = sorted(set(C.entries) ^ {(N - 1 - i, i) for i in range(N)})
+    if bad:
+        r, c = bad[0]
+        where = "is zero" if r + c == N - 1 else "is off the antidiagonal"
+        raise ConventionValidationFailed(f"flip entry [{r},{c}] {where}")
+    exact = equation_operands(N, R=X, C=C)
+    witness = equation_witnesses(exact, equation_bits(exact, N, ("flip",)), ("flip",))["flip"]
+    if witness:
+        raise ConventionValidationFailed(
+            f"the flip (C (x) C) X = P X P (C (x) C) fails for X = {name} {witness}")
+
+
 def _label_flip(N: int) -> SqMatrix:
     """The label flip a -> -a in the gauge, D C0 D^-1 = diag(r^(2 g(a))) C0, times r^(-2 min g).
 
@@ -214,19 +233,6 @@ def _label_flip(N: int) -> SqMatrix:
     """
     g = gauge_powers(N)
     return SqMatrix(N, {(i, N - 1 - i): _THREE ** (g[i] - min(g)) for i in range(N)})
-
-
-def _m_upper(N: int) -> SqMatrix:
-    if N == 2:
-        return SqMatrix(2, {(0, 1): _S(1), (1, 0): _S(-1, -1)})
-    if N == 3:
-        return SqMatrix(3, {(0, 2): _Q(1), (1, 1): ring.integer(-1), (2, 0): _Q(-1)})
-    if N == 4:
-        return SqMatrix(
-            4,
-            {(0, 3): _S(3), (1, 2): _S(1, -1), (2, 1): _S(-1), (3, 0): _S(-3, -1)},
-        )
-    raise UnsupportedN(f"no model tables for N = {N}")
 
 
 def generic_eigenvalues(N: int, Z: RingElem) -> tuple[RingElem, ...]:
@@ -294,7 +300,7 @@ def _finalize(
 ) -> VertexModel:
     charge_sectors(R)
     flip = _label_flip(N)
-    check_flip(R, flip)
+    _verify_flip("R", R, flip)
     eig = generic_eigenvalues(N, Z)
     # before the inversion, so a mis-signed R is refused as such and not by
     # a later step it happens to break (the adjugate's exact divisions, the
@@ -304,7 +310,7 @@ def _finalize(
     R_inv = inverse_blockwise(R)
     if R @ R_inv != SqMatrix.identity(N * N):
         raise ClosedFormMismatch("R @ R_inv is not the identity")
-    check_flip(R_inv, flip)
+    _verify_flip("R^-1", R_inv, flip)
     ident = SqMatrix.identity(N)
     if M_d @ M_u != ident or M_u @ M_d != ident:
         raise ClosedFormMismatch("M_u and M_d are not mutually inverse")
@@ -338,8 +344,9 @@ def _build_model(N: int, sign: int) -> VertexModel:
         (pos[a] * N + pos[b], pos[c] * N + pos[d]): Z * v
         for (a, c, b, d), v in gauge(paper_table(N), N).items()
     })
-    M_u = _m_upper(N)
-    M_d = -M_u if N % 2 == 0 else M_u
+    # M_u[k, N-1-k] = (-1)^k s^(N-1-2k), and M_d = M_u^-1
+    M_u = SqMatrix(N, {(k, N - 1 - k): _S(N - 1 - 2 * k, (-1) ** k) for k in range(N)})
+    M_d = SqMatrix(N, {(N - 1 - k, k): _S(2 * k - (N - 1), (-1) ** k) for k in range(N)})
     return _finalize(N, sign, Z, R, M_u, M_d)
 
 

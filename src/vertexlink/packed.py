@@ -49,10 +49,11 @@ The trace runs over the charges w >= 0 only.  Write t_w = tr(rep(b)|S_w)
 for the block of the braid b on the charge sector S_w; R conserves charge,
 so rep(b) is block diagonal and tr(rep(b) mu^(x)n) = sum_w mu(w) t_w with
 mu(w) = sigma^n q^(kappa w).  Every model passes the flip
-(C (x) C) R = P R P (C (x) C) at build (:func:`vertexlink.tensor.check_flip`),
-P the swap of two factors and C a label flip: antidiagonal, taking the
-label a to -a with a nonzero factor (the gauged flip of
-:mod:`vertexlink.models`).  Then t_w = t_-w, over the field of fractions:
+(C (x) C) R = P R P (C (x) C) at build (the ``flip`` row of
+:data:`vertexlink.axioms.EQUATIONS`), P the swap of two factors and C a
+label flip: antidiagonal, taking the label a to -a with a nonzero factor
+(the gauged flip of :mod:`vertexlink.models`).  Then t_w = t_-w, over the
+field of fractions:
 
 * Let W be the reversal of the n factors followed by C^(x)n.  Reversal
   takes b_i to P R P on the factors n-i, n-i+1, and C (x) C commutes with

@@ -254,6 +254,9 @@ def render(a: RingElem, variable: str = "s") -> str:
 _DIGITS = frozenset("0123456789")
 
 
+_MAX_NESTING = 100  # open parentheses; each costs four frames of the descent below
+
+
 class _Tokens:
     def __init__(self, text: str):
         self.toks: list[tuple[str, object]] = []
@@ -284,6 +287,7 @@ class _Tokens:
             else:
                 raise DomainError(f"bad character {ch!r} in polynomial text")
         self.pos = 0
+        self.depth = 0  # open parentheses, bounded by _MAX_NESTING
 
     def peek(self):
         return self.toks[self.pos][0] if self.pos < len(self.toks) else None
@@ -361,9 +365,13 @@ def _parse_atom(toks: _Tokens) -> RingElem:
             "t": t_power(1),
         }[value]
     if kind == "(":
+        toks.depth += 1
+        if toks.depth > _MAX_NESTING:
+            raise DomainError(f"parentheses nest deeper than {_MAX_NESTING}")
         val = _parse_expr(toks)
         if toks.peek() != ")":
             raise DomainError("unbalanced parenthesis")
         toks.next()
+        toks.depth -= 1
         return val
     raise DomainError(f"unexpected token {kind!r}")

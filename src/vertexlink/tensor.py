@@ -358,40 +358,6 @@ def charge_sectors(R: SqMatrix) -> list[list[int]]:
     return sectors
 
 
-def check_flip(R: SqMatrix, C: SqMatrix) -> None:
-    """Refuse, naming the first bad entry, an R with (C (x) C) R != P R P (C (x) C).
-
-    C is a label flip, antidiagonal with no zero there and nothing off it:
-    C[a', a] = c_a, a' = N-1-a.  P swaps the factors.  Entrywise, with
-    u(a, b) = c_a c_b, u(a,b) R[(a,b),(c,d)] = u(c,d) R[(b',a'),(d',c')]:
-    nothing is divided.  With charge conservation it makes the closure
-    trace on the charge sector w equal that on -w (:mod:`vertexlink.packed`).
-    """
-    N = C.dim
-    if R.dim != N * N:
-        raise DimensionMismatch("the flip needs a two-factor matrix and a one-factor flip")
-    bad = sorted(set(C.entries) ^ {(N - 1 - i, i) for i in range(N)})
-    if bad:
-        r, c = bad[0]
-        where = "is zero" if r + c == N - 1 else "is off the antidiagonal"
-        raise ConventionValidationFailed(f"flip entry [{r},{c}] {where}")
-    col = [C.entries[(N - 1 - i, i)] for i in range(N)]
-    u = [col[idx // N] * col[idx % N] for idx in range(N * N)]
-
-    def flip(idx: int) -> int:  # (a, b) -> (b', a')
-        return N * N - 1 - (idx % N) * N - idx // N
-
-    # flip is an involution and u has no zero, so an entry whose image is
-    # missing fails from whichever side is present
-    zero = ring.zero()
-    for r, c in sorted(R.entries):
-        fr, fc = flip(r), flip(c)
-        if u[r] * R.entries[(r, c)] != u[c] * R.entries.get((fr, fc), zero):
-            raise ConventionValidationFailed(
-                f"entry [{r},{c}] breaks the flip symmetry against [{fr},{fc}]"
-            )
-
-
 def closure_character(mu: SqMatrix) -> tuple[int, int]:
     """(sigma, kappa) with mu = sigma diag(q^(kappa a)) over the labels a, exactly.
 

@@ -144,6 +144,12 @@ def exact_w_matches_md(j) -> bool:
     return build_w(jf).transpose() == ring.s_power(int(2 * jf)) * m.M_d
 
 
+def _rows_hold(exact: dict, N: int, names) -> dict[str, bool]:
+    """{name: holds} for the rows ``names`` of ``axioms.EQUATIONS``, on one packed pass."""
+    witnesses = equation_witnesses(exact, equation_bits(exact, N, names), names)
+    return {name: not w for name, w in witnesses.items()}
+
+
 def exact_twist_substitution(j) -> bool:
     """Twist equations stay exact with M_d replaced by w^t (and M_u by its inverse),
     checked on the packed image (:func:`vertexlink.axioms.equation_witnesses`)."""
@@ -151,10 +157,8 @@ def exact_twist_substitution(j) -> bool:
     N = int(2 * jf) + 1
     m = build_model(N)
     M_d = build_w(jf).transpose()
-    exact = equation_operands(m.R, m.R_inv, small_inverse(M_d), M_d, N)
-    twists = ("twist1", "twist2")
-    witnesses = equation_witnesses(exact, equation_bits(exact, N, twists), twists)
-    return not any(witnesses.values())
+    exact = equation_operands(N, R=m.R, R_inv=m.R_inv, M_u=small_inverse(M_d), M_d=M_d)
+    return all(_rows_hold(exact, N, ("twist1", "twist2")).values())
 
 
 def _r_series(rep: SpinRep, sign: int) -> tuple[SqMatrix, SqMatrix]:
@@ -194,16 +198,6 @@ def universal_r_inverse(rep: SpinRep) -> SqMatrix:
     return _r_series(rep, -1)[0]
 
 
-def _transpose_factor(X: SqMatrix, dim: int, first: bool) -> SqMatrix:
-    """X^t1[(a,b),(c,d)] = X[(c,b),(a,d)] (first) or X^t2[(a,b),(c,d)] = X[(a,d),(c,b)]."""
-    out = {}
-    for (r, col), v in X.entries.items():
-        a, b = divmod(r, dim)
-        c, d = divmod(col, dim)
-        out[(c * dim + b, a * dim + d) if first else (a * dim + d, c * dim + b)] = v
-    return SqMatrix(X.dim, out)
-
-
 def crossing_w(j) -> SqMatrix:
     """w' [m, -m] = w[m, -m] L / [2j choose j+m]_q, L the product of those binomials.
 
@@ -218,19 +212,14 @@ def crossing_w(j) -> SqMatrix:
 
 
 def crossing_symmetry(rep: SpinRep, R: SqMatrix, R_inv: SqMatrix) -> dict[str, bool]:
-    """Crossing-symmetry forms of R = R^jj on the spin-j square.
+    """Crossing-symmetry forms of R = R^jj on the spin-j square, with
+    W = :func:`crossing_w`: the rows ``cs1`` and ``cs2`` of ``axioms.EQUATIONS``,
 
-    cs1: (R^-1)^t1 (w' x 1) = (w' x 1) R
-    cs2: R^t2 (1 x w') = (1 x w') R^-1
+    cs1: (R^-1)^t1 (W x 1) = (W x 1) R
+    cs2: R^t2 (1 x W) = (1 x W) R^-1
     """
-    dim = rep.dim
-    W = crossing_w(rep.j)
-    eye = SqMatrix.identity(dim)
-    w1, w2 = W.kron(eye), eye.kron(W)
-    return {
-        "cs1": _transpose_factor(R_inv, dim, True) @ w1 == w1 @ R,
-        "cs2": _transpose_factor(R, dim, False) @ w2 == w2 @ R_inv,
-    }
+    exact = equation_operands(rep.dim, R=R, R_inv=R_inv, W=crossing_w(rep.j))
+    return _rows_hold(exact, rep.dim, ("cs1", "cs2"))
 
 
 def exchange_sign_gauge(j) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -345,7 +334,8 @@ def correspondence_report(j) -> CorrespondenceReport:
         j=jf,
         algebra=all(rep_relations(rep).values()),
         casimir=casimir_scalar(rep) == sq * sq,
-        series=tail.is_zero() and R @ R_inv == SqMatrix.identity(rep.dim ** 2),
+        series=tail.is_zero() and _rows_hold(equation_operands(rep.dim, R=R, R_inv=R_inv),
+                                             rep.dim, ("r",))["r"],
         wconj=w_conjugation(jf),
         cs=all(crossing_symmetry(rep, R, R_inv).values()),
         md_exact=exact_w_matches_md(jf),

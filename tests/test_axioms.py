@@ -51,15 +51,25 @@ def test_mutated_r_fails_with_witness(m2):
     )
     assert rep.witnesses["twist1"] == "at (1, 0, 1, 0): s - s^-3 != s - s^-2 - s^-3"
     assert rep.witnesses["twist2"] == "at (1, 0, 1, 0): s - s^-3 != s - s^-2 - s^-3"
+    # R R^-1 = 1 is a row too: its witness names an entry, not a fixed string
+    assert rep.witnesses["r"] == "at (0, 1, 1, 0): s^-1 != 0"
+    assert rep.results["m"] and "m" not in rep.witnesses
+
+
+def test_broken_crossing_matrices_fail_m_with_an_entry(m3):
+    bad = dataclasses.replace(m3, M_d=m3.M_d * ring.q_power(1))
+    rep = check_axioms(bad)
+    assert not rep.results["m"]
+    assert rep.witnesses["m"] == "at (0, 0): s^2 != 1"
 
 
 def test_braid_equation_sides_structural(m3):
-    lhs, rhs = equation_sides("braid", {"R": legs(m3.R, 3)})
+    [(lhs, rhs)] = equation_sides("braid", {"R": legs(m3.R, 3)})
     assert lhs == rhs
     assert lhs  # nonempty contraction
     twisted = SqMatrix(9, {k: v for k, v in m3.R.entries.items()})
     twisted.entries[(4, 4)] = ring.s_power(7)
-    lhs2, rhs2 = equation_sides("braid", {"R": legs(twisted, 3)})
+    [(lhs2, rhs2)] = equation_sides("braid", {"R": legs(twisted, 3)})
     assert lhs2 != rhs2
 
 
@@ -88,6 +98,15 @@ def test_markov_conditions_form_each_product_once(each_signed_model, monkeypatch
     monkeypatch.setattr(tensor.K, "spgemm", counting)
     assert check_markov_conditions(each_signed_model).passed
     assert len(calls) == 4
+
+
+def test_check_axioms_forms_no_ring_product(each_signed_model, monkeypatch):
+    # every row, m and r included, is contracted on packed ints
+    def refuse(a, b):
+        raise AssertionError("check_axioms multiplied SqMatrix operands")
+
+    monkeypatch.setattr(tensor.K, "spgemm", refuse)
+    assert check_axioms(each_signed_model).passed
 
 
 # --------------------------------------------------------------- nullspace

@@ -2,9 +2,11 @@
 
 import dataclasses
 import hashlib
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -280,6 +282,14 @@ def test_selftest_only(capsys):
     assert "1/1 checks passed" in out
     code, out, _ = run_cli(capsys, "selftest", "--only", "no-such-check")
     assert code == 2
+
+
+def test_selftest_seed0_stdout_matches_the_golden_file():
+    # the same file CI diffs the installed `vertexlink selftest --seed 0` against
+    golden = Path(__file__).parent / "golden" / "selftest_seed0.txt"
+    out = io.StringIO()
+    assert selftest.run(seed=0, out=out, err=io.StringIO()) == 1
+    assert out.getvalue() == golden.read_text()
 
 
 def test_selftest_mutate_hook(capsys, monkeypatch):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from vertexlink import models, ring
+from vertexlink import axioms, models, ring
 from vertexlink.errors import (
     ConventionValidationFailed,
     DimensionMismatch,
@@ -27,7 +27,7 @@ from vertexlink.models import (
     spectral_checks,
 )
 from vertexlink.invariants import compute_constants
-from vertexlink.tensor import SqMatrix, check_flip
+from vertexlink.tensor import SqMatrix
 
 Q = ring.q_power
 S = ring.s_power
@@ -209,7 +209,7 @@ def test_build_refuses_a_broken_flip(m4):
     # M_u, M_d, mu, the trace constants and every closure trace; only the
     # flip (C (x) C) R (C (x) C) = P R P breaks
     R = _gauged_r(m4, (1, 0, 0, 0))
-    with pytest.raises(ConventionValidationFailed, match=r"entry \[\d+,\d+\] breaks the flip"):
+    with pytest.raises(ConventionValidationFailed, match=r"fails for X = R at \(1, 1, 1, 3\): "):
         models._finalize(4, 1, m4.Z, R, m4.M_u, m4.M_d)
 
 
@@ -218,22 +218,47 @@ def test_gauged_r_needs_the_gauged_flip(m4):
     # plain label flip C0 refuses the N = 4 model, and C = r^2 D C0 D^-1 passes it
     C0 = SqMatrix(4, {(i, 3 - i): ring.one() for i in range(4)})
     with pytest.raises(ConventionValidationFailed,
-                       match=r"entry \[2,5\] breaks the flip symmetry against \[7,10\]"):
-        check_flip(m4.R, C0)
+                       match=r"fails for X = R at \(1, 1, 1, 3\): -s\^9 - s\^5 \+ s\^-3 \+ s\^-7 "
+                             r"!= -s\^5 \+ s\^-3$"):
+        models._verify_flip("R", m4.R, C0)
     for X in (m4.R, m4.R_inv):
-        check_flip(X, models._label_flip(4))
+        models._verify_flip("R", X, models._label_flip(4))
 
 
 def test_check_flip_refuses_a_flip_that_is_not_antidiagonal(m3):
     # a zero on the antidiagonal, or an entry off it, is named, not a KeyError
     C = models._label_flip(3)
-    check_flip(m3.R, C)
+    models._verify_flip("R", m3.R, C)
     extra = SqMatrix(3, {**C.entries, (0, 0): ring.one()})
     with pytest.raises(ConventionValidationFailed, match=r"flip entry \[0,0\] is off the antidiagonal"):
-        check_flip(m3.R, extra)
+        models._verify_flip("R", m3.R, extra)
     gap = SqMatrix(3, {k: v for k, v in C.entries.items() if k != (1, 1)})
     with pytest.raises(ConventionValidationFailed, match=r"flip entry \[1,1\] is zero"):
-        check_flip(m3.R, gap)
+        models._verify_flip("R", m3.R, gap)
+
+
+def test_a_zero_flip_is_refused_though_its_row_holds(m3):
+    # C = 0 makes both sides of the flip row zero, so the shape check is what refuses it
+    zero = SqMatrix(3)
+    exact = axioms.equation_operands(3, R=m3.R, C=zero)
+    assert axioms.equation_witnesses(exact, axioms.equation_bits(exact, 3, ("flip",)),
+                                     ("flip",)) == {"flip": ""}
+    with pytest.raises(ConventionValidationFailed, match=r"flip entry \[0,2\] is zero"):
+        models._verify_flip("R", m3.R, zero)
+
+
+def test_crossing_matrices_from_one_formula_keep_the_tables(each_signed_model):
+    # M_u[k, N-1-k] = (-1)^k s^(N-1-2k) and M_d = M_u^-1 reproduce the
+    # tables the models were first written with: M_d = -M_u for even N,
+    # M_d = M_u for odd N
+    m = each_signed_model
+    M_u = {
+        2: {(0, 1): S(1), (1, 0): S(-1, -1)},
+        3: {(0, 2): Q(1), (1, 1): ring.integer(-1), (2, 0): Q(-1)},
+        4: {(0, 3): S(3), (1, 2): S(1, -1), (2, 1): S(-1), (3, 0): S(-3, -1)},
+    }[m.N]
+    assert m.M_u == SqMatrix(m.N, M_u)
+    assert m.M_d == (-m.M_u if m.N % 2 == 0 else m.M_u)
 
 
 def test_diagonal_gauge_keeps_the_flip_for_n3(m3):

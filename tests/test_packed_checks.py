@@ -1,22 +1,23 @@
 """The exact identity checks on the Kronecker-packed image equal their SqMatrix references.
 
-``packed.annihilates``, the braid and twist equations of
-``axioms.check_axioms``, the ``uqsl2`` twist clause and
-``tlbracket.tl_relations_check`` compare both sides as ints at a proven
-width.  Each is checked here against the same computation over the exact
+``packed.annihilates``, every row of ``axioms.EQUATIONS`` (the rows of
+``axioms.check_axioms``, the flip of model construction, the ``uqsl2``
+twist, series and crossing clauses) and ``tlbracket.tl_relations_check``
+compare both sides as ints at a proven width.  Each is checked here against the same computation over the exact
 ring: the width bounds every coefficient of both sides, a width below the
 coefficients gives a wrong verdict, and the verdicts and witnesses agree
 with the reference.
 """
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vertexlink import axioms, braid, packed, ring, tlbracket, uqsl2
+from vertexlink import axioms, braid, models, packed, ring, tlbracket, uqsl2
 from vertexlink.axioms import CheckReport, check_axioms, equation_sides
 from vertexlink.invariants import STRAND_CAP
 from vertexlink.models import build_model, mirror_model
@@ -42,8 +43,8 @@ def vanishing(bits, step, j):
 
 
 def operands(m):
-    """The operands of ``axioms.EQUATIONS`` for the model ``m``, by name."""
-    return axioms.equation_operands(m.R, m.R_inv, m.M_u, m.M_d, m.N)
+    """The operands of ``axioms.AXIOMS`` for the model ``m``, by name."""
+    return axioms.equation_operands(m.N, R=m.R, R_inv=m.R_inv, M_u=m.M_u, M_d=m.M_d)
 
 
 def bumped(M, key, delta):
@@ -64,7 +65,7 @@ def test_widths_are_the_proven_bounds(N, sign, mirrored):
     rho(R) = 7, 13.
     """
     m = signed_model(N, sign, mirrored)
-    widths = (axioms.equation_bits(operands(m), m.N, axioms.EQUATIONS),
+    widths = (axioms.equation_bits(operands(m), m.N, axioms.AXIOMS),
               packed.annihilator_bits(m.R, m.eigenvalues),
               tlbracket.tl_bits(tlbracket.build_tl(m)))
     assert widths == {2: (9, 7, 6), 3: (13, 12, 7), 4: (16, 18, 9)}[N]
@@ -143,29 +144,102 @@ def exact_diff(lhs, rhs):
     return ""
 
 
+def exact_witness(identities):
+    """The reference witness of a row: the first differing entry of its first
+    failing identity, rendered; empty when every identity holds."""
+    return next((w for w in (exact_diff(lhs, rhs) for lhs, rhs in identities) if w), "")
+
+
+def reference_witnesses(exact, names):
+    """equation_witnesses over the exact ring, through tensor.contract on RingElem values."""
+    return {name: exact_witness(equation_sides(name, exact)) for name in names}
+
+
 def reference_axioms(m):
-    """check_axioms over the exact ring, through tensor.contract on RingElem values."""
+    """check_axioms over the exact ring."""
     rep = CheckReport()
-    ident_n, ident = SqMatrix.identity(m.N), SqMatrix.identity(m.N * m.N)
-    rep.record("m", m.M_d @ m.M_u == ident_n and m.M_u @ m.M_d == ident_n,
-               "M_u, M_d not mutually inverse")
-    rep.record("r", m.R @ m.R_inv == ident and m.R_inv @ m.R == ident, "R R^-1 != 1")
-    for name, (lhs, rhs) in exact_sides(m).items():
-        rep.record(name, lhs == rhs, exact_diff(lhs, rhs))
+    for name, witness in reference_witnesses(operands(m), axioms.AXIOMS).items():
+        rep.record(name, not witness, witness)
     return rep
 
 
-def exact_sides(m):
-    return {name: equation_sides(name, operands(m)) for name in axioms.EQUATIONS}
+def packed_witnesses(exact, N, names):
+    return axioms.equation_witnesses(exact, axioms.equation_bits(exact, N, names), names)
 
 
-@pytest.mark.parametrize("N,sign,mirrored", MODELS, ids=IDS)
-def test_equation_width_bounds_both_sides(N, sign, mirrored):
-    m = signed_model(N, sign, mirrored)
-    bits = axioms.equation_bits(operands(m), m.N, axioms.EQUATIONS)
-    for name, sides in exact_sides(m).items():
-        for side in sides:
-            assert coeff_max(side.values()) < 2 ** (bits - 2), name
+MODEL_ROWS = axioms.AXIOMS + ("flip",)
+SPIN_ROWS = ("r", "cs1", "cs2")
+SPINS = [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
+
+
+def model_operands(m, X=None):
+    """Every operand the model rows read, the flip's C the gauged label flip; R is X if given."""
+    return axioms.equation_operands(m.N, R=m.R if X is None else X, R_inv=m.R_inv, M_u=m.M_u,
+                                    M_d=m.M_d, C=models._label_flip(m.N))
+
+
+def spin_operands(j):
+    """R^jj, its inverse and the crossing W of the spin-j rows."""
+    rep = uqsl2.build_rep(j)
+    return axioms.equation_operands(rep.dim, R=uqsl2.universal_r(rep)[0],
+                                    R_inv=uqsl2.universal_r_inverse(rep), W=uqsl2.crossing_w(j))
+
+
+def row_cases():
+    """(id, operands, N, rows): every row of EQUATIONS on every model, mirror and spin.
+
+    The flip is read on R and on R^-1, as model construction checks it.
+    """
+    for model, tag in zip(MODELS, IDS):
+        m = signed_model(*model)
+        yield tag, model_operands(m), m.N, MODEL_ROWS
+        yield tag + "-inv", model_operands(m, m.R_inv), m.N, ("flip",)
+    for j in SPINS:
+        yield f"j{j}", spin_operands(j), int(2 * j) + 1, SPIN_ROWS
+
+
+def test_the_cases_cover_every_row():
+    assert {name for _, _, _, rows in row_cases() for name in rows} == set(axioms.EQUATIONS)
+
+
+@pytest.mark.parametrize("case", list(row_cases()), ids=lambda case: case[0])
+def test_equation_width_bounds_both_sides(case):
+    _, exact, N, rows = case
+    bits = axioms.equation_bits(exact, N, rows)
+    for name in rows:
+        for identity in equation_sides(name, exact):
+            for side in identity:
+                assert coeff_max(side.values()) < 2 ** (bits - 2), name
+
+
+@pytest.mark.parametrize("case", list(row_cases()), ids=lambda case: case[0])
+def test_every_row_holds_and_agrees_with_the_exact_reference(case):
+    _, exact, N, rows = case
+    assert packed_witnesses(exact, N, rows) == reference_witnesses(exact, rows)
+    assert packed_witnesses(exact, N, rows) == dict.fromkeys(rows, "")
+
+
+def times_q(op):
+    """The operand with its first entry, in sorted key order, times q."""
+    key = min(op)
+    return {**op, key: op[key] * ring.q_power(1)}
+
+
+@pytest.mark.parametrize("name,operand", [
+    ("m", "M_u"), ("r", "R_inv"), ("braid", "R"), ("twist1", "M_d"), ("twist2", "M_u"),
+    ("flip", "R"), ("cs1", "W"), ("cs2", "W"), ("cs1", "R"), ("cs2", "R_inv"),
+], ids=lambda x: x)
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_a_perturbed_operand_fails_its_row_with_an_entry(name, operand, N):
+    """On the model of factor size N, or on the spin j = (N - 1)/2 for the crossing rows."""
+    exact = (spin_operands(Fraction(N - 1, 2)) if name in ("cs1", "cs2")
+             else model_operands(build_model(N)))
+    bad = {**exact, operand: times_q(exact[operand])}
+    got = packed_witnesses(bad, N, (name,))
+    assert got == reference_witnesses(bad, (name,))
+    # the witness names an entry: one index per output letter of the row
+    arity = len(axioms.EQUATIONS[name][0][0][0].partition("->")[2])
+    assert re.fullmatch(r"at \(\d+(, \d+){%d}\): .+ != .+" % (arity - 1), got[name]), got
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
@@ -179,8 +253,8 @@ def test_equations_too_narrow_width_read_wrong(N):
     assert not reference_axioms(bad).results["braid"]
     assert not check_axioms(bad).results["braid"]
     # at x = 2^3 the bumped R has the image of R: every equation reads as holding
-    assert (axioms.equation_witnesses(operands(bad), bits, axioms.EQUATIONS)
-            == dict.fromkeys(axioms.EQUATIONS, ""))
+    assert (axioms.equation_witnesses(operands(bad), bits, axioms.AXIOMS)
+            == dict.fromkeys(axioms.AXIOMS, ""))
 
 
 @given(model=st.sampled_from(MODELS), row=st.integers(0, 15), col=st.integers(0, 15),
@@ -204,9 +278,9 @@ def test_uq_twist_clause_packs_at_the_twist_width(j, bits, monkeypatch):
     N = int(2 * j) + 1
     m = build_model(N)
     M_d = uqsl2.build_w(j).transpose()
-    exact = axioms.equation_operands(m.R, m.R_inv, small_inverse(M_d), M_d, N)
+    exact = axioms.equation_operands(N, R=m.R, R_inv=m.R_inv, M_u=small_inverse(M_d), M_d=M_d)
     assert axioms.equation_bits(exact, N, ("twist1", "twist2")) == bits
-    assert axioms.equation_bits(exact, N, axioms.EQUATIONS) > bits
+    assert axioms.equation_bits(exact, N, axioms.AXIOMS) > bits
     seen = []
     witnesses = uqsl2.equation_witnesses
 
@@ -232,11 +306,10 @@ def test_uq_twist_clause_agrees_with_the_exact_reference(j, broken, monkeypatch)
     W = w_with_one_entry_times_q(j) if broken else uqsl2.build_w(j)
     m = build_model(W.dim)
     M_d = W.transpose()
-    args = (m.R, m.R_inv, small_inverse(M_d), M_d, m.N)
-    exact = axioms.equation_operands(*args)
+    exact = axioms.equation_operands(m.N, R=m.R, R_inv=m.R_inv, M_u=small_inverse(M_d), M_d=M_d)
     twists = ("twist1", "twist2")
-    got = axioms.equation_witnesses(exact, axioms.equation_bits(exact, m.N, twists), twists)
-    want = {name: exact_diff(*equation_sides(name, exact)) for name in twists}
+    got = packed_witnesses(exact, m.N, twists)
+    want = reference_witnesses(exact, twists)
     assert got == want
     assert any(want.values()) == broken
     monkeypatch.setattr(uqsl2, "build_w", lambda _: W)

@@ -110,6 +110,14 @@ def test_parse_rejects_garbage():
             ring.parse(bad)
 
 
+def test_parse_refuses_deep_nesting_with_a_typed_error():
+    # each parenthesis recurses; deep input would raise a bare RecursionError
+    assert ring.parse("(" * 100 + "s" + ")" * 100) == ring.s_power(1)
+    for depth in (101, 2000):
+        with pytest.raises(DomainError, match="nest deeper than 100"):
+            ring.parse("(" * depth + "s" + ")" * depth)
+
+
 def test_eval_exact():
     a = ring.s_power(3) - 2 * ring.s_power(-1)
     assert ring.eval_exact(a, Fraction(3, 2)) == Fraction(27, 8) - Fraction(4, 3)

@@ -217,6 +217,15 @@ PACKAGE_SPECS = [
     "beec->bc",
     "abce,ec->ab",
     "acbd,cedf->aebf",
+    "ab,bc->ac",
+    "ac->ac",
+    "ae,bf->aebf",
+    "ac,bd,cedf->aebf",
+    "bdac,ce,df->aebf",
+    "cabf,ce->aebf",
+    "ac,cebf->aebf",
+    "aedb,df->aebf",
+    "bd,aedf->aebf",
 ]
 EXTRA_SPECS = ["ab,bc,cd->ad", "aab,bc->ca", "ab,ba->", "ab->ba", "aa->", "a,b->ab"]
 
