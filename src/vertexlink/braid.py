@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import BadLetter, DimensionMismatch
+from .packed import PackedMatrix
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,27 +156,28 @@ def random_word(rng: random.Random, strands: int, length: int) -> BraidWord:
     return BraidWord(strands, tuple(rng.choice(alphabet) for _ in range(length)))
 
 
-def represent(word: BraidWord, model, *, cache: dict | None = None, rows=None):
+def represent(word: BraidWord, model, *, rows=None):
     """Product of generator matrices; the identity for the empty word.
 
     ``model`` needs ``N``, ``R`` and ``R_inv``: a vertex model, or its
     packed image (:mod:`vertexlink.packed`), whose matrices the product
-    stays over.  ``cache`` maps letters to their matrices; pass one dict
-    to words on the same strands, model and ``rows`` to build each letter
-    once.  ``rows`` builds every letter, and so the product, on those rows
-    only.  That is the product's restriction when the rows are a union of
+    stays over.  Over a model every letter is embedded
+    (:func:`letter_matrix`) and multiplied in.  Over a packed image only
+    the first letter is embedded; each later one acts on the product as a
+    two-site operator (:meth:`~vertexlink.packed.PackedMatrix.times_two_site`),
+    and no other embedded letter is built.  ``rows`` builds the product on
+    those rows only.  That is its restriction when the rows are a union of
     charge sectors: row r of A B is row r of A times B, and a row of A in
     a sector reaches only columns, and so rows of B, in that sector.
     """
     n = word.strands
-    acc = None
-    if cache is None:
-        cache = {}
-    for letter in word.letters:
-        g = cache.get(letter)
-        if g is None:
-            g = letter_matrix(model, n, letter, rows=rows)
-            cache[letter] = g
-        acc = g if acc is None else acc @ g
-    return model.R.identity(model.N ** n, rows) if acc is None else acc
-
+    if not word.letters:
+        return model.R.identity(model.N ** n, rows)
+    first, *rest = word.letters
+    acc = letter_matrix(model, n, first, rows=rows)
+    for letter in rest:
+        if isinstance(acc, PackedMatrix):
+            acc = acc.times_two_site(model.R if letter > 0 else model.R_inv, model.N, n, abs(letter))
+        else:
+            acc = acc @ letter_matrix(model, n, letter, rows=rows)
+    return acc

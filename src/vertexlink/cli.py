@@ -80,9 +80,11 @@ def _cmd_invariant(args) -> int:
     m = build_model(args.model, _sign_value(args))
     word = parse_braid(args.braid, args.strands)
     cap = _strand_cap(args, m.N)
-    if word.strands > cap:
+    # a split closure is traced piece by piece, so the cap bounds its widest piece
+    widest = max(p.strands for p in word.pieces())
+    if widest > cap:
         print(
-            f"braid needs {word.strands} strands, above the cap {cap} "
+            f"braid needs {widest} strands, above the cap {cap} "
             "(raise with --strand-cap)",
             file=sys.stderr,
         )

@@ -50,26 +50,24 @@ from .tensor import partial_close_second, trace_product
 def _closure_trace(word: BraidWord, m: VertexModel, bits: int) -> RingElem:
     """Z^-writhe <L> on the image of the ring at q^2 = 2^bits, meeting in the middle.
 
-    The two half-words are represented separately, sharing their letter
-    matrices, on the rows of charge w >= 0 only, and traced against each
-    other with mu^(x)n folded onto those rows: the trace on the sector -w
-    equals that on w (:mod:`vertexlink.packed`), so the row weighs
-    sigma^n (q^(2 w) + q^(-2 w)), or sigma^n once for w = 0.  The
-    letters are in the parity gauge, a diagonal conjugation that fixes the
-    trace and puts every entry in Z[q^+-2].  Exact when ``bits`` is at
-    least ``packed.closure_bits(m, word)``.
+    The two half-words are represented separately, each from its first
+    letter's matrix with every later letter applied as a two-site operator
+    (:func:`vertexlink.braid.represent`), on the rows of charge w >= 0
+    only, and traced against each other with mu^(x)n folded onto those
+    rows: the trace on the sector -w equals that on w
+    (:mod:`vertexlink.packed`), so the row weighs sigma^n (q^(2 w) +
+    q^(-2 w)), or sigma^n once for w = 0.  The letters are in the parity
+    gauge, a diagonal conjugation that fixes the trace and puts every entry
+    in Z[q^+-2].  Exact when ``bits`` is at least
+    ``packed.closure_bits(m, word)``.
     """
     n = word.strands
     img = packed.image(m, bits)
     half = len(word.letters) // 2
     unit, weights = img.closure_weight(n)
     rows = weights.keys()
-    tail = word.letters[half:]
-    letters: dict = {}
-    left = represent(BraidWord(n, word.letters[:half]), img, cache=letters, rows=rows)
-    # free the letters only the left half uses before the right half runs
-    letters = {x: g for x, g in letters.items() if x in tail}
-    right = represent(BraidWord(n, tail), img, cache=letters, rows=rows)
+    left = represent(BraidWord(n, word.letters[:half]), img, rows=rows)
+    right = represent(BraidWord(n, word.letters[half:]), img, rows=rows)
     return unit * trace_product(left, right, weights)
 
 

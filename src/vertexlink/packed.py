@@ -25,8 +25,8 @@ every letter by G = diag(q^(sum_k lam k i_k + beta(i_k))) over the rows
 * At the sites k, k+1 the row (.., a, b, ..) and the column (.., c, d, ..)
   of b_k differ by q^(lam (k a + (k+1) b - k c - (k+1) d) + beta(a) +
   beta(b) - beta(c) - beta(d)).  R conserves charge, a + b = c + d, so
-  that is q^g at every site: one two-site letter still serves every site
-  (:func:`vertexlink.braid.embed_two_site`).
+  that is q^g at every site: one gauged two-site letter serves every
+  site, applied there by :meth:`PackedMatrix.times_two_site`.
 * G is diagonal, so it keeps every charge sector, and G rep(b) G^-1 has
   the diagonal of rep(b): each t_w below, the flip argument and the trace
   are unchanged.
@@ -69,10 +69,10 @@ field of fractions:
 So the trace is sum over w >= 0 of sigma^n (q^(kappa w) + q^(-kappa w)) t_w,
 with q^0 once for w = 0.  The product is row-local and conserves charge,
 and the rows of charge w >= 0 form whole sectors: a row there reaches only
-columns there, and so only rows there of the next factor.  So every letter
-of both half-words is built on those rows only, and the chain runs on about
-half the rows.  The value is the same polynomial as the full trace, so the
-same width unpacks it.
+columns there, and so only rows there of the next factor.  So the first
+letter of each half-word is built on those rows only, every later letter
+acts on them, and the chain runs on about half the rows.  The value is the
+same polynomial as the full trace, so the same width unpacks it.
 
 Every model has |kappa| = 2 (its trace constants pin mu, and :func:`image`
 refuses any other kappa).  A row whose label positions sum to l has the
@@ -82,8 +82,9 @@ bits d for each d, adds the ints and unpacks once
 (:meth:`PackedMatrix.trace_product`), then multiplies by sigma^n q^-top.
 
 A :class:`PackedMatrix` is keyed by row, {r: {c: int}}: a product walks
-the right factor's rows as stored, and the closure trace looks up
-B[c][r] for each entry A[r][c] of a row of weight.
+the right factor's rows as stored, a two-site letter finds its row and
+columns for each entry by arithmetic on the column index, and the closure
+trace looks up B[c][r] for each entry A[r][c] of a row of weight.
 
 Exact identity checks compare two sides on the image instead of reading a
 scalar back.  Each operand is packed once, the sides are formed on ints,
@@ -172,6 +173,37 @@ class PackedMatrix:
             if acc:
                 out[r] = acc
         return PackedMatrix(self.dim, out, self.bits, self.shift + other.shift, self.step)
+
+    def times_two_site(self, op: "PackedMatrix", N: int, n: int, i: int) -> "PackedMatrix":
+        """self @ (1 (x) ... (x) op (x) ... (x) 1), op on the factors i, i+1 of n of size N.
+
+        The embedded matrix is never built.  Column k of self spells
+        (x, p, y) with p its two-site index and right = N^(n-i-1) the size
+        of y, so row k of the embedding is op's row p with x and y kept:
+        column c of op lands on k + (c - p) right.
+        """
+        if (not 1 <= i < n or self.dim != N ** n or op.dim != N * N
+                or (op.bits, op.step) != (self.bits, self.step)):
+            raise DimensionMismatch(f"{op!r} on the factors {i}, {i + 1} of {self!r}")
+        right = N ** (n - i - 1)
+        NN = N * N
+        moves = [[((c - p) * right, v) for c, v in op.rows.get(p, {}).items()]
+                 for p in range(NN)]
+        out = {}
+        for r, row in self.rows.items():
+            acc: dict[int, int] = {}
+            for k, u in row.items():
+                for d, v in moves[k // right % NN]:
+                    c = k + d
+                    if c in acc:
+                        acc[c] += u * v
+                    else:
+                        acc[c] = u * v
+            if 0 in acc.values():  # drop the sums that cancel
+                acc = {c: v for c, v in acc.items() if v}
+            if acc:
+                out[r] = acc
+        return PackedMatrix(self.dim, out, self.bits, self.shift + op.shift, self.step)
 
     def __eq__(self, other) -> bool:
         """Whether both stand for the same matrix, their shifts aligned.

@@ -138,6 +138,19 @@ def test_strand_cap(capsys):
     assert code == 0
 
 
+def test_strand_cap_bounds_the_widest_piece_of_a_split_word(capsys):
+    """b_1^3 on 8 strands is a 2-strand piece and free strands: under the cap 7."""
+    args = ["invariant", "--model", "2", "--braid", "1 1 1", "--normalization", "regular"]
+    code, out, err = run_cli(capsys, *args, "--strands", "8")
+    assert (code, err) == (0, "")
+    narrow = regular_invariant(parse_braid("1 1 1"), build_model(2))
+    free = regular_invariant(parse_braid("", 1), build_model(2))
+    assert ring.render(narrow * free ** 6, "s") in out
+    code, _, err = run_cli(capsys, "invariant", "--model", "4", "--braid", "1 2 3 4 5")
+    assert code == 2
+    assert "braid needs 6 strands, above the cap 5" in err
+
+
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_strand_cap_below_one_is_a_usage_error(capsys, cap):
     args = ["invariant", "--model", "2", "--braid", "1 1 1"]

@@ -16,7 +16,7 @@ import pytest
 from oracle.quadratic_closure import field, laurent_at
 from vertexlink import braid, invariants, packed, ring, selftest, tensor
 from vertexlink.braid import BraidWord
-from vertexlink.errors import DomainError
+from vertexlink.errors import DimensionMismatch, DomainError
 from vertexlink.models import build_model, gauge_powers, labels, mirror_model, paper_table
 from vertexlink.tensor import SqMatrix
 
@@ -282,39 +282,123 @@ def test_packed_product_matches_the_exact_product(N, sign, mirrored):
     assert unfolded(ident) == SqMatrix.identity(N * N).entries
 
 
+def on_rows(entries, rows):
+    """The entries {(r, c): v} in the rows ``rows``, or all of them for None."""
+    return {rc: v for rc, v in entries.items() if rows is None or rc[0] in rows}
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirror"])
+@pytest.mark.parametrize("N,sign", SIGNED, ids=[f"N{N}{'+' if s > 0 else '-'}" for N, s in SIGNED])
+def test_two_site_walk_matches_the_embedded_product(N, sign, mirrored):
+    """acc.times_two_site(op, ...) reads back as acc @ letter_matrix(...) on the SqMatrix twin.
+
+    Every letter +-i at every site, up to the model's strand cap, on the
+    rows of charge w >= 0 and on all rows.  The product ends in b_1, so the
+    letter -1 cancels most sums, which must then be dropped.
+    """
+    m = signed_model(N, sign, mirrored)
+    twin = exact_twin(m)
+    rng = random.Random(30 * N + sign)
+    for n in sorted({2, 3, 4, invariants.STRAND_CAP[N]}):
+        word = BraidWord(n, braid.random_word(rng, n, 2).letters + (1,))
+        img = packed.image(m, packed.closure_bits(m, BraidWord(n, word.letters + (1, -1))))
+        halves = img.closure_weight(n)[1].keys()  # the charges w >= 0
+        accs = [(S, braid.represent(word, img, rows=S)) for S in (halves, None)]
+        exact = braid.represent(word, twin)
+        for S, acc in accs:
+            assert unfolded(acc) == on_rows(exact.entries, S)
+        for i in range(1, n):
+            for letter in (i, -i):
+                op = img.R if letter > 0 else img.R_inv
+                want = (exact @ braid.letter_matrix(twin, n, letter)).entries
+                for S, acc in accs:
+                    got = acc.times_two_site(op, N, n, i)
+                    assert all(0 not in row.values() for row in got.rows.values()), (n, letter)
+                    assert unfolded(got) == on_rows(want, S), (n, letter)
+
+
+def test_two_site_walk_refuses_a_site_or_size_that_does_not_fit(m2):
+    img = packed.image(m2, 20)
+    acc = braid.represent(BraidWord(3, (1,)), img)
+    for args in ((img.R, 2, 3, 0), (img.R, 2, 3, 3), (img.R, 2, 4, 1), (img.R, 3, 3, 1),
+                 (packed.image(m2, 21).R, 2, 3, 1)):
+        with pytest.raises(DimensionMismatch):
+            acc.times_two_site(*args)
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirror"])
 @pytest.mark.parametrize("N", [2, 3, 4])
-def test_represent_on_rows_builds_letters_on_those_rows(N):
-    """Every letter represent(..., rows=) builds holds only rows in ``rows``, and so does the product."""
+def test_two_site_walk_one_site_off_breaks_the_trace(N, mirrored, monkeypatch):
+    """The walk applying b_i at the site next to i changes the closure trace.
+
+    Each half of (1, 2, 1, 2) then runs b_1 b_1, and each half of
+    (2, 1, 2, 1) runs b_2 b_2: the packed trace of a trefoil becomes that
+    of the (2, 4) torus link and a free strand, so it fails the comparison
+    with the SqMatrix reference.
+    """
+    m = signed_model(N, 1, mirrored)
+    walk = packed.PackedMatrix.times_two_site
+    words = [BraidWord(3, (1, 2, 1, 2)), BraidWord(3, (2, 1, 2, 1))]
+
+    def trace(w):
+        return m.Z ** w.writhe * invariants._closure_trace(w, m, packed.closure_bits(m, w))
+
+    assert all(trace(w) == reference(w, m) for w in words)
+
+    def one_site_off(self, op, N, n, i):
+        return walk(self, op, N, n, i - 1 if i > 1 else i + 1)
+
+    monkeypatch.setattr(packed.PackedMatrix, "times_two_site", one_site_off)
+    assert all(trace(w) != reference(w, m) for w in words)
+
+
+def recording_letters(monkeypatch):
+    """Patch braid.letter_matrix to record each (letter, matrix) it builds."""
+    built = []
+    letter_matrix = braid.letter_matrix
+
+    def recording(model, n, letter, rows=None):
+        g = letter_matrix(model, n, letter, rows=rows)
+        built.append((letter, g))
+        return g
+
+    monkeypatch.setattr(braid, "letter_matrix", recording)
+    return built
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_represent_on_rows_is_the_product_restricted(N, monkeypatch):
+    """represent(..., rows=) builds its one letter on ``rows`` only, and the product is
+    the full product's rows in ``rows``."""
     m = build_model(N)
     n = invariants.STRAND_CAP[N] - 1
     word = braid.random_word(random.Random(N), n, 8)
     img = packed.image(m, packed.closure_bits(m, word))
     rows = img.closure_weight(n)[1].keys()
-    letters: dict = {}
-    part = braid.represent(word, img, cache=letters, rows=rows)
-    assert sorted(letters) == sorted(set(word.letters))
-    for g in letters.values():
-        assert set(g.rows) <= rows
+    built = recording_letters(monkeypatch)
+    part = braid.represent(word, img, rows=rows)
+    assert [x for x, _ in built] == [word.letters[0]]
+    assert set(built[0][1].rows) <= rows
     full = braid.represent(word, img)
     assert part.rows == {r: row for r, row in full.rows.items() if r in rows}
     empty = braid.represent(BraidWord(n, ()), img, rows=rows)
     assert empty.rows == {r: {r: 1} for r in rows}
 
 
-def test_closure_trace_builds_each_letter_once(m3, monkeypatch):
-    built = []
-    letter_matrix = braid.letter_matrix
-
-    def counting(model, n, letter, rows=None):
-        built.append(letter)
-        return letter_matrix(model, n, letter, rows=rows)
-
-    monkeypatch.setattr(braid, "letter_matrix", counting)
-    w = BraidWord(4, (1, -2, 3, 1, -2, 3))  # every letter sits in both halves
+@pytest.mark.parametrize("letters,firsts", [
+    ((1, -2, 3, 1, -2, 3), [1, 1]),
+    ((-2, 3, 1), [-2, 3]),
+    ((3,), [3]),
+    ((), []),
+], ids=["six", "three", "one", "empty"])
+def test_closure_trace_builds_one_letter_per_half(m3, monkeypatch, letters, firsts):
+    """Each non-empty half-word embeds only its first letter; the rest act as two-site
+    operators."""
+    w = BraidWord(4, letters)
     want = reference(w, m3)
-    built.clear()
+    built = recording_letters(monkeypatch)
     assert m3.Z ** w.writhe * invariants._closure_trace(w, m3, packed.closure_bits(m3, w)) == want
-    assert sorted(built) == [-2, 1, 3]
+    assert [x for x, _ in built] == firsts
 
 
 # ------------------------------------------------------------ split closures
