@@ -9,6 +9,8 @@ or over its packed image.
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 import re
 from dataclasses import dataclass, field
@@ -156,28 +158,61 @@ def random_word(rng: random.Random, strands: int, length: int) -> BraidWord:
     return BraidWord(strands, tuple(rng.choice(alphabet) for _ in range(length)))
 
 
+def site_runs(letters) -> list[tuple[int, list[int]]]:
+    """``letters`` grouped into runs of one generator each, as (i, letters of the run).
+
+    The letter b_i^(+-1) joins the latest run of generator i when every
+    run after that one has a generator j with |i - j| >= 2, and otherwise
+    opens a new run.  Generators two or more apart act on disjoint factors
+    and commute, so the product of the runs in order, each run's letters in
+    word order, is the product of ``letters``.
+    """
+    runs: list[tuple[int, list[int]]] = []
+    for letter in letters:
+        i = abs(letter)
+        target = None
+        for g, run in reversed(runs):
+            if abs(g - i) < 2:
+                target = run if g == i else None
+                break
+        if target is None:
+            runs.append((i, [letter]))
+        else:
+            target.append(letter)
+    return runs
+
+
 def represent(word: BraidWord, model, *, rows=None):
     """Product of generator matrices; the identity for the empty word.
 
     ``model`` needs ``N``, ``R`` and ``R_inv``: a vertex model, or its
     packed image (:mod:`vertexlink.packed`), whose matrices the product
     stays over.  Over a model every letter is embedded
-    (:func:`letter_matrix`) and multiplied in.  Over a packed image only
-    the first letter is embedded; each later one acts on the product as a
-    two-site operator (:meth:`~vertexlink.packed.PackedMatrix.times_two_site`),
-    and no other embedded letter is built.  ``rows`` builds the product on
-    those rows only.  That is its restriction when the rows are a union of
-    charge sectors: row r of A B is row r of A times B, and a row of A in
-    a sector reaches only columns, and so rows of B, in that sector.
+    (:func:`letter_matrix`) and multiplied in, one at a time.  Over a
+    packed image only the first letter is embedded, and it starts the
+    product.  The later letters are grouped into runs on one site each
+    (:func:`site_runs`); each run's two-site letters are multiplied into
+    one N^2 x N^2 operator, which acts on the product once
+    (:meth:`~vertexlink.packed.PackedMatrix.times_two_site`).  That is
+    exact: the product is associative, and a letter only joins a run past
+    letters that commute with it.  An inverse pair multiplies to the
+    identity operator and is applied like any other run.  ``rows`` builds
+    the product on those rows only.  That is its restriction when the rows
+    are a union of charge sectors: row r of A B is row r of A times B, and
+    a row of A in a sector reaches only columns, and so rows of B, in that
+    sector.  Over a packed image any rows will do, since only the first
+    letter is built on ``rows`` and every later operator acts whole.
     """
     n = word.strands
     if not word.letters:
         return model.R.identity(model.N ** n, rows)
     first, *rest = word.letters
     acc = letter_matrix(model, n, first, rows=rows)
-    for letter in rest:
-        if isinstance(acc, PackedMatrix):
-            acc = acc.times_two_site(model.R if letter > 0 else model.R_inv, model.N, n, abs(letter))
-        else:
+    if not isinstance(acc, PackedMatrix):
+        for letter in rest:
             acc = acc @ letter_matrix(model, n, letter, rows=rows)
+        return acc
+    for i, run in site_runs(rest):
+        op = functools.reduce(operator.matmul, [model.R if x > 0 else model.R_inv for x in run])
+        acc = acc.times_two_site(op, model.N, n, i)
     return acc

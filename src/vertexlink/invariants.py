@@ -47,28 +47,45 @@ from .ring import RingElem
 from .tensor import partial_close_second, trace_product
 
 
+# rows of the right half built and traced at a time: at the strand cap the
+# right half then never stands whole beside the left one
+TRACE_BLOCK = 256
+
+
 def _closure_trace(word: BraidWord, m: VertexModel, bits: int) -> RingElem:
     """Z^-writhe <L> on the image of the ring at q^2 = 2^bits, meeting in the middle.
 
-    The two half-words are represented separately, each from its first
-    letter's matrix with every later letter applied as a two-site operator
+    The two half-words are represented separately
     (:func:`vertexlink.braid.represent`), on the rows of charge w >= 0
-    only, and traced against each other with mu^(x)n folded onto those
+    only: each starts from its first letter's embedded matrix, and its
+    later letters are grouped into same-site runs, each multiplied into
+    one two-site operator that acts on the product once.  The halves are
+    traced against each other with mu^(x)n folded onto those
     rows: the trace on the sector -w equals that on w
     (:mod:`vertexlink.packed`), so the row weighs sigma^n (q^(2 w) +
     q^(-2 w)), or sigma^n once for w = 0.  The letters are in the parity
     gauge, a diagonal conjugation that fixes the trace and puts every entry
     in Z[q^+-2].  Exact when ``bits`` is at least
     ``packed.closure_bits(m, word)``.
+
+    The left half L is built whole.  The right half R is built and traced
+    against it :data:`TRACE_BLOCK` rows at a time, and the block traces
+    are added: the weight W is constant on each charge sector and both
+    halves keep the sectors, so tr(L R W) = tr(R L W), the sum over the
+    blocks B of tr(R|B L W).  Each block trace sums some of the same
+    path products, so the width that reads the whole trace reads it too.
     """
     n = word.strands
     img = packed.image(m, bits)
     half = len(word.letters) // 2
     unit, weights = img.closure_weight(n)
-    rows = weights.keys()
-    left = represent(BraidWord(n, word.letters[:half]), img, rows=rows)
-    right = represent(BraidWord(n, word.letters[half:]), img, rows=rows)
-    return unit * trace_product(left, right, weights)
+    left = represent(BraidWord(n, word.letters[:half]), img, rows=weights.keys())
+    right, rows = BraidWord(n, word.letters[half:]), list(weights)
+    value = ring.zero()
+    for k in range(0, len(rows), TRACE_BLOCK):  # one block held at a time
+        value = value + trace_product(represent(right, img, rows=rows[k:k + TRACE_BLOCK]),
+                                      left, weights)
+    return unit * value
 
 
 @functools.lru_cache(maxsize=4096)

@@ -25,8 +25,9 @@ every letter by G = diag(q^(sum_k lam k i_k + beta(i_k))) over the rows
 * At the sites k, k+1 the row (.., a, b, ..) and the column (.., c, d, ..)
   of b_k differ by q^(lam (k a + (k+1) b - k c - (k+1) d) + beta(a) +
   beta(b) - beta(c) - beta(d)).  R conserves charge, a + b = c + d, so
-  that is q^g at every site: one gauged two-site letter serves every
-  site, applied there by :meth:`PackedMatrix.times_two_site`.
+  that is q^g at every site: one gauged two-site letter, and so one
+  product of such letters, serves every site, applied there by
+  :meth:`PackedMatrix.times_two_site`.
 * G is diagonal, so it keeps every charge sector, and G rep(b) G^-1 has
   the diagonal of rep(b): each t_w below, the flip argument and the trace
   are unchanged.
@@ -34,16 +35,18 @@ every letter by G = diag(q^(sum_k lam k i_k + beta(i_k))) over the rows
   :func:`closure_bits` are unchanged, and the width proof below holds as
   it is.
 
-Only the final scalar is unpacked, as balanced base-2^bits digits.  That is
-exact when every coefficient of the result has absolute value below
-2^(bits-1), which :func:`closure_bits` proves with the l1 norm of the
-coefficients.  It bounds every coefficient and ||xy|| <= ||x|| ||y||, so
-the largest row sum rho of entry weights obeys rho(AB) <= rho(A) rho(B),
-and a trace weighs at most dim times a row sum.  The closure weight
-mu^(x)n adds no factor: it is the unit sigma^n q^(kappa w) on each charge
-sector w (:func:`vertexlink.tensor.closure_character`), of weight 1, so
-the trace shifts each sector's sum by its power of x once and never forms
-mu^(x)n as a matrix.  No value is ever rounded.
+Only scalars are unpacked, as balanced base-2^bits digits: the trace, or
+the traces over blocks of rows that add up to it.  That is exact when
+every coefficient of the result has absolute value below 2^(bits-1),
+which :func:`closure_bits` proves with the l1 norm of the coefficients.
+It bounds every coefficient and ||xy|| <= ||x|| ||y||, so the largest row
+sum rho of entry weights obeys rho(AB) <= rho(A) rho(B), and a trace
+weighs at most dim times a row sum.  A trace over some of the rows weighs
+no more: each row's diagonal term weighs at most a row sum.  The closure
+weight mu^(x)n adds no factor: it is the unit sigma^n q^(kappa w) on each
+charge sector w (:func:`vertexlink.tensor.closure_character`), of weight
+1, so the trace shifts each sector's sum by its power of x once and never
+forms mu^(x)n as a matrix.  No value is ever rounded.
 
 The trace runs over the charges w >= 0 only.  Write t_w = tr(rep(b)|S_w)
 for the block of the braid b on the charge sector S_w; R conserves charge,
@@ -74,15 +77,47 @@ letter of each half-word is built on those rows only, every later letter
 acts on them, and the chain runs on about half the rows.  The value is the
 same polynomial as the full trace, so the same width unpacks it.
 
+The later letters act in same-site runs (:func:`vertexlink.braid.site_runs`).
+A run is a list of letters on one generator b_i: a letter joins the latest
+run of its generator when every run after that one has a generator j with
+|i - j| >= 2, and otherwise opens a new run.  Each run's packed two-site
+letters are multiplied into one N^2 x N^2 operator, which acts on the
+product once (:meth:`PackedMatrix.times_two_site`).  That is exact:
+
+* b_i and b_j with |i - j| >= 2 act on disjoint factors, so their
+  embeddings commute, and a letter joins a run only past letters that
+  commute with it; the product of the runs in order is the word's.
+* The product is associative, and over ints it is exact whatever the
+  order: the image at x = 2^bits is a ring homomorphism, so the fused
+  chain ends on the same ints as the letter-by-letter one, and the same
+  width unpacks it.  A fused operator is never unpacked.
+* No letter is dropped and no run is a special case: an inverse pair
+  multiplies to the identity operator exactly, its ints x^shift on the
+  diagonal and no other entry (R R^-1 = 1 is the ``r`` row of
+  :data:`vertexlink.axioms.EQUATIONS`, checked at build), and it is
+  applied like any other run.
+
+The first letter stays embedded, on the rows of charge w >= 0, and joins
+no run: it starts the product with one letter's entries per row, so no
+identity is built and walked, and each non-empty half-word embeds only
+its first letter (:func:`vertexlink.braid.letter_matrix`).
+
 Every model has |kappa| = 2 (its trace constants pin mu, and :func:`image`
 refuses any other kappa).  A row whose label positions sum to l has the
 charge w = l - top/2, top = n (N - 1), so q^(+-kappa w) = q^-top x^d for
 d = l or top - l, x = q^2: the trace shifts each sector's sum left by
 bits d for each d, adds the ints and unpacks once
 (:meth:`PackedMatrix.trace_product`), then multiplies by sigma^n q^-top.
+With the two halves L and R of the word, the closure trace holds L whole
+and takes R a block of rows at a time
+(:func:`vertexlink.invariants._closure_trace`): the weight is constant on
+each sector and both halves keep the sectors, so tr(L R W) = tr(R L W),
+the sum of tr(R|B L W) over the blocks B, one unpacked sum per block.  A
+row of weight x^d1 + x^d2 counts twice, but the rows of charge w < 0 are
+not traced, so the rows' weights still add up to dim.
 
 A :class:`PackedMatrix` is keyed by row, {r: {c: int}}: a product walks
-the right factor's rows as stored, a two-site letter finds its row and
+the right factor's rows as stored, a two-site operator finds its row and
 columns for each entry by arithmetic on the column index, and the closure
 trace looks up B[c][r] for each entry A[r][c] of a row of weight.
 

@@ -13,6 +13,7 @@ from vertexlink.braid import (
     parse_braid,
     random_word,
     represent,
+    site_runs,
 )
 from vertexlink.errors import BadLetter, DimensionMismatch
 from vertexlink.tensor import SqMatrix
@@ -185,6 +186,40 @@ def test_braid_relation_in_representation(each_model):
     lhs = represent(BraidWord(3, (1, 2, 1)), m)
     rhs = represent(BraidWord(3, (2, 1, 2)), m)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("letters,runs", [
+    ((), []),
+    ((1, 1, 1, 1), [(1, [1, 1, 1, 1])]),
+    ((2, 4, -2, 1), [(2, [2, -2]), (4, [4]), (1, [1])]),
+    ((2, 3, 2), [(2, [2]), (3, [3]), (2, [2])]),
+    ((1, 3, -1, 2, 3), [(1, [1, -1]), (3, [3]), (2, [2]), (3, [3])]),
+    ((3, 1, -3, 5, 1, 3), [(3, [3, -3, 3]), (1, [1, 1]), (5, [5])]),
+])
+def test_site_runs(letters, runs):
+    assert site_runs(letters) == runs
+
+
+@given(braid_words(max_strands=6, max_len=12))
+@settings(max_examples=100, deadline=None)
+def test_site_runs_move_a_letter_only_past_far_letters(w):
+    """The runs hold every letter once, and two letters one or no generator apart keep
+    their order: the product of the runs is the word's."""
+    runs = site_runs(w.letters)
+    queues = {}  # the positions of each generator's letters, in word order
+    for pos, x in enumerate(w.letters):
+        queues.setdefault(abs(x), []).append(pos)
+    order = []  # the word position of each letter of the runs, in run order
+    for i, run in runs:
+        for x in run:
+            assert abs(x) == i
+            order.append(queues[i].pop(0))
+            assert w.letters[order[-1]] == x
+    assert sorted(order) == list(range(len(w.letters)))
+    for a, pa in enumerate(order):
+        for pb in order[a + 1:]:
+            if abs(abs(w.letters[pa]) - abs(w.letters[pb])) < 2:
+                assert pa < pb
 
 
 def test_far_commutation_in_representation(each_model):

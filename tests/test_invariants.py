@@ -301,6 +301,30 @@ def test_ambient_invariant_same_on_both_branches(word, N):
     assert ambient_invariant(word, minus) == ambient_invariant(word, plus)
 
 
+# ------------------------------------------------------ torus-knot symmetry
+
+
+def torus(p: int, r: int) -> BraidWord:
+    """T(p, r): the closure of (b_1 ... b_(p-1))^r on p strands."""
+    return BraidWord(p, tuple(range(1, p)) * r)
+
+
+TORUS_PAIRS = {2: [(2, 7), (3, 4), (2, 5), (3, 5)], 3: [(2, 5), (3, 4), (2, 3)],
+               4: [(2, 5), (3, 4), (2, 3)]}
+
+
+def test_torus_knot_symmetry(each_model_and_mirror):
+    """T(p, r) and T(r, p) are the same link, on p and on r strands.
+
+    The words share no length, strand count or run of letters, so the
+    chain is checked across strand counts: for N = 2, T(7, 2) runs on 7
+    strands against T(2, 7) on 2.
+    """
+    m = each_model_and_mirror
+    for p, r in TORUS_PAIRS[m.N]:
+        assert ambient_invariant(torus(p, r), m) == ambient_invariant(torus(r, p), m), (p, r)
+
+
 # ------------------------------------------------------- radical (4 states)
 
 

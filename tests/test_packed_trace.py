@@ -12,6 +12,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle.quadratic_closure import field, laurent_at
 from vertexlink import braid, invariants, packed, ring, selftest, tensor
@@ -135,6 +137,24 @@ def test_packed_trace_at_strand_cap(N):
     m = build_model(N)
     w = cap_word(N)
     assert invariants.regular_invariant(w, m) == reference(w, m)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_right_half_in_blocks_of_any_size_gives_the_whole_trace(N, monkeypatch):
+    """The right half traced in blocks of rows gives the trace of the whole half, for
+    blocks of any size, cut across charge sectors or not: each block trace sums some of
+    the same path products, and the sectors' weights are read per row."""
+    m = build_model(N)
+    n = invariants.STRAND_CAP[N]
+    w = BraidWord(n, cap_word(N).letters + braid.random_word(random.Random(N), n, 4).letters)
+    bits = packed.closure_bits(m, w)
+    sizes = (1, 7, 100, invariants.TRACE_BLOCK)
+    monkeypatch.setattr(invariants, "TRACE_BLOCK", N ** n)
+    whole = invariants._closure_trace(w, m, bits)
+    assert m.Z ** w.writhe * whole == reference(w, m)
+    for size in sizes:
+        monkeypatch.setattr(invariants, "TRACE_BLOCK", size)
+        assert invariants._closure_trace(w, m, bits) == whole, size
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
@@ -399,6 +419,96 @@ def test_closure_trace_builds_one_letter_per_half(m3, monkeypatch, letters, firs
     built = recording_letters(monkeypatch)
     assert m3.Z ** w.writhe * invariants._closure_trace(w, m3, packed.closure_bits(m3, w)) == want
     assert [x for x, _ in built] == firsts
+
+
+# ------------------------------------------------------------- same-site runs
+
+RUN_WORDS = {
+    "powers": BraidWord(2, (1, 1, 1, 1)),
+    "inverse-pair-split-by-far-letters": BraidWord(5, (2, 4, -2, 1)),
+    "same-site-pair-blocked-by-a-neighbour": BraidWord(4, (2, 3, 2)),
+    "blocked-after-the-first-letter": BraidWord(4, (1, 2, 3, 2)),
+    "pair-around-a-blocked-letter": BraidWord(4, (3, 1, -2, 1, -1, 3, -3)),
+    "split-middle-gap": BraidWord(4, (1, 1, -3, 1, 3)),
+    "split-several-gaps": BraidWord(5, (1, 4, -1, -4, 1)),
+}
+
+
+def runs_match(word, m):
+    """Whether packed represent equals the SqMatrix product taken one letter at a time,
+    entry by entry, on the rows of charge w >= 0 and on all rows, with no zero entry kept."""
+    img = packed.image(m, packed.closure_bits(m, word))
+    halves = img.closure_weight(word.strands)[1].keys()
+    want = braid.represent(word, exact_twin(m)).entries
+    for S in (halves, None):
+        got = braid.represent(word, img, rows=S)
+        if any(0 in row.values() for row in got.rows.values()) or unfolded(got) != on_rows(want, S):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirror"])
+@pytest.mark.parametrize("N,sign", SIGNED, ids=[f"N{N}{'+' if s > 0 else '-'}" for N, s in SIGNED])
+def test_runs_equal_the_letter_by_letter_product(N, sign, mirrored):
+    """Packed represent, each run multiplied into one operator, reads back entry by entry
+    as the SqMatrix product taken one letter at a time."""
+    m = signed_model(N, sign, mirrored)
+    for name, w in RUN_WORDS.items():
+        assert runs_match(w, m), name
+
+
+SIGNED_MIRRORED = [(N, s, mir) for N, s in SIGNED for mir in (False, True)]
+
+
+@given(st.sampled_from(SIGNED_MIRRORED), st.integers(2, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_runs_equal_the_letter_by_letter_product_on_random_words(model, n, data):
+    alphabet = [k for k in range(-(n - 1), n) if k != 0]
+    letters = data.draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=9))
+    assert runs_match(BraidWord(n, tuple(letters)), signed_model(*model))
+
+
+def runs_jumping_a_neighbour(letters):
+    """site_runs with one fault: a letter joins its generator's latest run past a
+    neighbouring generator, which does not commute with it."""
+    runs = []
+    for letter in letters:
+        i = abs(letter)
+        target = next((run for g, run in runs if g == i), None)
+        if target is None:
+            runs.append((i, [letter]))
+        else:
+            target.append(letter)
+    return runs
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirror"])
+@pytest.mark.parametrize("N,sign", SIGNED, ids=[f"N{N}{'+' if s > 0 else '-'}" for N, s in SIGNED])
+def test_a_run_jumping_a_neighbour_fails_the_matrix_comparison(N, sign, mirrored, monkeypatch):
+    """The negative control of the run tests: the faulty grouping takes b_2 b_3 b_2 after
+    the first letter to b_2 b_2 b_3.  That changes the matrix, which the comparison sees;
+    the closure trace of a random word changes only now and then."""
+    m = signed_model(N, sign, mirrored)
+    w = RUN_WORDS["blocked-after-the-first-letter"]
+    assert runs_jumping_a_neighbour(w.letters[1:]) == [(2, [2, 2]), (3, [3])]
+    assert runs_match(w, m)
+    monkeypatch.setattr(braid, "site_runs", runs_jumping_a_neighbour)
+    assert not runs_match(w, m)
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirror"])
+@pytest.mark.parametrize("N,sign", SIGNED, ids=[f"N{N}{'+' if s > 0 else '-'}" for N, s in SIGNED])
+def test_an_inverse_pair_run_is_exactly_the_identity(N, sign, mirrored):
+    """Packed R-hat R-bar and R-bar R-hat are the identity operator: each row holds its
+    diagonal int x^shift alone, at the summed shift, at every width the run words pack at."""
+    m = signed_model(N, sign, mirrored)
+    for bits in sorted({packed.closure_bits(m, w) for w in RUN_WORDS.values()}):
+        img = packed.image(m, bits)
+        shift = img.R.shift + img.R_inv.shift
+        for run in (img.R @ img.R_inv, img.R_inv @ img.R):
+            assert run.shift == shift
+            assert run.rows == {p: {p: 1 << bits * shift} for p in range(N * N)}
+            assert run == img.R.identity(N * N)
 
 
 # ------------------------------------------------------------ split closures
