@@ -116,36 +116,18 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     return BraidWord(strands, tuple(letters))
 
 
-def embed_two_site(op, N: int, n: int, i: int, rows=None):
-    """1 (x) ... (x) op (x) ... (x) 1 on n factors of size N, op on factors i, i+1.
-
-    ``op`` is a ``SqMatrix`` or a ``PackedMatrix``; the result is of the
-    same kind.  With ``rows``, only those rows are built.  Row r spells
-    (x, p, y) with p the two-site row of op and x, y the untouched factors
-    left and right of it; its entries are op's row p with x and y put back.
-    """
-    if not 1 <= i < n:
-        raise BadLetter(f"generator {i} on {n} strands")
-    right = N ** (n - i - 1)
-    block = N * N * right
-    op_rows = op.rows
-    out = {}
-    for r in range(N ** n) if rows is None else rows:
-        x, rest = divmod(r, block)
-        p, y = divmod(rest, right)
-        row = op_rows.get(p)
-        if row:
-            base = x * block + y
-            out[r] = {base + c * right: v for c, v in row.items()}
-    return op.like(N ** n, out)
-
-
 def letter_matrix(model, n: int, letter: int, rows=None):
     """Sparse matrix of one generator on n strands, over the ring of ``model.R``.
 
-    With ``rows``, only those rows are built (:func:`embed_two_site`).
+    The unit rows ``model.R.identity(N^n, rows)`` times the letter, applied
+    as a two-site operator (``times_two_site``): with ``rows``, only those
+    rows of the letter, for either kind of matrix.
     """
-    return embed_two_site(model.R if letter > 0 else model.R_inv, model.N, n, abs(letter), rows)
+    i = abs(letter)
+    if not 1 <= i < n:
+        raise BadLetter(f"letter {letter} on {n} strands")
+    unit = model.R.identity(model.N ** n, rows)
+    return unit.times_two_site(model.R if letter > 0 else model.R_inv, model.N, n, i)
 
 
 def random_word(rng: random.Random, strands: int, length: int) -> BraidWord:
@@ -187,32 +169,29 @@ def represent(word: BraidWord, model, *, rows=None):
 
     ``model`` needs ``N``, ``R`` and ``R_inv``: a vertex model, or its
     packed image (:mod:`vertexlink.packed`), whose matrices the product
-    stays over.  Over a model every letter is embedded
-    (:func:`letter_matrix`) and multiplied in, one at a time.  Over a
-    packed image only the first letter is embedded, and it starts the
-    product.  The later letters are grouped into runs on one site each
-    (:func:`site_runs`); each run's two-site letters are multiplied into
-    one N^2 x N^2 operator, which acts on the product once
+    stays over.  The first letter is built on the unit rows
+    (:func:`letter_matrix`) and starts the product; each later letter acts
+    on it as a two-site operator (``times_two_site``).  Over a model that
+    is one letter at a time, each embedded by its definition with ``kron``:
+    the exact reference.  Over a packed image the later letters are
+    grouped into runs on one site each (:func:`site_runs`); each run's
+    two-site letters are multiplied into one N^2 x N^2 operator, which acts
+    on the product once
     (:meth:`~vertexlink.packed.PackedMatrix.times_two_site`).  That is
     exact: the product is associative, and a letter only joins a run past
     letters that commute with it.  An inverse pair multiplies to the
     identity operator and is applied like any other run.  ``rows`` builds
-    the product on those rows only.  That is its restriction when the rows
-    are a union of charge sectors: row r of A B is row r of A times B, and
-    a row of A in a sector reaches only columns, and so rows of B, in that
-    sector.  Over a packed image any rows will do, since only the first
-    letter is built on ``rows`` and every later operator acts whole.
+    the rows of the product in ``rows`` and no other, any rows in
+    [0, N^n): row r of A B is row r of A times B, so only the first letter
+    is restricted and every later operator acts whole.
     """
     n = word.strands
     if not word.letters:
         return model.R.identity(model.N ** n, rows)
     first, *rest = word.letters
     acc = letter_matrix(model, n, first, rows=rows)
-    if not isinstance(acc, PackedMatrix):
-        for letter in rest:
-            acc = acc @ letter_matrix(model, n, letter, rows=rows)
-        return acc
-    for i, run in site_runs(rest):
+    fuse = isinstance(acc, PackedMatrix)
+    for i, run in site_runs(rest) if fuse else [(abs(x), [x]) for x in rest]:
         op = functools.reduce(operator.matmul, [model.R if x > 0 else model.R_inv for x in run])
         acc = acc.times_two_site(op, model.N, n, i)
     return acc

@@ -57,7 +57,7 @@ def _closure_trace(word: BraidWord, m: VertexModel, bits: int) -> RingElem:
 
     The two half-words are represented separately
     (:func:`vertexlink.braid.represent`), on the rows of charge w >= 0
-    only: each starts from its first letter's embedded matrix, and its
+    only: each starts from its first letter on those rows, and its
     later letters are grouped into same-site runs, each multiplied into
     one two-site operator that acts on the product once.  The halves are
     traced against each other with mu^(x)n folded onto those

@@ -72,9 +72,9 @@ field of fractions:
 So the trace is sum over w >= 0 of sigma^n (q^(kappa w) + q^(-kappa w)) t_w,
 with q^0 once for w = 0.  The product is row-local and conserves charge,
 and the rows of charge w >= 0 form whole sectors: a row there reaches only
-columns there, and so only rows there of the next factor.  So the first
-letter of each half-word is built on those rows only, every later letter
-acts on them, and the chain runs on about half the rows.  The value is the
+columns there, and so only rows there of the next factor.  So each
+half-word starts from the unit rows of those charges, every letter acts
+on them, and the chain runs on about half the rows.  The value is the
 same polynomial as the full trace, so the same width unpacks it.
 
 The later letters act in same-site runs (:func:`vertexlink.braid.site_runs`).
@@ -97,10 +97,12 @@ product once (:meth:`PackedMatrix.times_two_site`).  That is exact:
   :data:`vertexlink.axioms.EQUATIONS`, checked at build), and it is
   applied like any other run.
 
-The first letter stays embedded, on the rows of charge w >= 0, and joins
-no run: it starts the product with one letter's entries per row, so no
-identity is built and walked, and each non-empty half-word embeds only
-its first letter (:func:`vertexlink.braid.letter_matrix`).
+The first letter joins no run.  The unit rows of charge w >= 0
+(:meth:`PackedMatrix.identity`) are walked by it alone, which gives that
+letter on those rows (:func:`vertexlink.braid.letter_matrix`), and that
+starts the product.  :meth:`PackedMatrix.times_two_site` is the one
+routine that places a two-site operator on n strands: the letters, the
+runs and the Temperley-Lieb generators all go through it.
 
 Every model has |kappa| = 2 (its trace constants pin mu, and :func:`image`
 refuses any other kappa).  A row whose label positions sum to l has the
@@ -176,14 +178,14 @@ class PackedMatrix:
         self.shift = shift
         self.step = step
 
-    def like(self, dim: int, rows: dict[int, dict[int, int]]) -> "PackedMatrix":
-        """A matrix over the same image with the same shift, entries taken as given."""
-        return PackedMatrix(dim, rows, self.bits, self.shift, self.step)
-
     def identity(self, dim: int, rows=None) -> "PackedMatrix":
-        """The identity, or only its rows in ``rows``."""
-        return PackedMatrix(dim, {i: {i: 1} for i in (range(dim) if rows is None else rows)},
-                            self.bits, 0, self.step)
+        """The identity over the same image, or only its rows in ``rows``; a row
+        outside [0, dim) is refused."""
+        out = {i: {i: 1} for i in (range(dim) if rows is None else rows)}
+        bad = [i for i in out if not 0 <= i < dim]
+        if bad:
+            raise DimensionMismatch(f"row {bad[0]} outside dim {dim}")
+        return PackedMatrix(dim, out, self.bits, 0, self.step)
 
     def _check(self, other: "PackedMatrix"):
         if self.dim != other.dim or self.bits != other.bits or self.step != other.step:
@@ -482,7 +484,8 @@ def _annihilates(R, eig: tuple, minimal: bool, bits: int) -> bool:
                 row[i] = v
             else:
                 row.pop(i, None)
-        return base.like(R.dim, {r: row for r, row in rows.items() if row})
+        return PackedMatrix(R.dim, {r: row for r, row in rows.items() if row}, bits, base.shift,
+                            step)
 
     F = [factor(lam) for lam in eig]
     if not F:

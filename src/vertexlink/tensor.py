@@ -46,12 +46,6 @@ class SqMatrix:
             out.setdefault(r, {})[c] = v
         return out
 
-    def like(self, dim: int, rows: dict[int, dict[int, RingElem]]) -> "SqMatrix":
-        """A matrix over the same ring from entries {r: {c: v}}, taken as given (no zero check)."""
-        res = SqMatrix(dim)
-        res.entries = {(r, c): v for r, row in rows.items() for c, v in row.items()}
-        return res
-
     @classmethod
     def identity(cls, dim: int, rows=None) -> "SqMatrix":
         """The identity, or only its rows in ``rows``."""
@@ -73,6 +67,18 @@ class SqMatrix:
         res = SqMatrix(self.dim)
         res.entries = {k: RingElem(v) for k, v in out.items()}
         return res
+
+    def times_two_site(self, op: "SqMatrix", N: int, n: int, i: int) -> "SqMatrix":
+        """self @ (1 (x) ... (x) op (x) ... (x) 1), op on the factors i, i+1 of n of size N.
+
+        The embedding is built by its definition, 1_(N^(i-1)) (x) op (x)
+        1_(N^(n-i-1)) with ``kron``: the exact reference for
+        :meth:`vertexlink.packed.PackedMatrix.times_two_site`.
+        """
+        if not 1 <= i < n or self.dim != N ** n or op.dim != N * N:
+            raise DimensionMismatch(f"{op!r} on the factors {i}, {i + 1} of {self!r}")
+        left, right = SqMatrix.identity(N ** (i - 1)), SqMatrix.identity(N ** (n - i - 1))
+        return self @ left.kron(op).kron(right)
 
     def __add__(self, other: "SqMatrix") -> "SqMatrix":
         if self.dim != other.dim:

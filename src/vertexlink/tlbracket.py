@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from . import packed, ring
 from .axioms import CheckReport
-from .braid import embed_two_site
 from .errors import (
     ConventionValidationFailed,
     DomainError,
@@ -66,8 +65,10 @@ def tl_relations_check(m: VertexModel, max_strands: int = 4) -> CheckReport:
     """E_i^2 = k E_i, E_i E_(i+-1) E_i = E_i, far commutation, for e and f,
     on 2 up to the model's strand cap (``invariants.STRAND_CAP``).
 
-    e and f are packed once at :func:`tl_bits` and every product runs on
-    the packed image.
+    e and f are packed once at :func:`tl_bits`.  Each E_i is the unit
+    matrix on n strands times e or f on the factors i, i+1, applied as a
+    two-site operator (:meth:`~vertexlink.packed.PackedMatrix.times_two_site`),
+    and every product runs on the packed image.
     """
     cap = STRAND_CAP[m.N]
     if not 2 <= max_strands <= cap:
@@ -82,7 +83,7 @@ def _tl_relations(tl: TLData, N: int, max_strands: int, bits: int) -> CheckRepor
     for name, gen in (("e", tl.e), ("f", tl.f)):
         g = packed.pack_matrix(gen, bits, step)
         for n in range(2, max_strands + 1):
-            E = [None] + [embed_two_site(g, N, n, i) for i in range(1, n)]
+            E = [None] + [g.identity(N ** n).times_two_site(g, N, n, i) for i in range(1, n)]
             for i in range(1, n):
                 ok = E[i] @ E[i] == E[i].scaled(tl.k)
                 rep.record(f"{name}:square:n{n}:i{i}", ok, "E^2 != k E")

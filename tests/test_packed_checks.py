@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vertexlink import axioms, braid, models, packed, ring, tlbracket, uqsl2
+from vertexlink import axioms, models, packed, ring, tlbracket, uqsl2
 from vertexlink.axioms import CheckReport, check_axioms, equation_sides
 from vertexlink.invariants import STRAND_CAP
 from vertexlink.models import build_model, mirror_model
@@ -319,6 +319,12 @@ def test_uq_twist_clause_agrees_with_the_exact_reference(j, broken, monkeypatch)
 # ------------------------------------------------------------ Temperley-Lieb
 
 
+def embedded(gen, N, n, i):
+    """1 (x) ... (x) gen (x) ... (x) 1 on n factors of size N, gen on the factors i, i+1,
+    by its definition with kron."""
+    return SqMatrix.identity(N ** (i - 1)).kron(gen).kron(SqMatrix.identity(N ** (n - i - 1)))
+
+
 def reference_relations(tl, N, max_strands, site=lambda n, i: i):
     """tl_relations_check over the exact ring: SqMatrix products of the embedded e and f.
 
@@ -327,7 +333,7 @@ def reference_relations(tl, N, max_strands, site=lambda n, i: i):
     rep = CheckReport()
     for name, gen in (("e", tl.e), ("f", tl.f)):
         for n in range(2, max_strands + 1):
-            E = [None] + [braid.embed_two_site(gen, N, n, site(n, i)) for i in range(1, n)]
+            E = [None] + [embedded(gen, N, n, site(n, i)) for i in range(1, n)]
             for i in range(1, n):
                 rep.record(f"{name}:square:n{n}:i{i}", E[i] @ E[i] == tl.k * E[i], "E^2 != k E")
             for i in range(1, n - 1):
@@ -346,7 +352,7 @@ def relation_products(tl, N, n):
     """Every product both sides of the relations form on n strands, over the exact ring."""
     out = []
     for gen in (tl.e, tl.f):
-        E = [None] + [braid.embed_two_site(gen, N, n, i) for i in range(1, n)]
+        E = [None] + [embedded(gen, N, n, i) for i in range(1, n)]
         for i in range(1, n):
             out += [E[i] @ E[i], tl.k * E[i]]
         for i in range(1, n - 1):
@@ -394,12 +400,15 @@ def test_packed_equality_aligns_differing_shifts():
 
 
 def test_packed_equality_sees_a_row_or_entry_on_one_side_only():
-    A = packed.PackedMatrix(3, {0: {0: 2}}, 8, 0)
-    assert A == A.like(3, {0: {0: 2}})
-    assert A != A.like(3, {0: {0: 2}, 2: {1: 1}})
-    assert A.like(3, {0: {0: 2}, 2: {1: 1}}) != A
-    assert A != A.like(3, {0: {0: 2, 1: 1}})
-    assert A != A.like(3, {})
+    def like(rows):
+        return packed.PackedMatrix(3, rows, 8, 0)
+
+    A = like({0: {0: 2}})
+    assert A == like({0: {0: 2}})
+    assert A != like({0: {0: 2}, 2: {1: 1}})
+    assert like({0: {0: 2}, 2: {1: 1}}) != A
+    assert A != like({0: {0: 2, 1: 1}})
+    assert A != like({})
 
 
 def test_first_difference_aligns_shifts_and_reads_missing_keys_as_zero():
@@ -419,7 +428,7 @@ def test_scaling_by_zero_leaves_no_row():
     R = build_model(2).R
     P = packed.pack_matrix(R, 9, packed.variable_step(R.entries.values()))
     assert P.scaled(ring.zero()).rows == {}
-    assert P.scaled(ring.zero()) == P.like(P.dim, {})
+    assert P.scaled(ring.zero()) == packed.PackedMatrix(P.dim, {}, P.bits, P.shift, P.step)
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -452,17 +461,18 @@ def test_tl_perturbed_generator_breaks_hook(N, monkeypatch):
 
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_tl_generator_on_the_wrong_sites_breaks_far(N, monkeypatch):
-    """E_i for i >= 3 embedded one site left: E_1 and E_3 then overlap."""
+    """The two-site walk placing E_i for i >= 3 one site left: E_1 and E_3 then overlap."""
     m = build_model(N)
     tl = tlbracket.build_tl(m)
+    walk = packed.PackedMatrix.times_two_site
 
     def wrong(n, i):
         return i - 1 if i >= 3 else i
 
-    def embed(op, N, n, i, rows=None):
-        return braid.embed_two_site(op, N, n, wrong(n, i), rows)
+    def one_site_left(self, op, N, n, i):
+        return walk(self, op, N, n, wrong(n, i))
 
-    monkeypatch.setattr(tlbracket, "embed_two_site", embed)
+    monkeypatch.setattr(packed.PackedMatrix, "times_two_site", one_site_left)
     got = tlbracket.tl_relations_check(m, max_strands=4)
     assert_agrees(got, reference_relations(tl, N, 4, site=wrong), "far")
 

@@ -259,14 +259,18 @@ def unfolded(M):
 @pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirror"])
 @pytest.mark.parametrize("N,sign", SIGNED, ids=[f"N{N}{'+' if s > 0 else '-'}" for N, s in SIGNED])
 def test_letter_on_rows_is_the_letter_restricted(N, sign, mirrored):
-    """letter_matrix(..., rows=S) builds the rows in S of the full letter, exact and packed."""
+    """letter_matrix(..., rows=S) builds the rows in S of the full letter, exact and packed.
+
+    Every letter +-i on the model's strand cap; the packed letter reads
+    back as the exact one, which is embedded by its definition with kron.
+    """
     m = signed_model(N, sign, mirrored)
     img = packed.image(m, 40)
-    n = 4
+    n = invariants.STRAND_CAP[N]
     rng = random.Random(10 * N + sign)
     halves = set(img.closure_weight(n)[1])  # the charges w >= 0
     scattered = set(rng.sample(range(N ** n), N ** n // 3))
-    for letter in (1, -1, 2, -2, 3, -3):
+    for letter in [x for i in range(1, n) for x in (i, -i)]:
         for model in (m, img):
             full = braid.letter_matrix(model, n, letter)
             for S in (halves, scattered):
@@ -338,23 +342,38 @@ def test_two_site_walk_matches_the_embedded_product(N, sign, mirrored):
 
 
 def test_two_site_walk_refuses_a_site_or_size_that_does_not_fit(m2):
+    """Both kinds refuse a site outside 1..n-1, a product not on N^n, an operator not
+    on N^2, and the packed one an operator packed at another width."""
     img = packed.image(m2, 20)
-    acc = braid.represent(BraidWord(3, (1,)), img)
-    for args in ((img.R, 2, 3, 0), (img.R, 2, 3, 3), (img.R, 2, 4, 1), (img.R, 3, 3, 1),
-                 (packed.image(m2, 21).R, 2, 3, 1)):
-        with pytest.raises(DimensionMismatch):
-            acc.times_two_site(*args)
+    for model, other in ((m2, SqMatrix.identity(9)), (img, packed.image(m2, 21).R)):
+        acc = braid.represent(BraidWord(3, (1,)), model)
+        for args in ((model.R, 2, 3, 0), (model.R, 2, 3, 3), (model.R, 2, 3, -1),
+                     (model.R, 2, 4, 1), (model.R, 3, 3, 1), (other, 2, 3, 1)):
+            with pytest.raises(DimensionMismatch):
+                acc.times_two_site(*args)
+
+
+def test_a_row_outside_the_product_is_refused(m2):
+    """rows= names rows of N^n; any other is refused on both kinds, for a word and for
+    the empty word."""
+    for model in (m2, packed.image(m2, 20)):
+        for word in (BraidWord(3, (1, 2)), BraidWord(3, ())):
+            for rows in ([100], [8], [0, -1]):
+                with pytest.raises(DimensionMismatch):
+                    braid.represent(word, model, rows=rows)
+            assert set(braid.represent(word, model, rows=[0, 7]).rows) <= {0, 7}
 
 
 @pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirror"])
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_two_site_walk_one_site_off_breaks_the_trace(N, mirrored, monkeypatch):
-    """The walk applying b_i at the site next to i changes the closure trace.
+    """The walk applying b_i for i >= 2 one site left changes the closure trace.
 
-    Each half of (1, 2, 1, 2) then runs b_1 b_1, and each half of
-    (2, 1, 2, 1) runs b_2 b_2: the packed trace of a trefoil becomes that
-    of the (2, 4) torus link and a free strand, so it fails the comparison
-    with the SqMatrix reference.
+    The walk places every packed letter, the first of each half included,
+    so each half of (1, 2, 1, 2) and of (2, 1, 2, 1) then runs b_1 b_1:
+    the packed trace of a trefoil becomes that of the (2, 4) torus link
+    and a free strand, so it fails the comparison with the SqMatrix
+    reference, which embeds its letters with kron.
     """
     m = signed_model(N, 1, mirrored)
     walk = packed.PackedMatrix.times_two_site
@@ -366,7 +385,7 @@ def test_two_site_walk_one_site_off_breaks_the_trace(N, mirrored, monkeypatch):
     assert all(trace(w) == reference(w, m) for w in words)
 
     def one_site_off(self, op, N, n, i):
-        return walk(self, op, N, n, i - 1 if i > 1 else i + 1)
+        return walk(self, op, N, n, i - 1 if i > 1 else i)
 
     monkeypatch.setattr(packed.PackedMatrix, "times_two_site", one_site_off)
     assert all(trace(w) != reference(w, m) for w in words)
@@ -389,20 +408,30 @@ def recording_letters(monkeypatch):
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_represent_on_rows_is_the_product_restricted(N, monkeypatch):
     """represent(..., rows=) builds its one letter on ``rows`` only, and the product is
-    the full product's rows in ``rows``."""
+    the full product's rows in ``rows``: exact and packed, on the rows of charge w >= 0
+    and on a scattered set that is no union of sectors."""
     m = build_model(N)
     n = invariants.STRAND_CAP[N] - 1
-    word = braid.random_word(random.Random(N), n, 8)
+    rng = random.Random(N)
+    word = braid.random_word(rng, n, 8)
     img = packed.image(m, packed.closure_bits(m, word))
-    rows = img.closure_weight(n)[1].keys()
+    halves = set(img.closure_weight(n)[1])
+    scattered = set(rng.sample(range(N ** n), N ** n // 3))
+    sectors = {}
+    for r in range(N ** n):
+        sectors.setdefault(charge_twice(N, n, r), set()).add(r)
+    assert any(0 < len(scattered & sector) < len(sector) for sector in sectors.values())
+    fulls = [(model, braid.represent(word, model)) for model in (m, img)]
     built = recording_letters(monkeypatch)
-    part = braid.represent(word, img, rows=rows)
-    assert [x for x, _ in built] == [word.letters[0]]
-    assert set(built[0][1].rows) <= rows
-    full = braid.represent(word, img)
-    assert part.rows == {r: row for r, row in full.rows.items() if r in rows}
-    empty = braid.represent(BraidWord(n, ()), img, rows=rows)
-    assert empty.rows == {r: {r: 1} for r in rows}
+    for model, full in fulls:
+        for rows in (halves, scattered):
+            built.clear()
+            part = braid.represent(word, model, rows=rows)
+            assert [x for x, _ in built] == [word.letters[0]]
+            assert set(built[0][1].rows) <= rows
+            assert part.rows == {r: row for r, row in full.rows.items() if r in rows}
+            empty = braid.represent(BraidWord(n, ()), model, rows=rows)
+            assert empty == model.R.identity(N ** n, rows)
 
 
 @pytest.mark.parametrize("letters,firsts", [

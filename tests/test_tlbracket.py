@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from vertexlink import ring
-from vertexlink.braid import embed_two_site, letter_matrix
+from vertexlink.braid import letter_matrix
 from vertexlink.errors import DomainError, NotDecomposable, NotScalar
 from vertexlink.models import build_model
 from vertexlink.tlbracket import (
@@ -63,7 +63,7 @@ def test_bracket_identity_on_braid_generators(m2):
     for n in range(2, 5):
         ident = SqMatrix.identity(2 ** n)
         for i in range(1, n):
-            E = embed_two_site(e, 2, n, i)
+            E = SqMatrix.identity(2 ** (i - 1)).kron(e).kron(SqMatrix.identity(2 ** (n - i - 1)))
             assert letter_matrix(m2, n, i) == A * ident + B * E
             assert letter_matrix(m2, n, -i) == B * ident + A * E
 
