@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vertexlink import packed
 from vertexlink.braid import (
     BraidWord,
     letter_matrix,
@@ -154,6 +155,16 @@ def test_letter_matrix_matches_kron(each_model):
 def test_letter_zero_is_a_bad_letter(m2):
     with pytest.raises(BadLetter):
         letter_matrix(m2, 3, 0)
+
+
+@pytest.mark.parametrize("i", [0, 3, -1], ids=["i=0", "i=n", "i=-1"])
+def test_embed_two_site_rejects_sites_outside_the_word(m2, i):
+    """Placing a two-site operator on strands i, i+1 of three refuses a site outside
+    1..n-1, on both kinds of matrix."""
+    for model in (m2, packed.image(m2, 20)):
+        acc = represent(BraidWord(3, (1,)), model)
+        with pytest.raises(DimensionMismatch):
+            acc.times_two_site(model.R, 2, 3, i)
 
 
 def test_represent_is_homomorphism(each_model):
