@@ -7,17 +7,18 @@ so a passing row certifies the displayed identity itself.
 
 Every row is contracted on the Kronecker-packed image
 (:mod:`vertexlink.packed`): each operand is packed once at x = 2^bits, x = s
-or q, and the same index strings are summed over ints.  The width is proven:
-an output entry sums at most N^k products of one entry per operand, k the
-number of summed letters, and the l1 norm of the coefficients bounds each
-coefficient and is submultiplicative, so N^k times the product of the
-largest entry norms bounds every coefficient of that side
-(:func:`equation_bits`).  With both sides' coefficients below 2^(bits-1) in
-absolute value their balanced base-2^bits digits are unique, so the sides,
-their shifts aligned, are equal as ints exactly when they are equal as
-polynomials.  :func:`equation_witnesses` is that pass; a failing row
-unpacks the first differing entry of its first failing identity.
-:func:`equation_sides` is the exact reference over the ring.
+or q, and the same index strings are summed over ints.  The check packs at
+the width it proves, and no caller chooses another: an output entry sums at
+most N^k products of one entry per operand, k the number of summed letters,
+and the l1 norm of the coefficients bounds each coefficient and is
+submultiplicative, so N^k times the product of the largest entry norms
+bounds every coefficient of that side (:func:`equation_bits`).  With both
+sides' coefficients below 2^(bits-1) in absolute value their balanced
+base-2^bits digits are unique, so the sides, their shifts aligned, are equal
+as ints exactly when they are equal as polynomials.
+:func:`equation_witnesses` is that pass; a failing row unpacks the first
+differing entry of its first failing identity.  :func:`equation_sides` is
+the exact reference over the ring.
 
 The solver runs the other way: given only an R-matrix it recovers the
 crossing matrix M_d (and M_u) as the nullspace of an exact linear system,
@@ -121,14 +122,17 @@ def equation_bits(exact: dict, N: int, names) -> int:
                             for spec, xs in sides))
 
 
-def equation_witnesses(exact: dict, bits: int, names) -> dict[str, str]:
-    """{name: witness} for the rows ``names`` of :data:`EQUATIONS`, the
-    witness empty where every identity of the row holds.
+def equation_witnesses(N: int, names, exact: dict) -> dict[str, str]:
+    """{name: witness} for the rows ``names`` of :data:`EQUATIONS`, given their
+    operands by name, each index ranging over N values; the witness is empty
+    where every identity of the row holds.
 
-    Each operand is packed once and each distinct side contracted once on
-    ints (twist1 and twist2 share their R^-1 side).  A row's witness is the
-    first differing entry of its first failing identity, the only one unpacked.
+    Each operand is packed once, at the width :func:`equation_bits` proves
+    for those rows, and each distinct side contracted once on ints (twist1
+    and twist2 share their R^-1 side).  A row's witness is the first
+    differing entry of its first failing identity, the only one unpacked.
     """
+    bits = equation_bits(exact, N, names)
     step = packed.variable_step(v for op in exact.values() for v in op.values())
     ops, shifts = {}, {}
     for x, op in exact.items():
@@ -149,12 +153,11 @@ def equation_witnesses(exact: dict, bits: int, names) -> dict[str, str]:
 
 
 def check_axioms(m) -> CheckReport:
-    """Verify the rows :data:`AXIOMS` exactly, in one packed pass at
-    :func:`equation_bits`; a failing row names its first differing entry."""
+    """Verify the rows :data:`AXIOMS` exactly, in one packed pass
+    (:func:`equation_witnesses`); a failing row names its first differing entry."""
     rep = CheckReport()
     exact = equation_operands(m.N, R=m.R, R_inv=m.R_inv, M_u=m.M_u, M_d=m.M_d)
-    bits = equation_bits(exact, m.N, AXIOMS)
-    for name, witness in equation_witnesses(exact, bits, AXIOMS).items():
+    for name, witness in equation_witnesses(m.N, AXIOMS, exact).items():
         rep.record(name, not witness, witness)
     return rep
 

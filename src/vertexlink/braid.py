@@ -27,9 +27,17 @@ class BraidWord:
     letters: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        # ints in a tuple only: the invariant cache keys 2.0 and True like 2
+        # and 1, and cannot hash a list
+        if type(self.strands) is not int:
+            raise BadLetter(f"strand count must be an int, got {self.strands!r}")
+        if type(self.letters) is not tuple:
+            raise BadLetter(f"letters must be a tuple, got {self.letters!r}")
         if self.strands < 1:
             raise BadLetter(f"strand count must be positive, got {self.strands}")
         for letter in self.letters:
+            if type(letter) is not int:
+                raise BadLetter(f"letter {letter!r} is not an int")
             if letter == 0:
                 raise BadLetter("letter 0 names no generator")
             if abs(letter) >= self.strands:

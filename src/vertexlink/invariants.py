@@ -52,10 +52,11 @@ from .tensor import partial_close_second, trace_product
 TRACE_BLOCK = 256
 
 
-def _closure_trace(word: BraidWord, m: VertexModel, bits: int) -> RingElem:
+def _closure_trace(word: BraidWord, m: VertexModel) -> RingElem:
     """Z^-writhe <L> on the image of the ring at q^2 = 2^bits, meeting in the middle.
 
-    The two half-words are represented separately
+    It packs at the width ``bits`` that :func:`vertexlink.packed.closure_bits`
+    proves for ``word``.  The two half-words are represented separately
     (:func:`vertexlink.braid.represent`), on the rows of charge w >= 0
     only: each starts from its first letter on those rows, and its
     later letters are grouped into same-site runs, each multiplied into
@@ -65,8 +66,7 @@ def _closure_trace(word: BraidWord, m: VertexModel, bits: int) -> RingElem:
     (:mod:`vertexlink.packed`), so the row weighs sigma^n (q^(2 w) +
     q^(-2 w)), or sigma^n once for w = 0.  The letters are in the parity
     gauge, a diagonal conjugation that fixes the trace and puts every entry
-    in Z[q^+-2].  Exact when ``bits`` is at least
-    ``packed.closure_bits(m, word)``.
+    in Z[q^+-2].
 
     The left half L is built whole.  The right half R is built and traced
     against it :data:`TRACE_BLOCK` rows at a time, and the block traces
@@ -76,7 +76,7 @@ def _closure_trace(word: BraidWord, m: VertexModel, bits: int) -> RingElem:
     path products, so the width that reads the whole trace reads it too.
     """
     n = word.strands
-    img = packed.image(m, bits)
+    img = packed.image(m, packed.closure_bits(m, word))
     half = len(word.letters) // 2
     unit, weights = img.closure_weight(n)
     left = represent(BraidWord(n, word.letters[:half]), img, rows=weights.keys())
@@ -98,8 +98,8 @@ def regular_invariant(word: BraidWord, m: VertexModel) -> RingElem:
     and a piece met twice, such as a free strand, is computed once.
     Otherwise each letter is Z times a unit-free matrix, so <L> is
     Z^writhe times the unit-free trace, which runs on plain ints
-    (:mod:`vertexlink.packed`) at a width proven wide enough to read every
-    coefficient back.
+    (:mod:`vertexlink.packed`) at the width :func:`_closure_trace` proves
+    for the word, wide enough to read every coefficient back.
     """
     pieces = word.pieces()
     if len(pieces) > 1:
@@ -107,8 +107,7 @@ def regular_invariant(word: BraidWord, m: VertexModel) -> RingElem:
         for piece in pieces:
             value = value * regular_invariant(piece, m)
         return value
-    bits = packed.closure_bits(m, word)
-    return m.Z ** word.writhe * _closure_trace(word, m, bits)
+    return m.Z ** word.writhe * _closure_trace(word, m)
 
 
 def ambient_invariant(word: BraidWord, m: VertexModel) -> RingElem:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ring
-from .axioms import equation_bits, equation_operands, equation_witnesses
+from .axioms import equation_operands, equation_witnesses
 from .errors import (
     ClosedFormMismatch,
     ConventionValidationFailed,
@@ -220,7 +220,7 @@ def _verify_flip(name: str, X: SqMatrix, C: SqMatrix) -> None:
         where = "is zero" if r + c == N - 1 else "is off the antidiagonal"
         raise ConventionValidationFailed(f"flip entry [{r},{c}] {where}")
     exact = equation_operands(N, R=X, C=C)
-    witness = equation_witnesses(exact, equation_bits(exact, N, ("flip",)), ("flip",))["flip"]
+    witness = equation_witnesses(N, ("flip",), exact)["flip"]
     if witness:
         raise ConventionValidationFailed(
             f"the flip (C (x) C) X = P X P (C (x) C) fails for X = {name} {witness}")

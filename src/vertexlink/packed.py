@@ -458,18 +458,15 @@ def annihilates(R, eigenvalues, minimal: bool = False) -> bool:
     """Whether prod (R - lam 1) over ``eigenvalues`` is the zero matrix; with
     ``minimal``, also that no product leaving one factor out is.
 
-    R (a SqMatrix) and every lam are packed once with one shift, at
-    :func:`annihilator_bits`, so each factor subtracts ints on the
-    diagonal.  The factors are polynomials in R, so they commute: the
+    R (a SqMatrix) and every lam are packed once with one shift, at the
+    width :func:`annihilator_bits` proves, so each factor subtracts ints on
+    the diagonal.  The factors are polynomials in R, so they commute: the
     product leaving out factor i is the prefix product before i times the
     suffix product after it, about 3k packed products for k factors in
     place of k^2.
     """
     eig = tuple(eigenvalues)
-    return _annihilates(R, eig, minimal, annihilator_bits(R, eig))
-
-
-def _annihilates(R, eig: tuple, minimal: bool, bits: int) -> bool:
+    bits = annihilator_bits(R, eig)
     values = [*R.entries.values(), *eig]
     step = variable_step(values)
     base = pack_matrix(R, bits, step, -low_degree(values, step))

@@ -65,19 +65,17 @@ def tl_relations_check(m: VertexModel, max_strands: int = 4) -> CheckReport:
     """E_i^2 = k E_i, E_i E_(i+-1) E_i = E_i, far commutation, for e and f,
     on 2 up to the model's strand cap (``invariants.STRAND_CAP``).
 
-    e and f are packed once at :func:`tl_bits`.  Each E_i is the unit
-    matrix on n strands times e or f on the factors i, i+1, applied as a
-    two-site operator (:meth:`~vertexlink.packed.PackedMatrix.times_two_site`),
-    and every product runs on the packed image.
+    e and f are packed once, at the width :func:`tl_bits` proves.  Each E_i
+    is the unit matrix on n strands times e or f on the factors i, i+1,
+    applied as a two-site operator
+    (:meth:`~vertexlink.packed.PackedMatrix.times_two_site`), and every
+    product runs on the packed image.
     """
     cap = STRAND_CAP[m.N]
     if not 2 <= max_strands <= cap:
         raise DomainError(f"max_strands must be between 2 and {cap}, got {max_strands}")
-    tl = build_tl(m)
-    return _tl_relations(tl, m.N, max_strands, tl_bits(tl))
-
-
-def _tl_relations(tl: TLData, N: int, max_strands: int, bits: int) -> CheckReport:
+    N, tl = m.N, build_tl(m)
+    bits = tl_bits(tl)
     rep = CheckReport()
     step = packed.variable_step([*tl.e.entries.values(), *tl.f.entries.values(), tl.k])
     for name, gen in (("e", tl.e), ("f", tl.f)):

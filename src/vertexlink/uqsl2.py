@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ring
-from .axioms import equation_bits, equation_operands, equation_witnesses
+from .axioms import equation_operands, equation_witnesses
 from .errors import DimensionMismatch, UnsupportedN
 from .models import VertexModel, build_model
 from .ring import RingElem
@@ -144,12 +144,6 @@ def exact_w_matches_md(j) -> bool:
     return build_w(jf).transpose() == ring.s_power(int(2 * jf)) * m.M_d
 
 
-def _rows_hold(exact: dict, N: int, names) -> dict[str, bool]:
-    """{name: holds} for the rows ``names`` of ``axioms.EQUATIONS``, on one packed pass."""
-    witnesses = equation_witnesses(exact, equation_bits(exact, N, names), names)
-    return {name: not w for name, w in witnesses.items()}
-
-
 def exact_twist_substitution(j) -> bool:
     """Twist equations stay exact with M_d replaced by w^t (and M_u by its inverse),
     checked on the packed image (:func:`vertexlink.axioms.equation_witnesses`)."""
@@ -158,7 +152,7 @@ def exact_twist_substitution(j) -> bool:
     m = build_model(N)
     M_d = build_w(jf).transpose()
     exact = equation_operands(N, R=m.R, R_inv=m.R_inv, M_u=small_inverse(M_d), M_d=M_d)
-    return all(_rows_hold(exact, N, ("twist1", "twist2")).values())
+    return not any(equation_witnesses(N, ("twist1", "twist2"), exact).values())
 
 
 def _r_series(rep: SpinRep, sign: int) -> tuple[SqMatrix, SqMatrix]:
@@ -219,7 +213,7 @@ def crossing_symmetry(rep: SpinRep, R: SqMatrix, R_inv: SqMatrix) -> dict[str, b
     cs2: R^t2 (1 x W) = (1 x W) R^-1
     """
     exact = equation_operands(rep.dim, R=R, R_inv=R_inv, W=crossing_w(rep.j))
-    return _rows_hold(exact, rep.dim, ("cs1", "cs2"))
+    return {name: not w for name, w in equation_witnesses(rep.dim, ("cs1", "cs2"), exact).items()}
 
 
 def exchange_sign_gauge(j) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -334,8 +328,8 @@ def correspondence_report(j) -> CorrespondenceReport:
         j=jf,
         algebra=all(rep_relations(rep).values()),
         casimir=casimir_scalar(rep) == sq * sq,
-        series=tail.is_zero() and _rows_hold(equation_operands(rep.dim, R=R, R_inv=R_inv),
-                                             rep.dim, ("r",))["r"],
+        series=tail.is_zero() and not equation_witnesses(
+            rep.dim, ("r",), equation_operands(rep.dim, R=R, R_inv=R_inv))["r"],
         wconj=w_conjugation(jf),
         cs=all(crossing_symmetry(rep, R, R_inv).values()),
         md_exact=exact_w_matches_md(jf),

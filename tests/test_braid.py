@@ -39,6 +39,25 @@ def test_word_validation():
     BraidWord(1, ())  # one free strand is fine
 
 
+@pytest.mark.parametrize("strands,letters", [
+    (2, (1.0,)),
+    (3, (1, 2.0)),
+    (3, (1.5,)),
+    (2.5, (1,)),
+    (2.0, ()),
+    (2, (True,)),
+    (True, ()),
+    (2, [1, 1, 1]),
+    (3, range(1, 3)),
+], ids=repr)
+def test_word_refuses_what_is_not_ints_in_a_tuple(strands, letters):
+    """A float or a bool, as the strand count or a letter, or letters not in a tuple, are
+    refused at once: 2.0 and True would share the cache entries of 2 and 1, and a list
+    cannot be a cache key."""
+    with pytest.raises(BadLetter):
+        BraidWord(strands, letters)
+
+
 def test_random_word_on_one_strand_has_no_letters_to_draw():
     with pytest.raises(BadLetter, match="no generator"):
         random_word(random.Random(0), 1, 1)

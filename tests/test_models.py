@@ -241,8 +241,7 @@ def test_a_zero_flip_is_refused_though_its_row_holds(m3):
     # C = 0 makes both sides of the flip row zero, so the shape check is what refuses it
     zero = SqMatrix(3)
     exact = axioms.equation_operands(3, R=m3.R, C=zero)
-    assert axioms.equation_witnesses(exact, axioms.equation_bits(exact, 3, ("flip",)),
-                                     ("flip",)) == {"flip": ""}
+    assert axioms.equation_witnesses(3, ("flip",), exact) == {"flip": ""}
     with pytest.raises(ConventionValidationFailed, match=r"flip entry \[0,2\] is zero"):
         models._verify_flip("R", m3.R, zero)
 

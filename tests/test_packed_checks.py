@@ -3,10 +3,11 @@
 ``packed.annihilates``, every row of ``axioms.EQUATIONS`` (the rows of
 ``axioms.check_axioms``, the flip of model construction, the ``uqsl2``
 twist, series and crossing clauses) and ``tlbracket.tl_relations_check``
-compare both sides as ints at a proven width.  Each is checked here against the same computation over the exact
-ring: the width bounds every coefficient of both sides, a width below the
-coefficients gives a wrong verdict, and the verdicts and witnesses agree
-with the reference.
+compare both sides as ints at the width each proves for itself.  Each is
+checked here against the same computation over the exact ring: the width
+bounds every coefficient of both sides, a width below the coefficients,
+substituted for the width function, gives a wrong verdict, and the verdicts
+and witnesses agree with the reference.
 """
 
 import dataclasses
@@ -120,7 +121,7 @@ def test_annihilator_width_bounds_every_product(N, sign, mirrored):
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
-def test_annihilator_too_narrow_width_reads_wrong(N):
+def test_annihilator_too_narrow_width_reads_wrong(N, monkeypatch):
     m = build_model(N)
     step = packed.variable_step([*m.R.entries.values(), *m.eigenvalues])
     bits = 3
@@ -128,7 +129,8 @@ def test_annihilator_too_narrow_width_reads_wrong(N):
     assert not exact_product(m.R, off).is_zero()
     assert not packed.annihilates(m.R, off)
     # at x = 2^3 the wrong eigenvalue has the right image: the narrow width accepts it
-    assert packed._annihilates(m.R, off, False, bits)
+    monkeypatch.setattr(packed, "annihilator_bits", lambda R, eigenvalues: bits)
+    assert packed.annihilates(m.R, off)
 
 
 # --------------------------------------------------------- braid and twists
@@ -161,10 +163,6 @@ def reference_axioms(m):
     for name, witness in reference_witnesses(operands(m), axioms.AXIOMS).items():
         rep.record(name, not witness, witness)
     return rep
-
-
-def packed_witnesses(exact, N, names):
-    return axioms.equation_witnesses(exact, axioms.equation_bits(exact, N, names), names)
 
 
 MODEL_ROWS = axioms.AXIOMS + ("flip",)
@@ -215,8 +213,8 @@ def test_equation_width_bounds_both_sides(case):
 @pytest.mark.parametrize("case", list(row_cases()), ids=lambda case: case[0])
 def test_every_row_holds_and_agrees_with_the_exact_reference(case):
     _, exact, N, rows = case
-    assert packed_witnesses(exact, N, rows) == reference_witnesses(exact, rows)
-    assert packed_witnesses(exact, N, rows) == dict.fromkeys(rows, "")
+    assert axioms.equation_witnesses(N, rows, exact) == reference_witnesses(exact, rows)
+    assert axioms.equation_witnesses(N, rows, exact) == dict.fromkeys(rows, "")
 
 
 def times_q(op):
@@ -235,7 +233,7 @@ def test_a_perturbed_operand_fails_its_row_with_an_entry(name, operand, N):
     exact = (spin_operands(Fraction(N - 1, 2)) if name in ("cs1", "cs2")
              else model_operands(build_model(N)))
     bad = {**exact, operand: times_q(exact[operand])}
-    got = packed_witnesses(bad, N, (name,))
+    got = axioms.equation_witnesses(N, (name,), bad)
     assert got == reference_witnesses(bad, (name,))
     # the witness names an entry: one index per output letter of the row
     arity = len(axioms.EQUATIONS[name][0][0][0].partition("->")[2])
@@ -243,7 +241,7 @@ def test_a_perturbed_operand_fails_its_row_with_an_entry(name, operand, N):
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
-def test_equations_too_narrow_width_read_wrong(N):
+def test_equations_too_narrow_width_read_wrong(N, monkeypatch):
     m = build_model(N)
     ops = [*m.R.entries.values(), *m.R_inv.entries.values(),
            *m.M_u.entries.values(), *m.M_d.entries.values()]
@@ -253,7 +251,8 @@ def test_equations_too_narrow_width_read_wrong(N):
     assert not reference_axioms(bad).results["braid"]
     assert not check_axioms(bad).results["braid"]
     # at x = 2^3 the bumped R has the image of R: every equation reads as holding
-    assert (axioms.equation_witnesses(operands(bad), bits, axioms.AXIOMS)
+    monkeypatch.setattr(axioms, "equation_bits", lambda exact, N, names: bits)
+    assert (axioms.equation_witnesses(N, axioms.AXIOMS, operands(bad))
             == dict.fromkeys(axioms.AXIOMS, ""))
 
 
@@ -282,13 +281,13 @@ def test_uq_twist_clause_packs_at_the_twist_width(j, bits, monkeypatch):
     assert axioms.equation_bits(exact, N, ("twist1", "twist2")) == bits
     assert axioms.equation_bits(exact, N, axioms.AXIOMS) > bits
     seen = []
-    witnesses = uqsl2.equation_witnesses
+    equation_bits = axioms.equation_bits
 
-    def recording(exact, width, names):
-        seen.append(width)
-        return witnesses(exact, width, names)
+    def recording(exact, N, names):
+        seen.append(equation_bits(exact, N, names))
+        return seen[-1]
 
-    monkeypatch.setattr(uqsl2, "equation_witnesses", recording)
+    monkeypatch.setattr(axioms, "equation_bits", recording)
     assert uqsl2.exact_twist_substitution(j)
     assert seen == [bits]
 
@@ -308,7 +307,7 @@ def test_uq_twist_clause_agrees_with_the_exact_reference(j, broken, monkeypatch)
     M_d = W.transpose()
     exact = axioms.equation_operands(m.N, R=m.R, R_inv=m.R_inv, M_u=small_inverse(M_d), M_d=M_d)
     twists = ("twist1", "twist2")
-    got = packed_witnesses(exact, m.N, twists)
+    got = axioms.equation_witnesses(m.N, twists, exact)
     want = reference_witnesses(exact, twists)
     assert got == want
     assert any(want.values()) == broken
@@ -478,7 +477,7 @@ def test_tl_generator_on_the_wrong_sites_breaks_far(N, monkeypatch):
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
-def test_tl_too_narrow_width_reads_wrong(N):
+def test_tl_too_narrow_width_reads_wrong(N, monkeypatch):
     m = build_model(N)
     tl = tlbracket.build_tl(m)
     step = packed.variable_step([*tl.e.entries.values(), *tl.f.entries.values(), tl.k])
@@ -488,9 +487,11 @@ def test_tl_too_narrow_width_reads_wrong(N):
     bad = tlbracket.TLData(e=e, f=P @ e @ P, k=tl.k)
     want = reference_relations(bad, N, 3)
     assert not want.passed
-    assert tlbracket._tl_relations(bad, N, 3, tlbracket.tl_bits(bad)).results == want.results
+    monkeypatch.setattr(tlbracket, "build_tl", lambda _: bad)
+    assert tlbracket.tl_relations_check(m, max_strands=3).results == want.results
     # at x = 2^3 the bumped e has the image of e: every relation reads as holding
-    assert tlbracket._tl_relations(bad, N, 3, bits).passed
+    monkeypatch.setattr(tlbracket, "tl_bits", lambda _: bits)
+    assert tlbracket.tl_relations_check(m, max_strands=3).passed
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])

@@ -147,14 +147,13 @@ def test_right_half_in_blocks_of_any_size_gives_the_whole_trace(N, monkeypatch):
     m = build_model(N)
     n = invariants.STRAND_CAP[N]
     w = BraidWord(n, cap_word(N).letters + braid.random_word(random.Random(N), n, 4).letters)
-    bits = packed.closure_bits(m, w)
     sizes = (1, 7, 100, invariants.TRACE_BLOCK)
     monkeypatch.setattr(invariants, "TRACE_BLOCK", N ** n)
-    whole = invariants._closure_trace(w, m, bits)
+    whole = invariants._closure_trace(w, m)
     assert m.Z ** w.writhe * whole == reference(w, m)
     for size in sizes:
         monkeypatch.setattr(invariants, "TRACE_BLOCK", size)
-        assert invariants._closure_trace(w, m, bits) == whole, size
+        assert invariants._closure_trace(w, m) == whole, size
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
@@ -167,15 +166,18 @@ def test_bound_dominates_coefficients(N):
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
-def test_too_narrow_width_reads_back_wrong(N):
+def test_too_narrow_width_reads_back_wrong(N, monkeypatch):
     m = build_model(N)
     w = BraidWord(4, (1, 1, 3, 3))
     want = reference(w, m)
     width = max_coeff_bits(want)
     assert width >= 2
+    assert m.Z ** w.writhe * invariants._closure_trace(w, m) == want
     # balanced digits at this width stop short of the widest coefficient
-    assert m.Z ** w.writhe * invariants._closure_trace(w, m, width) != want
-    assert m.Z ** w.writhe * invariants._closure_trace(w, m, width + 1) == want
+    monkeypatch.setattr(packed, "closure_bits", lambda model, word: width)
+    assert m.Z ** w.writhe * invariants._closure_trace(w, m) != want
+    monkeypatch.setattr(packed, "closure_bits", lambda model, word: width + 1)
+    assert m.Z ** w.writhe * invariants._closure_trace(w, m) == want
 
 
 def test_packed_product_entries_with_radicals(m4):
@@ -226,9 +228,10 @@ def test_gauge_clears_the_radical_and_fixes_the_closure(N, sign, mirrored):
         assert lhs == rhs, (a, c, b, d)
 
 
-def test_one_bit_width_is_refused(m2):
+def test_one_bit_width_is_refused(m2, monkeypatch):
+    monkeypatch.setattr(packed, "closure_bits", lambda model, word: 1)
     with pytest.raises(DomainError):
-        invariants._closure_trace(BraidWord(2, (1,)), m2, 1)
+        invariants._closure_trace(BraidWord(2, (1,)), m2)
 
 
 def test_packed_matrices_stay_packed_through_represent(m4):
@@ -380,7 +383,7 @@ def test_two_site_walk_one_site_off_breaks_the_trace(N, mirrored, monkeypatch):
     words = [BraidWord(3, (1, 2, 1, 2)), BraidWord(3, (2, 1, 2, 1))]
 
     def trace(w):
-        return m.Z ** w.writhe * invariants._closure_trace(w, m, packed.closure_bits(m, w))
+        return m.Z ** w.writhe * invariants._closure_trace(w, m)
 
     assert all(trace(w) == reference(w, m) for w in words)
 
@@ -446,7 +449,7 @@ def test_closure_trace_builds_one_letter_per_half(m3, monkeypatch, letters, firs
     w = BraidWord(4, letters)
     want = reference(w, m3)
     built = recording_letters(monkeypatch)
-    assert m3.Z ** w.writhe * invariants._closure_trace(w, m3, packed.closure_bits(m3, w)) == want
+    assert m3.Z ** w.writhe * invariants._closure_trace(w, m3) == want
     assert [x for x, _ in built] == firsts
 
 
@@ -555,7 +558,7 @@ SPLIT_WORDS = {
 def unsplit(w, m):
     """The chain on all of w's strands, as ``regular_invariant`` runs a word that
     uses every generator."""
-    return m.Z ** w.writhe * invariants._closure_trace(w, m, packed.closure_bits(m, w))
+    return m.Z ** w.writhe * invariants._closure_trace(w, m)
 
 
 @pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirror"])
@@ -585,9 +588,9 @@ def recorded_chains(monkeypatch):
     seen = []
     closure_trace = invariants._closure_trace
 
-    def recording(word, m, bits):
+    def recording(word, m):
         seen.append(word)
-        return closure_trace(word, m, bits)
+        return closure_trace(word, m)
 
     monkeypatch.setattr(invariants, "_closure_trace", recording)
     return seen
